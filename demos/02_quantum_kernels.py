@@ -10,20 +10,19 @@ from qsvm_boost import (
     FeatureMapSpec,
     GramCache,
     export_gram_csv,
-    fidelity_kernel,
     gram_matrix,
     make_circles,
-    rbf_kernel,
+    rbf_gram,
     split_and_scale,
 )
 
 np.set_printoptions(precision=3, suppress=True)
 
 spec = FeatureMapSpec(n_qubits=2, labels=("Z", "ZZ"), reps=2, alpha=1.0)
-x, y = np.array([0.5, 1.2]), np.array([2.0, 0.3])
-print("k(x, x) =", fidelity_kernel(spec, x, x))
-print("k(x, y) =", fidelity_kernel(spec, x, y))
-print("k(y, x) =", fidelity_kernel(spec, y, x))
+x, y = np.array([[0.5, 1.2]]), np.array([[2.0, 0.3]])  # one sample per row
+print("k(x, x) =", gram_matrix(spec, x, x).values[0, 0])
+print("k(x, y) =", gram_matrix(spec, x, y).values[0, 0])
+print("k(y, x) =", gram_matrix(spec, y, x).values[0, 0])
 print()
 
 # a small circles dataset, scaled to [0, pi] as the SVMs consume it
@@ -45,7 +44,7 @@ print("val x train Gram shape:", cross.values.shape, "| cached matrices:", len(c
 
 # classical baseline kernel for comparison
 print()
-print("rbf k(x, y) gamma=1:", rbf_kernel(x, y, gamma=1.0))
+print("rbf k(x, y) gamma=1:", rbf_gram(x, y, gamma=1.0).values[0, 0])
 
-export_gram_csv(gram, "/tmp/train_gram.csv")
-print("wrote /tmp/train_gram.csv (header carries the kernel spec)")
+export_gram_csv(gram, "train_gram.csv")
+print("wrote train_gram.csv in the current directory (header carries the kernel spec)")

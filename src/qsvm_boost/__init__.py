@@ -17,12 +17,9 @@ from .kernels import (
     GramCache,
     GramMatrix,
     export_gram_csv,
-    fidelity_kernel,
     gram_matrix,
     linear_gram,
-    linear_kernel,
     rbf_gram,
-    rbf_kernel,
 )
 from .svm_solver import (
     SolverSettings,
@@ -46,7 +43,6 @@ from .boosted_qsvm import (
     fit_boosted,
     grid_search_best,
     initial_weights,
-    predict_ensemble,
     predict_ensemble_batch,
     prune_by_validation,
     update_weights,

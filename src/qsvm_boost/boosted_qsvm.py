@@ -282,24 +282,6 @@ def _round_votes(
     return votes
 
 
-def predict_ensemble(
-    ensemble: BoostedEnsemble, gram_rows: list[np.ndarray] | np.ndarray
-) -> tuple[float, int]:
-    """Weighted-vote score and label for one point.
-
-    ``gram_rows`` holds one kernel row per active (pruned) round, each
-    evaluated against that round's feature map.
-    """
-    active = ensemble.active_rounds
-    rows = [np.asarray(r, dtype=float) for r in gram_rows]
-    if len(rows) != len(active):
-        raise ValueError(f"expected {len(active)} kernel rows, got {len(rows)}")
-    alphas = np.array([rnd.alpha_m for rnd in active])
-    votes = np.array([predict(rnd.estimator, row) for rnd, row in zip(active, rows)])
-    score = float(np.sum(alphas * votes) / np.sum(alphas))
-    return score, (1 if score >= 0.5 else 0)
-
-
 def predict_ensemble_batch(
     ensemble: BoostedEnsemble,
     X_new: np.ndarray,

@@ -12,28 +12,18 @@ import json
 import sys
 from dataclasses import replace
 
-from .boosted_qsvm import (
-    GridSpec,
-    ensemble_to_json,
-    fit_boosted,
-    grid_search_best,
-    initial_weights,
-    predict_ensemble_batch,
-)
 from .datasets import GENERATORS, SplitDataset, dataset_from_csv, dataset_to_csv, split_and_scale
 from .experiment import (
-    MODEL_BASELINE,
-    MODEL_BOOSTED,
-    MODEL_SINGLE,
+    MODELS,
+    ExperimentConfig,
     aggregate,
-    classical_svm_baseline,
     emit_report,
+    fit_model,
     load_config,
     read_records_csv,
     run_experiment,
 )
 from .kernels import GramCache
-from .svm_solver import predict, svm_to_json
 
 
 def _cmd_generate(args) -> int:
@@ -56,52 +46,15 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fit_one(split: SplitDataset, model_id: str, max_rounds: int) -> dict:
-    cache = GramCache()
-    X_train, y_train = split.train.X, split.train.y
-    X_val, y_val = split.val.X, split.val.y
-    X_test, y_test = split.test.X, split.test.y
-    if model_id == MODEL_BOOSTED:
-        ensemble = fit_boosted(X_train, y_train, X_val, y_val, max_rounds=max_rounds, cache=cache)
-        _, labels = predict_ensemble_batch(ensemble, X_test, X_train, cache)
-        out = ensemble_to_json(ensemble)
-        out["test_accuracy"] = float((labels == y_test).mean())
-        return out
-    if model_id == MODEL_SINGLE:
-        result = grid_search_best(
-            X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
-            grid=GridSpec(), cache=cache,
-        )
-        k_test = cache.fidelity(result.feature_map, X_test, X_train)
-        return {
-            "feature_map": result.feature_map.canonical(),
-            "alpha": result.grid_point[1],
-            "C": result.grid_point[2],
-            "val_accuracy": result.val_accuracy,
-            "test_accuracy": float((predict(result.model, k_test.values) == y_test).mean()),
-            "svm": svm_to_json(result.model),
-        }
-    if model_id == MODEL_BASELINE:
-        base = classical_svm_baseline(split, cache=cache)
-        return {
-            "kernel": base.kernel,
-            "gamma": base.gamma,
-            "C": base.C,
-            "val_accuracy": base.val_accuracy,
-            "test_accuracy": base.test_accuracy,
-            "svm": svm_to_json(base.model),
-        }
-    raise ValueError(f"unknown model {model_id!r}")
-
-
 def _cmd_fit(args) -> int:
     data = dataset_from_csv(args.data)
     if not isinstance(data, SplitDataset):
         raise ValueError("fit needs a split dataset CSV (generate with --split)")
-    result = _fit_one(data, args.model, args.max_rounds)
+    config = ExperimentConfig(max_rounds=args.max_rounds)
+    entry = fit_model(data, config, args.model, GramCache()).entry
     with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1, sort_keys=True)
-    print(f"wrote {args.out} (test accuracy {result['test_accuracy']:.3f})")
+        json.dump(entry, fh, indent=1, sort_keys=True)
+    print(f"wrote {args.out} (test accuracy {entry['test_accuracy']:.3f})")
     return 0
 
 
@@ -143,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model on one split dataset")
     p.add_argument("--data", required=True, help="split dataset CSV")
-    p.add_argument("--model", choices=[MODEL_BOOSTED, MODEL_SINGLE, MODEL_BASELINE], required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)

@@ -67,7 +67,6 @@ class SplitDataset:
     train: LabeledDataset
     val: LabeledDataset
     test: LabeledDataset
-    scaler: FeatureScaler
 
 
 def xor_label(x1: float, x2: float) -> int:
@@ -181,7 +180,7 @@ def split_and_scale(
         )
         for name, ix in idx.items()
     }
-    return SplitDataset(train=parts["train"], val=parts["val"], test=parts["test"], scaler=scaler)
+    return SplitDataset(train=parts["train"], val=parts["val"], test=parts["test"])
 
 
 def dataset_to_csv(path, data: LabeledDataset | SplitDataset) -> None:
@@ -238,6 +237,5 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
         for name in _SPLIT_NAMES:
             mask = np.array([r[3] == name for r in rows])
             parts[name] = LabeledDataset(X[mask], y[mask], kind, seed, params)
-        scaler = FeatureScaler.fit(parts["train"].X)
-        return SplitDataset(parts["train"], parts["val"], parts["test"], scaler)
+        return SplitDataset(parts["train"], parts["val"], parts["test"])
     return LabeledDataset(X, y, kind, seed, params)

@@ -42,7 +42,9 @@ from .svm_solver import (
 MODEL_BOOSTED = "boosted_qsvm"
 MODEL_SINGLE = "single_qsvm"
 MODEL_BASELINE = "svm_baseline"
-MODELS = (MODEL_BOOSTED, MODEL_SINGLE, MODEL_BASELINE)
+# fit order: single first, so it pays for the Gram builds that boosting's round 1 then reuses
+MODELS = (MODEL_SINGLE, MODEL_BOOSTED, MODEL_BASELINE)
+_BUNDLE_KEYS = {MODEL_SINGLE: "single", MODEL_BOOSTED: "boosted", MODEL_BASELINE: "baseline"}
 
 DEFAULT_DATASET_PARAMS = {
     "xor": {"margin": 0.0},
@@ -202,6 +204,64 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> list[RunR
     return records
 
 
+class ModelFit(NamedTuple):
+    """One fitted study model: its bundle entry and the record fields it sets."""
+
+    entry: dict  # stored under _BUNDLE_KEYS[model_id]; includes "test_accuracy"
+    ensemble_size: int
+    grid_points: str
+
+
+def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
+              cache: GramCache) -> ModelFit:
+    """Fit one study model on the train split, select it on val, score it on test."""
+    X_train, y_train = split.train.X, split.train.y
+    X_val, y_val = split.val.X, split.val.y
+    X_test, y_test = split.test.X, split.test.y
+    if model_id == MODEL_SINGLE:
+        single = grid_search_best(
+            X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
+            config.grid, frozenset(), cache,
+        )
+        k_test = cache.fidelity(single.feature_map, X_test, X_train)
+        entry = {
+            "feature_map": single.feature_map.canonical(),
+            "alpha": single.grid_point[1],
+            "C": single.grid_point[2],
+            "val_accuracy": single.val_accuracy,
+            "test_accuracy": _accuracy(predict(single.model, k_test.values), y_test),
+            "svm": svm_to_json(single.model),
+        }
+        return ModelFit(entry, 1, _grid_point_text(single.grid_point))
+    if model_id == MODEL_BOOSTED:
+        ensemble = fit_boosted(
+            X_train, y_train, X_val, y_val, config.grid, config.max_rounds, cache
+        )
+        _, labels = predict_ensemble_batch(ensemble, X_test, X_train, cache)
+        entry = ensemble_to_json(ensemble)
+        entry["test_accuracy"] = _accuracy(labels, y_test)
+        return ModelFit(
+            entry, ensemble.pruned_length,
+            ";".join(_grid_point_text(r.grid_point) for r in ensemble.active_rounds),
+        )
+    if model_id == MODEL_BASELINE:
+        base = classical_svm_baseline(
+            split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
+            cache,
+        )
+        entry = {
+            "kernel": base.kernel,
+            "gamma": base.gamma,
+            "C": base.C,
+            "val_accuracy": base.val_accuracy,
+            "test_accuracy": base.test_accuracy,
+            "svm": svm_to_json(base.model),
+        }
+        gamma_text = "-" if base.gamma is None else repr(base.gamma)
+        return ModelFit(entry, 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
+    raise ValueError(f"unknown model {model_id!r}")
+
+
 def _run_one_dataset(
     config: ExperimentConfig,
     family: str,
@@ -226,76 +286,19 @@ def _run_one_dataset(
         return [record(m, float("nan"), 0, "", wall, message) for m in MODELS]
 
     cache = GramCache()
-    X_train, y_train = split.train.X, split.train.y
-    X_val, y_val = split.val.X, split.val.y
-    X_test, y_test = split.test.X, split.test.y
     records = []
     bundle: dict = {"family": family, "dataset_seed": dataset_seed, "split_seed": split_seed}
-
-    t0 = time.perf_counter()
-    try:
-        single = grid_search_best(
-            X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
-            config.grid, frozenset(), cache,
-        )
-        k_test = cache.fidelity(single.feature_map, X_test, X_train)
-        single_accuracy = _accuracy(predict(single.model, k_test.values), y_test)
-        bundle["single"] = {
-            "feature_map": single.feature_map.canonical(),
-            "alpha": single.grid_point[1],
-            "C": single.grid_point[2],
-            "val_accuracy": single.val_accuracy,
-            "test_accuracy": single_accuracy,
-            "svm": svm_to_json(single.model),
-        }
-        records.append(record(
-            MODEL_SINGLE, single_accuracy, 1,
-            _grid_point_text(single.grid_point), time.perf_counter() - t0,
-        ))
-    except Exception as exc:
-        records.append(record(MODEL_SINGLE, float("nan"), 0, "",
-                              time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"))
-
-    t0 = time.perf_counter()
-    try:
-        ensemble = fit_boosted(
-            X_train, y_train, X_val, y_val, config.grid, config.max_rounds, cache
-        )
-        _, labels = predict_ensemble_batch(ensemble, X_test, X_train, cache)
-        boosted_accuracy = _accuracy(labels, y_test)
-        bundle["boosted"] = ensemble_to_json(ensemble)
-        bundle["boosted"]["test_accuracy"] = boosted_accuracy
-        records.append(record(
-            MODEL_BOOSTED, boosted_accuracy, ensemble.pruned_length,
-            ";".join(_grid_point_text(r.grid_point) for r in ensemble.active_rounds),
-            time.perf_counter() - t0,
-        ))
-    except Exception as exc:
-        records.append(record(MODEL_BOOSTED, float("nan"), 0, "",
-                              time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"))
-
-    t0 = time.perf_counter()
-    try:
-        base = classical_svm_baseline(
-            split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
-            cache,
-        )
-        bundle["baseline"] = {
-            "kernel": base.kernel,
-            "gamma": base.gamma,
-            "C": base.C,
-            "val_accuracy": base.val_accuracy,
-            "test_accuracy": base.test_accuracy,
-            "svm": svm_to_json(base.model),
-        }
-        gamma_text = "-" if base.gamma is None else repr(base.gamma)
-        records.append(record(
-            MODEL_BASELINE, base.test_accuracy, 1,
-            f"{base.kernel}@gamma={gamma_text}@C={base.C!r}", time.perf_counter() - t0,
-        ))
-    except Exception as exc:
-        records.append(record(MODEL_BASELINE, float("nan"), 0, "",
-                              time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"))
+    for model_id in MODELS:
+        t0 = time.perf_counter()
+        try:
+            fit = fit_model(split, config, model_id, cache)
+        except Exception as exc:
+            records.append(record(model_id, float("nan"), 0, "",
+                                  time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"))
+            continue
+        bundle[_BUNDLE_KEYS[model_id]] = fit.entry
+        records.append(record(model_id, fit.entry["test_accuracy"], fit.ensemble_size,
+                              fit.grid_points, time.perf_counter() - t0))
 
     with open(models_dir / f"{family}_{dataset_seed}.json", "w") as fh:
         json.dump(bundle, fh, indent=1, sort_keys=True)

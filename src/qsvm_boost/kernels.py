@@ -7,7 +7,6 @@ assembly and inner products taken pairwise.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,6 @@ class GramMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-def fidelity_kernel(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Squared overlap of the encoded states of x and y; lies in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.n_qubits,) or y.shape != (spec.n_qubits,):
-        raise ValueError(f"feature vectors must have length {spec.n_qubits}")
-    states = feature_map_states(spec, np.stack([x, y]))
-    return float(abs(np.vdot(states[0], states[1])) ** 2)
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
@@ -58,27 +47,6 @@ def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = 
         states_b = feature_map_states(spec, X_b)
         values = np.abs(states_a @ states_b.conj().T) ** 2
     return GramMatrix(values=values, spec_id=spec.canonical())
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("feature vectors must have equal length")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
-def linear_kernel(x: np.ndarray, y: np.ndarray) -> float:
-    """Dot product x . y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("feature vectors must have equal length")
-    return float(np.dot(x, y))
 
 
 def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
@@ -119,25 +87,20 @@ class GramCache:
     """Memoizes Gram matrices, keyed on (kernel identity, dataset content hash).
 
     Grid search reuses the same (feature map, alpha) Gram across all C values
-    and boosting rounds. Safe for concurrent read/insert of distinct keys;
-    reads after a hit return the stored matrix unchanged.
+    and boosting rounds. A hit returns the stored matrix unchanged.
     """
 
     def __init__(self):
         self._store: dict[tuple, GramMatrix] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._store)
 
     def _get(self, key: tuple, compute) -> GramMatrix:
-        with self._lock:
-            hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        value = compute()
-        with self._lock:
-            return self._store.setdefault(key, value)
+        hit = self._store.get(key)
+        if hit is None:
+            hit = self._store[key] = compute()
+        return hit
 
     def fidelity(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
         key = (spec.canonical(), _digest(X_a), None if X_b is None else _digest(X_b))

@@ -23,7 +23,6 @@ _ETA_FLOOR = 1e-12
 class SolverSettings:
     kkt_tolerance: float = 1e-3
     max_passes: int = 10_000
-    seed: int = 0  # reserved; the default pair selection is deterministic
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0:
@@ -50,8 +49,6 @@ class TrainedSVM:
     bias: float
     support_indices: np.ndarray
     C: float
-    sample_weights: np.ndarray | None = None
-    label_convention: str = LABEL_CONVENTION
     converged: bool = True
     degenerate: bool = False
 
@@ -99,7 +96,6 @@ def train_weighted_svm(
             bias=sole,
             support_indices=np.array([], dtype=int),
             C=float(C),
-            sample_weights=w.copy(),
             degenerate=True,
         )
 
@@ -173,7 +169,6 @@ def train_weighted_svm(
         bias=bias,
         support_indices=np.flatnonzero(alpha > 0),
         C=float(C),
-        sample_weights=w.copy(),
         converged=converged,
     )
 
@@ -217,7 +212,7 @@ def svm_to_json(model: TrainedSVM) -> dict:
         "support_indices": [int(i) for i in model.support_indices],
         "C": model.C,
         "converged": model.converged,
-        "label_convention": model.label_convention,
+        "label_convention": LABEL_CONVENTION,
         "degenerate": model.degenerate,
     }
 
@@ -228,8 +223,6 @@ def svm_from_json(obj: dict) -> TrainedSVM:
         bias=float(obj["bias"]),
         support_indices=np.asarray(obj["support_indices"], dtype=int),
         C=float(obj["C"]),
-        sample_weights=None,
-        label_convention=obj.get("label_convention", LABEL_CONVENTION),
         converged=bool(obj.get("converged", True)),
         degenerate=bool(obj.get("degenerate", False)),
     )

@@ -32,6 +32,17 @@ def random_feature_map_spec(rng: np.random.Generator, max_qubits: int = 3) -> Fe
     )
 
 
+def rbf_kernel(x, y, gamma: float) -> float:
+    """exp(-gamma * ||x - y||^2) for one pair of feature vectors."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(np.exp(-gamma * np.dot(d, d)))
+
+
+def linear_kernel(x, y) -> float:
+    """Dot product x . y for one pair of feature vectors."""
+    return float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+
+
 def random_statevector(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return amps / np.linalg.norm(amps)

@@ -21,7 +21,6 @@ from qsvm_boost.boosted_qsvm import (
     grid_search_best,
     initial_weights,
     menu_id,
-    predict_ensemble,
     predict_ensemble_batch,
     prune_by_validation,
     update_weights,
@@ -113,36 +112,38 @@ def test_initial_weights():
 
 # --- weighted vote ---
 
+def vote_one_point(ensemble: BoostedEnsemble) -> tuple[float, int]:
+    """Score and label of the stub rounds' vote on one point (1-row X_new and X_train)."""
+    point = np.zeros((1, 2))
+    scores, labels = predict_ensemble_batch(ensemble, point, point)
+    assert scores.shape == labels.shape == (1,)
+    return float(scores[0]), int(labels[0])
+
+
 def test_predict_ensemble_single_round():
     ens = BoostedEnsemble((stub_round(1, 1.0),), 1, STOP_MAX_REACHED)
-    score, label = predict_ensemble(ens, [np.zeros(1)])
+    score, label = vote_one_point(ens)
     assert score == 1.0 and label == 1
 
 
 def test_predict_ensemble_tie_goes_to_one():
     ens = BoostedEnsemble((stub_round(1, 1.0), stub_round(0, 1.0)), 2, STOP_MAX_REACHED)
-    score, label = predict_ensemble(ens, [np.zeros(1), np.zeros(1)])
+    score, label = vote_one_point(ens)
     assert score == 0.5 and label == 1
 
 
 def test_predict_ensemble_log_weights():
     rounds = (stub_round(1, LN3), stub_round(0, math.log(9.0)), stub_round(1, LN3))
     ens = BoostedEnsemble(rounds, 3, STOP_MAX_REACHED)
-    score, label = predict_ensemble(ens, [np.zeros(1)] * 3)
+    score, label = vote_one_point(ens)
     assert abs(score - 2 * LN3 / (2 * LN3 + math.log(9.0))) < 1e-12
     assert score == 0.5 and label == 1
-
-
-def test_predict_ensemble_row_count_guard():
-    ens = BoostedEnsemble((stub_round(1, 1.0),), 1, STOP_MAX_REACHED)
-    with pytest.raises(ValueError):
-        predict_ensemble(ens, [np.zeros(1), np.zeros(1)])
 
 
 def test_predict_ensemble_respects_pruning():
     rounds = (stub_round(1, 1.0), stub_round(0, 5.0))
     ens = BoostedEnsemble(rounds, 1, STOP_MAX_REACHED)
-    score, label = predict_ensemble(ens, [np.zeros(1)])
+    score, label = vote_one_point(ens)
     assert score == 1.0 and label == 1  # round 2 ignored
 
 

@@ -5,6 +5,7 @@ import sys
 
 from qsvm_boost.cli import main
 from qsvm_boost.datasets import SplitDataset, dataset_from_csv
+from qsvm_boost.experiment import ExperimentConfig, reload_bundle, run_experiment
 
 
 def run_cli(*args) -> int:
@@ -38,15 +39,22 @@ def test_generate_bad_margin_exits_1(tmp_path):
 
 
 def test_fit_all_models(tmp_path):
-    data_csv = tmp_path / "data.csv"
-    run_cli("generate", "--family", "circles", "--n", "60", "--seed", "2",
-            "--split", "--sizes", "20,20,20", "--out", str(data_csv))
-    for model in ("single_qsvm", "boosted_qsvm", "svm_baseline"):
+    # the study run with the fit command's grids writes the split it fitted;
+    # fitting that split from the command line must give the same bundle entries
+    config = ExperimentConfig(families=("circles",), datasets_per_family=1, n_points=60,
+                              split_sizes=(20, 20, 20), max_rounds=2, master_seed=2,
+                              output_dir=str(tmp_path / "study"))
+    stem = f"circles_{run_experiment(config)[0].dataset_seed}"
+    bundle = reload_bundle(tmp_path / "study" / "models" / f"{stem}.json")
+    data_csv = tmp_path / "study" / "datasets" / f"{stem}.csv"
+    bundle_keys = {"single_qsvm": "single", "boosted_qsvm": "boosted", "svm_baseline": "baseline"}
+    for model, key in bundle_keys.items():
         out = tmp_path / f"{model}.json"
         assert run_cli("fit", "--data", str(data_csv), "--model", model,
                        "--max-rounds", "2", "--out", str(out)) == 0
         blob = json.loads(out.read_text())
         assert 0.0 <= blob["test_accuracy"] <= 1.0
+        assert blob == bundle[key]
 
 
 def test_fit_requires_split_csv(tmp_path):

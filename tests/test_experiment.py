@@ -4,8 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from qsvm_boost.boosted_qsvm import GridSpec
-from qsvm_boost.datasets import dataset_from_csv, make_moons, split_and_scale
+from qsvm_boost.boosted_qsvm import (
+    STOP_PERFECT,
+    GridSpec,
+    fit_boosted,
+    grid_search_best,
+    initial_weights,
+)
+from qsvm_boost.datasets import dataset_from_csv, make_circles, make_moons, split_and_scale
 from qsvm_boost.experiment import (
     MODEL_BASELINE,
     MODEL_BOOSTED,
@@ -26,6 +32,7 @@ from qsvm_boost.experiment import (
     tukey_quartiles,
     write_records_csv,
 )
+from qsvm_boost.kernels import GramCache
 
 SMALL_GRID = GridSpec(
     feature_maps=(("Z", "ZZ"), ("X", "XX")),
@@ -170,11 +177,28 @@ def test_run_experiment_cardinality_and_persistence(tmp_path):
     assert (tmp_path / "out" / "models" / f"circles_{seed}.json").exists()
 
 
-def test_single_equals_boosted_when_pruned_to_one(tmp_path):
-    config = tiny_config(tmp_path / "out")
-    records = {r.model_id: r for r in run_experiment(config)}
-    if records[MODEL_BOOSTED].ensemble_size == 1:
-        assert records[MODEL_BOOSTED].test_accuracy == records[MODEL_SINGLE].test_accuracy
+def test_perfect_later_round_replaces_round_one():
+    # default study, circles dataset 7: round 1 is the unit-weight grid
+    # winner, but a later round has zero weighted training error, so the
+    # ensemble is truncated to that round alone and round 1 is dropped; the
+    # single model therefore cannot be read off the ensemble's first round
+    config = ExperimentConfig()
+    family = config.families.index("circles")
+    data = make_circles(config.n_points, seed=derive_seed(config.master_seed, family, 7, 0),
+                        **config.dataset_params["circles"])
+    split = split_and_scale(data, config.split_sizes,
+                            seed=derive_seed(config.master_seed, family, 7, 1))
+    X_train, y_train = split.train.X, split.train.y
+    X_val, y_val = split.val.X, split.val.y
+    cache = GramCache()
+    ensemble = fit_boosted(X_train, y_train, X_val, y_val, config.grid, config.max_rounds, cache)
+    single = grid_search_best(X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
+                              config.grid, cache=cache)
+    assert ensemble.stop_reason == STOP_PERFECT
+    assert len(ensemble.rounds) == 1 and ensemble.pruned_length == 1
+    assert ensemble.rounds[0].err_m == 0.0 and ensemble.rounds[0].alpha_m == 1.0
+    assert ensemble.rounds[0].grid_point == ("Z,XX", 1.0, 1.0)
+    assert single.grid_point == ("Z", 0.5, 10.0)
 
 
 def test_reloaded_models_reproduce_accuracies(tmp_path):

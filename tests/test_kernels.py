@@ -4,29 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from qsvm_boost.kernels import (
-    GramCache,
-    export_gram_csv,
-    fidelity_kernel,
-    gram_matrix,
-    linear_gram,
-    linear_kernel,
-    rbf_gram,
-    rbf_kernel,
-)
+from qsvm_boost.kernels import GramCache, export_gram_csv, gram_matrix, linear_gram, rbf_gram
 from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle
-from helpers import random_feature_map_spec
+from helpers import linear_kernel, random_feature_map_spec, rbf_kernel
+
+
+def fidelity(spec: FeatureMapSpec, x, y) -> float:
+    """The fidelity kernel of one pair, as the 1x1 cross Gram of two 1-row inputs."""
+    return float(gram_matrix(spec, [x], [y]).values[0, 0])
 
 
 def test_fidelity_self_is_one():
     spec = FeatureMapSpec(2, ("Z", "ZZ"))
     x = np.array([0.7, 2.1])
-    assert abs(fidelity_kernel(spec, x, x) - 1.0) < 1e-12
+    assert abs(fidelity(spec, x, x) - 1.0) < 1e-12
 
 
 def test_fidelity_alpha_zero_is_one():
     spec = FeatureMapSpec(2, ("Z", "ZZ"), alpha=0.0)
-    assert abs(fidelity_kernel(spec, [0.1, 0.2], [2.0, 3.0]) - 1.0) < 1e-12
+    assert abs(fidelity(spec, [0.1, 0.2], [2.0, 3.0]) - 1.0) < 1e-12
 
 
 def test_fidelity_matches_oracle_columns():
@@ -35,7 +31,7 @@ def test_fidelity_matches_oracle_columns():
     col_x = dense_unitary_oracle(spec, x)[:, 0]
     col_y = dense_unitary_oracle(spec, y)[:, 0]
     expected = abs(np.vdot(col_x, col_y)) ** 2
-    assert abs(fidelity_kernel(spec, x, y) - expected) < 1e-10
+    assert abs(fidelity(spec, x, y) - expected) < 1e-10
 
 
 def test_fidelity_symmetry():
@@ -43,13 +39,13 @@ def test_fidelity_symmetry():
     spec = FeatureMapSpec(2, ("X", "YY"), alpha=1.5)
     for _ in range(20):
         x, y = rng.uniform(0, math.pi, 2), rng.uniform(0, math.pi, 2)
-        assert abs(fidelity_kernel(spec, x, y) - fidelity_kernel(spec, y, x)) < 1e-12
+        assert abs(fidelity(spec, x, y) - fidelity(spec, y, x)) < 1e-12
 
 
 def test_fidelity_dimension_mismatch():
     spec = FeatureMapSpec(2, ("Z",))
     with pytest.raises(ValueError):
-        fidelity_kernel(spec, [0.1], [0.2, 0.3])
+        gram_matrix(spec, [[0.1]], [[0.2, 0.3]])
 
 
 def test_gram_single_sample():
@@ -96,30 +92,36 @@ def test_gram_cross_matches_entries():
     assert g.shape == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert abs(g[i, j] - fidelity_kernel(spec, X_a[i], X_b[j])) < 1e-12
+            assert abs(g[i, j] - fidelity(spec, X_a[i], X_b[j])) < 1e-12
 
 
 def test_rbf_kernel_values():
-    assert rbf_kernel([0.0, 0.0], [0.0, 0.0], gamma=2.0) == 1.0
-    assert abs(rbf_kernel([0.0, 0.0], [1.0, 0.0], gamma=1.0) - math.exp(-1)) < 1e-15
+    def rbf(x, y, gamma):
+        return float(rbf_gram([x], [y], gamma=gamma).values[0, 0])
+
+    assert rbf([0.0, 0.0], [0.0, 0.0], gamma=2.0) == 1.0
+    assert abs(rbf([0.0, 0.0], [1.0, 0.0], gamma=1.0) - math.exp(-1)) < 1e-15
     # monotone decreasing in gamma for distinct points
-    values = [rbf_kernel([0, 0], [1, 1], gamma=g) for g in (0.1, 1.0, 10.0, 100.0)]
+    values = [rbf([0, 0], [1, 1], gamma=g) for g in (0.1, 1.0, 10.0, 100.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-10
 
 
 def test_rbf_kernel_gamma_guard():
     with pytest.raises(ValueError):
-        rbf_kernel([0.0], [1.0], gamma=0.0)
+        rbf_gram([[0.0]], [[1.0]], gamma=0.0)
 
 
 def test_linear_kernel_values():
-    assert linear_kernel([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert linear_kernel([1.0, 2.0], [1.0, 2.0]) == 5.0
+    def linear(x, y):
+        return float(linear_gram([x], [y]).values[0, 0])
+
+    assert linear([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert linear([1.0, 2.0], [1.0, 2.0]) == 5.0
     rng = np.random.default_rng(50)
     for _ in range(10):
         x, y, a = rng.normal(size=2), rng.normal(size=2), float(rng.normal())
-        assert abs(linear_kernel(a * x, y) - a * linear_kernel(x, y)) < 1e-12
+        assert abs(linear(a * x, y) - a * linear(x, y)) < 1e-12
 
 
 def test_classical_gram_matches_scalar():
