@@ -3,15 +3,10 @@
 from .quantum_sim import (
     FeatureMapSpec,
     PauliString,
-    Statevector,
-    apply_hadamard_all,
-    apply_pauli_rotation,
     dense_term_unitary,
     dense_unitary_oracle,
-    feature_map_state,
     feature_map_states,
     parse_feature_map,
-    zero_state,
 )
 from .kernels import (
     GramCache,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import GramCache
-from .quantum_sim import FeatureMapSpec, parse_feature_map
+from .quantum_sim import FeatureMapSpec, check_label, parse_feature_map
 from .svm_solver import (
     DEFAULT_SETTINGS,
     SolverSettings,
@@ -57,15 +57,15 @@ def menu_id(labels: tuple[str, ...]) -> str:
 class GridSpec:
     """Search grid: feature-map menu plus alpha and C values.
 
-    alphas must lie in (0, 2] and Cs in [1, 100]; both are stored sorted
-    ascending, which together with menu order fixes the tie-breaking order.
+    Every menu label is 1-2 letters from IXYZ with a non-I letter. alphas
+    must lie in (0, 2] and Cs in [1, 100]; both are stored sorted ascending,
+    which together with menu order fixes the tie-breaking order.
     """
 
     feature_maps: tuple[tuple[str, ...], ...] = DEFAULT_FEATURE_MAP_MENU
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     Cs: tuple[float, ...] = DEFAULT_CS
     reps: int = 2
-    data_map_id: str = "havlicek-default"
 
     def __post_init__(self):
         object.__setattr__(self, "feature_maps", tuple(tuple(fm) for fm in self.feature_maps))
@@ -73,6 +73,9 @@ class GridSpec:
         object.__setattr__(self, "Cs", tuple(sorted(float(c) for c in self.Cs)))
         if not self.feature_maps or not self.alphas or not self.Cs:
             raise ValueError("grid lists must be non-empty")
+        for fm in self.feature_maps:
+            for label in fm:
+                check_label(label)
         if any(a <= 0 or a > 2 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 2], got {self.alphas}")
         if any(c < 1 or c > 100 for c in self.Cs):
@@ -82,13 +85,7 @@ class GridSpec:
             raise ValueError("feature-map menu contains duplicates")
 
     def spec_for(self, labels: tuple[str, ...], alpha: float, n_qubits: int) -> FeatureMapSpec:
-        return FeatureMapSpec(
-            n_qubits=n_qubits,
-            labels=labels,
-            reps=self.reps,
-            alpha=alpha,
-            data_map_id=self.data_map_id,
-        )
+        return FeatureMapSpec(n_qubits=n_qubits, labels=labels, reps=self.reps, alpha=alpha)
 
 
 @dataclass(frozen=True)

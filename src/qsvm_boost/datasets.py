@@ -204,9 +204,9 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
     """Read a dataset written by :func:`dataset_to_csv`."""
     kind, seed, params = "unknown", 0, {}
     rows: list[tuple[float, float, int, str | None]] = []
-    header: list[str] | None = None
+    has_split: bool | None = None  # set by the column-header line
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -220,19 +220,24 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
                     elif key == "params":
                         params = json.loads(value)
                 continue
-            if header is None:
-                header = line.split(",")
+            if has_split is None:
+                has_split = "split" in line.split(",")
                 continue
             parts = line.split(",")
+            n_fields = 4 if has_split else 3
+            if len(parts) != n_fields:
+                raise ValueError(f"{path} line {lineno}: expected {n_fields} fields, got {len(parts)}")
+            if has_split and parts[3] not in _SPLIT_NAMES:
+                raise ValueError(f"{path} line {lineno}: unknown split {parts[3]!r}")
             rows.append(
                 (float(parts[0]), float(parts[1]), int(parts[2]),
-                 parts[3] if len(parts) > 3 else None)
+                 parts[3] if has_split else None)
             )
     if not rows:
         raise ValueError(f"no data rows in {path}")
     X = np.array([[r[0], r[1]] for r in rows])
     y = np.array([r[2] for r in rows])
-    if header is not None and "split" in header:
+    if has_split:
         parts = {}
         for name in _SPLIT_NAMES:
             mask = np.array([r[3] == name for r in rows])

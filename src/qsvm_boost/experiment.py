@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -503,30 +503,19 @@ def evaluate_reloaded(bundle: dict, split: SplitDataset, cache: GramCache | None
 
 # --- config file ---
 
-_CONFIG_KEYS = {
-    "families", "datasets_per_family", "n_points", "split_sizes", "dataset_params",
-    "feature_maps", "alphas", "Cs", "reps", "data_map_id",
-    "baseline_kernels", "baseline_Cs", "baseline_gammas",
-    "max_rounds", "master_seed", "output_dir",
-}
+# a flat document: the GridSpec fields sit beside the other ExperimentConfig fields
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"grid"} | _GRID_KEYS
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    grid_kwargs = {}
-    for src, dst in (("feature_maps", "feature_maps"), ("alphas", "alphas"),
-                     ("Cs", "Cs"), ("reps", "reps"), ("data_map_id", "data_map_id")):
-        if src in obj:
-            grid_kwargs[dst] = obj[src]
-    config_kwargs = {k: v for k, v in obj.items() if k not in grid_kwargs}
+    grid_kwargs = {k: v for k, v in obj.items() if k in _GRID_KEYS}
+    config_kwargs = {k: v for k, v in obj.items() if k not in _GRID_KEYS}
     if grid_kwargs:
         config_kwargs["grid"] = GridSpec(**grid_kwargs)
-    if "split_sizes" in config_kwargs:
-        config_kwargs["split_sizes"] = tuple(config_kwargs["split_sizes"])
-    if "families" in config_kwargs:
-        config_kwargs["families"] = tuple(config_kwargs["families"])
     return ExperimentConfig(**config_kwargs)
 
 

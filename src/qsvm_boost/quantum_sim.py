@@ -3,8 +3,8 @@
 A feature map encodes a classical vector ``x`` as the quantum state produced
 by ``reps`` repetitions of [Hadamard layer, then one Pauli rotation
 ``exp(i * theta * P)`` per term], applied to |0...0>. Rotation angles are
-``theta = alpha * phi_S(x)`` where ``phi_S`` is the registered data map for
-the subset S of qubits the term acts on.
+``theta = alpha * phi_S(x)`` where ``phi_S`` is the fixed Havlicek data map
+for the subset S of qubits the term acts on.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -29,8 +29,7 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-_NORM_TOL = 1e-12
+DATA_MAP = "havlicek-default"
 
 
 @dataclass(frozen=True)
@@ -60,41 +59,19 @@ class PauliString:
         return self.letters
 
 
-def as_pauli_string(p: PauliString | str) -> PauliString:
-    return p if isinstance(p, PauliString) else PauliString(p)
+def check_label(label: str) -> None:
+    """Reject a menu label that is not 1-2 letters from IXYZ with a non-I letter."""
+    if not isinstance(label, str) or not 1 <= len(label) <= 2:
+        raise ValueError(f"Pauli label {label!r} must be a string of 1 or 2 letters")
+    PauliString(label)
 
 
-@dataclass(frozen=True, eq=False)
-class Statevector:
-    """Normalized vector of 2^n complex amplitudes."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
-            raise ValueError(f"amplitude count {amps.size} is not 2^n for n >= 1")
-        norm = np.linalg.norm(amps)
-        if abs(norm * norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"statevector is not normalized (|psi|^2 = {norm * norm!r})")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-
-def havlicek_data_map(subset: tuple[int, ...], x: np.ndarray) -> float:
-    """x_i for singleton subsets, (pi - x_i)(pi - x_j) for pairs."""
+def havlicek_data_map(subset: tuple[int, ...], X: np.ndarray) -> np.ndarray:
+    """phi_S for every row of X: x_i for S = (i,), (pi - x_i)(pi - x_j) for S = (i, j)."""
     if len(subset) == 1:
-        return float(x[subset[0]])
-    if len(subset) == 2:
-        i, j = subset
-        return float((math.pi - x[i]) * (math.pi - x[j]))
-    raise ValueError(f"data map supports subsets of size 1 or 2, got {len(subset)}")
-
-
-DATA_MAPS = {"havlicek-default": havlicek_data_map}
+        return X[:, subset[0]]
+    i, j = subset
+    return (math.pi - X[:, i]) * (math.pi - X[:, j])
 
 
 def _expand_label(label: str, n_qubits: int) -> list[PauliString]:
@@ -119,14 +96,13 @@ class FeatureMapSpec:
 
     ``labels`` holds the menu form ("Z" = one rotation per qubit, "ZZ" = the
     two-qubit string on each pair); the expanded full-length strings are
-    available as :attr:`paulis`.
+    available as :attr:`paulis`. The data map is always ``havlicek-default``.
     """
 
     n_qubits: int
     labels: tuple[str, ...]
     reps: int = 2
     alpha: float = 1.0
-    data_map_id: str = "havlicek-default"
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -137,11 +113,9 @@ class FeatureMapSpec:
         if not self.labels:
             raise ValueError("feature map needs at least one Pauli label")
         for label in self.labels:
-            if not 1 <= len(label) <= self.n_qubits:
+            check_label(label)
+            if len(label) > self.n_qubits:
                 raise ValueError(f"label {label!r} does not fit on {self.n_qubits} qubits")
-            PauliString(label.ljust(self.n_qubits, "I"))  # letter validation
-        if self.data_map_id not in DATA_MAPS:
-            raise ValueError(f"unknown data map {self.data_map_id!r}")
 
     @property
     def paulis(self) -> tuple[PauliString, ...]:
@@ -156,7 +130,7 @@ class FeatureMapSpec:
         """Canonical text form, e.g. ``paulis=Z,ZZ;reps=2;alpha=1.0;map=havlicek-default``."""
         return (
             f"paulis={','.join(self.labels)};reps={self.reps};"
-            f"alpha={self.alpha!r};map={self.data_map_id}"
+            f"alpha={self.alpha!r};map={DATA_MAP}"
         )
 
 
@@ -172,12 +146,13 @@ def parse_feature_map(text: str, n_qubits: int) -> FeatureMapSpec:
         fields[key.strip()] = value.strip()
     if "paulis" not in fields:
         raise ValueError(f"feature-map text missing paulis= field: {text!r}")
+    if fields.get("map", DATA_MAP) != DATA_MAP:
+        raise ValueError(f"unknown data map {fields['map']!r}, only {DATA_MAP} is supported")
     return FeatureMapSpec(
         n_qubits=n_qubits,
         labels=tuple(fields["paulis"].split(",")),
         reps=int(fields.get("reps", 2)),
         alpha=float(fields.get("alpha", 1.0)),
-        data_map_id=fields.get("map", "havlicek-default"),
     )
 
 
@@ -192,57 +167,41 @@ def _hadamard_all_batch(psi: np.ndarray) -> np.ndarray:
     return t.reshape(m, dim)
 
 
-def _apply_pauli_batch(psi: np.ndarray, letters: str) -> np.ndarray:
-    """Return P|psi> for each row of psi. Qubit q lives on tensor axis n-q."""
-    m, dim = psi.shape
-    n = len(letters)
-    t = psi.reshape((m,) + (2,) * n).copy()
+def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index and phase with (P psi)[k] = phase[k] * psi[index[k]], index[k] = k XOR xmask.
+
+    xmask has bit q set for each X or Y letter; the phase takes one factor per
+    letter from bit q of the output index k: Z gives -1 on 1, Y gives +i on 1
+    and -i on 0.
+    """
+    k = np.arange(1 << len(letters))
+    xmask = 0
+    phase = np.ones(k.size, dtype=complex)
     for q, letter in enumerate(letters):
-        if letter == "I":
-            continue
-        ax = 1 + (n - 1 - q)
-        lo = tuple(0 if a == ax else slice(None) for a in range(n + 1))
-        hi = tuple(1 if a == ax else slice(None) for a in range(n + 1))
+        bit = (k >> q) & 1 == 1
+        if letter in "XY":
+            xmask |= 1 << q
         if letter == "Z":
-            t[hi] *= -1
-        else:
-            t = np.flip(t, axis=ax).copy()
-            if letter == "Y":
-                t[lo] *= -1j
-                t[hi] *= 1j
-    return t.reshape(m, dim)
+            phase[bit] *= -1
+        elif letter == "Y":
+            phase *= np.where(bit, 1j, -1j)
+    return k ^ xmask, phase
 
 
-def _rotate_batch(psi: np.ndarray, p: PauliString, thetas: np.ndarray) -> np.ndarray:
-    flipped = _apply_pauli_batch(psi, p.letters)
+def _apply_pauli_batch(psi: np.ndarray, action: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Return P|psi> for each row of psi, P given by its :func:`_pauli_action`."""
+    index, phase = action
+    return np.take(psi, index, axis=1) * phase
+
+
+def _rotate_batch(
+    psi: np.ndarray, action: tuple[np.ndarray, np.ndarray], thetas: np.ndarray
+) -> np.ndarray:
+    """exp(i*theta*P)|psi> = cos(theta)|psi> + i sin(theta) P|psi> per row, since P^2 = I."""
+    flipped = _apply_pauli_batch(psi, action)
     c = np.cos(thetas)[:, None]
     s = np.sin(thetas)[:, None]
     return c * psi + 1j * s * flipped
-
-
-# --- public operations ---
-
-def zero_state(n: int) -> Statevector:
-    """|0...0> on n qubits."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(amps)
-
-
-def apply_hadamard_all(state: Statevector) -> Statevector:
-    """Apply a Hadamard to every qubit."""
-    return Statevector(_hadamard_all_batch(state.amplitudes[None, :])[0])
-
-
-def apply_pauli_rotation(state: Statevector, p: PauliString | str, theta: float) -> Statevector:
-    """Apply exp(i*theta*P); equals cos(theta)|psi> + i sin(theta) P|psi> since P^2 = I."""
-    p = as_pauli_string(p)
-    if len(p) != state.n_qubits:
-        raise ValueError(f"Pauli string length {len(p)} != qubit count {state.n_qubits}")
-    out = _rotate_batch(state.amplitudes[None, :], p, np.array([float(theta)]))
-    return Statevector(out[0])
 
 
 def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
@@ -250,23 +209,17 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.n_qubits:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
-    data_map = DATA_MAPS[spec.data_map_id]
-    terms = spec.terms()
-    thetas = [
-        spec.alpha * np.array([data_map(subset, x) for x in X]) for _, subset in terms
+    terms = [
+        (_pauli_action(p.letters), spec.alpha * havlicek_data_map(subset, X))
+        for p, subset in spec.terms()
     ]
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0
     for _ in range(spec.reps):
         psi = _hadamard_all_batch(psi)
-        for (p, _), theta in zip(terms, thetas):
-            psi = _rotate_batch(psi, p, theta)
+        for action, thetas in terms:
+            psi = _rotate_batch(psi, action, thetas)
     return psi
-
-
-def feature_map_state(spec: FeatureMapSpec, x: np.ndarray) -> Statevector:
-    """Encoded state for one feature vector."""
-    return Statevector(feature_map_states(spec, np.atleast_2d(x))[0])
 
 
 # --- dense-matrix oracle (independent verification path) ---
@@ -279,16 +232,14 @@ def _kron_chain(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def dense_pauli_matrix(p: PauliString | str) -> np.ndarray:
-    p = as_pauli_string(p)
-    return _kron_chain([PAULI_MATRICES[c] for c in p.letters])
+def dense_pauli_matrix(letters: str) -> np.ndarray:
+    return _kron_chain([PAULI_MATRICES[c] for c in letters])
 
 
-def dense_term_unitary(p: PauliString | str, theta: float) -> np.ndarray:
+def dense_term_unitary(letters: str, theta: float) -> np.ndarray:
     """exp(i*theta*P) as an explicit dense matrix, cos(theta)*I + i*sin(theta)*P."""
-    p = as_pauli_string(p)
-    dim = 1 << len(p)
-    return math.cos(theta) * np.eye(dim, dtype=complex) + 1j * math.sin(theta) * dense_pauli_matrix(p)
+    dim = 1 << len(letters)
+    return math.cos(theta) * np.eye(dim, dtype=complex) + 1j * math.sin(theta) * dense_pauli_matrix(letters)
 
 
 def dense_unitary_oracle(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
@@ -302,11 +253,11 @@ def dense_unitary_oracle(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.n_qubits,):
         raise ValueError(f"feature vector shape {x.shape} does not match {spec.n_qubits} qubits")
-    data_map = DATA_MAPS[spec.data_map_id]
     h_layer = _kron_chain([_HADAMARD] * spec.n_qubits)
     u = np.eye(1 << spec.n_qubits, dtype=complex)
     for _ in range(spec.reps):
         u = h_layer @ u
         for p, subset in spec.terms():
-            u = dense_term_unitary(p, spec.alpha * data_map(subset, x)) @ u
+            theta = spec.alpha * havlicek_data_map(subset, x[None])[0]
+            u = dense_term_unitary(p.letters, theta) @ u
     return u

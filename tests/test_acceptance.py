@@ -30,7 +30,7 @@ from qsvm_boost.experiment import (
     run_experiment,
 )
 from qsvm_boost.kernels import GramCache, gram_matrix
-from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle, feature_map_state
+from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle, feature_map_states
 from qsvm_boost.svm_solver import SolverSettings, dual_objective, predict, train_weighted_svm
 from helpers import brute_force_qp, phase_align, random_feature_map_spec, random_psd_kernel
 
@@ -51,7 +51,7 @@ def test_criterion_1_simulator_correctness():
     for _ in range(500):
         spec = random_feature_map_spec(rng, max_qubits=3)
         x = rng.uniform(-1.0, math.pi, size=spec.n_qubits)
-        state = feature_map_state(spec, x).amplitudes
+        state = feature_map_states(spec, x[None])[0]
         column = dense_unitary_oracle(spec, x)[:, 0]
         worst = max(worst, float(np.max(np.abs(state - phase_align(state, column)))))
         assert worst <= 1e-10

@@ -229,6 +229,9 @@ def test_grid_spec_validation():
         GridSpec(feature_maps=())
     with pytest.raises(ValueError):
         GridSpec(feature_maps=(("Z",), ("Z",)))
+    for bad_label in ("Q", "I", "II", "ZZZ", ""):
+        with pytest.raises(ValueError):
+            GridSpec(feature_maps=((bad_label,), ("Z",)))
     assert GridSpec(alphas=(2.0, 0.5)).alphas == (0.5, 2.0)  # stored sorted
 
 

@@ -64,6 +64,16 @@ def test_fit_requires_split_csv(tmp_path):
                    "--out", str(tmp_path / "m.json")) == 1
 
 
+def test_fit_malformed_csv_exits_1(tmp_path):
+    data_csv = tmp_path / "split.csv"
+    run_cli("generate", "--family", "moons", "--n", "30", "--split", "--sizes", "10,10,10",
+            "--out", str(data_csv))
+    lines = data_csv.read_text().splitlines()
+    data_csv.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 2)[0]]) + "\n")
+    assert run_cli("fit", "--data", str(data_csv), "--model", "svm_baseline",
+                   "--out", str(tmp_path / "m.json")) == 1
+
+
 def test_experiment_and_report(tmp_path):
     config = {
         "families": ["circles"],
@@ -94,6 +104,8 @@ def test_experiment_and_report(tmp_path):
 def test_experiment_bad_config_exits_1(tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"nonsense_key": 1}))
+    assert run_cli("experiment", "--config", str(config_path)) == 1
+    config_path.write_text(json.dumps({"feature_maps": [["Q"], ["Z"]]}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text("{broken")
     assert run_cli("experiment", "--config", str(config_path)) == 1

@@ -176,6 +176,23 @@ def test_csv_round_trip_split(tmp_path):
         np.testing.assert_array_equal(getattr(loaded, name).y, getattr(split, name).y)
 
 
+def test_csv_rejects_malformed_rows(tmp_path):
+    data = make_moons(30, seed=8)
+    path = tmp_path / "split.csv"
+    dataset_to_csv(path, split_and_scale(data, (10, 10, 10), seed=1))
+    lines = path.read_text().splitlines()
+    bad_split = lines[:5] + [lines[5].rsplit(",", 1)[0] + ",tset"] + lines[6:]
+    path.write_text("\n".join(bad_split) + "\n")
+    with pytest.raises(ValueError, match="line 6: unknown split 'tset'"):
+        dataset_from_csv(path)
+    path.write_text("\n".join(lines[:3] + ["0.5,1.0"] + lines[4:]) + "\n")
+    with pytest.raises(ValueError, match="line 4: expected 4 fields, got 2"):
+        dataset_from_csv(path)
+    path.write_text("# kind=xor seed=0 params={}\nx1,x2,y\n0.1,0.2\n")
+    with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+        dataset_from_csv(path)
+
+
 def test_csv_empty_guard(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# kind=xor seed=0 params={}\nx1,x2,y\n")

@@ -272,6 +272,11 @@ def test_config_validation():
         ExperimentConfig(split_sizes=(100, 100, 100), n_points=150)
 
 
+def test_config_rejects_invalid_menu():
+    with pytest.raises(ValueError, match="invalid Pauli letters"):
+        config_from_dict({"feature_maps": [["Q"], ["Z"]]})
+
+
 def test_config_from_dict_and_file(tmp_path):
     obj = {
         "families": ["moons"],
@@ -293,8 +298,9 @@ def test_config_from_dict_and_file(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ValueError):
-        config_from_dict({"familes": ["moons"]})
+    for key in ("familes", "data_map_id", "grid"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_dict({key: ["moons"]})
     path = tmp_path / "bad.json"
     path.write_text("not json {")
     with pytest.raises(ValueError):

@@ -1,54 +1,59 @@
 """Statevector simulator tests, checked against the dense-matrix oracle."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qsvm_boost.quantum_sim import (
+    _HADAMARD,
     FeatureMapSpec,
     PauliString,
-    Statevector,
-    apply_hadamard_all,
-    apply_pauli_rotation,
+    _apply_pauli_batch,
+    _hadamard_all_batch,
+    _kron_chain,
+    _pauli_action,
+    _rotate_batch,
     dense_pauli_matrix,
     dense_term_unitary,
     dense_unitary_oracle,
-    feature_map_state,
     feature_map_states,
+    havlicek_data_map,
     parse_feature_map,
-    zero_state,
 )
 from helpers import phase_align, random_feature_map_spec, random_statevector
 
 
-# --- zero_state ---
+def random_batch(rng, n_qubits, rows=4):
+    return np.array([random_statevector(rng, n_qubits) for _ in range(rows)])
+
+
+def rotate(psi, letters, thetas):
+    return _rotate_batch(psi, _pauli_action(letters), np.asarray(thetas, dtype=float))
+
+
+# --- start state |0...0> ---
 
 def test_zero_state_one_qubit():
-    np.testing.assert_array_equal(zero_state(1).amplitudes, [1, 0])
+    # alpha=0 leaves two Hadamard layers, and H @ H = I returns the start state
+    spec = FeatureMapSpec(1, ("Z",), reps=2, alpha=0.0)
+    np.testing.assert_allclose(feature_map_states(spec, [[0.3]])[0], [1, 0], atol=1e-15)
 
 
 def test_zero_state_two_qubits():
-    np.testing.assert_array_equal(zero_state(2).amplitudes, [1, 0, 0, 0])
+    spec = FeatureMapSpec(2, ("Z", "ZZ"), reps=2, alpha=0.0)
+    states = feature_map_states(spec, [[0.3, 1.0], [2.0, 0.1], [0.0, 3.0]])
+    np.testing.assert_allclose(states, [[1, 0, 0, 0]] * 3, atol=1e-15)
 
 
 def test_zero_state_size_guard():
     with pytest.raises(ValueError):
-        zero_state(13)
+        FeatureMapSpec(13, ("Z",))
     with pytest.raises(ValueError):
-        zero_state(0)
+        FeatureMapSpec(0, ("Z",))
 
 
-# --- Statevector / PauliString invariants ---
-
-def test_statevector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        Statevector(np.array([1.0, 1.0]))
-
-
-def test_statevector_rejects_bad_length():
-    with pytest.raises(ValueError):
-        Statevector(np.array([1.0, 0.0, 0.0]))
-
+# --- PauliString invariants and the index-mask action ---
 
 def test_pauli_string_validation():
     assert PauliString("ZI").support == (0,)
@@ -59,74 +64,90 @@ def test_pauli_string_validation():
         PauliString("ZA")
 
 
-# --- apply_hadamard_all ---
+def test_pauli_action_matches_dense_matrix():
+    # every entry of a Pauli matrix is 0, +-1 or +-i, so the gather-and-phase
+    # action and the dense product agree exactly
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        psi = random_batch(rng, n)
+        for letters in map("".join, itertools.product("IXYZ", repeat=n)):
+            if set(letters) == {"I"}:
+                continue
+            np.testing.assert_array_equal(
+                _apply_pauli_batch(psi, _pauli_action(letters)), psi @ dense_pauli_matrix(letters).T
+            )
+
+
+# --- Hadamard layer ---
 
 def test_hadamard_on_zero():
-    out = apply_hadamard_all(zero_state(1))
-    np.testing.assert_allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+    out = _hadamard_all_batch(np.array([[1, 0]], dtype=complex))
+    np.testing.assert_allclose(out[0], [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
 
 
 def test_hadamard_uniform_two_qubits():
-    out = apply_hadamard_all(zero_state(2))
-    np.testing.assert_allclose(out.amplitudes, [0.5] * 4, atol=1e-15)
+    out = _hadamard_all_batch(np.array([[1, 0, 0, 0]], dtype=complex))
+    np.testing.assert_allclose(out[0], [0.5] * 4, atol=1e-15)
 
 
 def test_hadamard_self_inverse():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
-        psi = Statevector(random_statevector(rng, n))
-        back = apply_hadamard_all(apply_hadamard_all(psi))
-        np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
+        psi = random_batch(rng, n)
+        back = _hadamard_all_batch(_hadamard_all_batch(psi))
+        np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
-# --- apply_pauli_rotation ---
+def test_hadamard_matches_dense_layer():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        psi = random_batch(rng, n)
+        dense = psi @ _kron_chain([_HADAMARD] * n).T
+        np.testing.assert_allclose(_hadamard_all_batch(psi), dense, atol=1e-12)
+
+
+# --- Pauli rotations ---
 
 def test_rotation_theta_zero_is_identity():
     rng = np.random.default_rng(5)
-    psi = Statevector(random_statevector(rng, 2))
-    out = apply_pauli_rotation(psi, "XY", 0.0)
-    np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
+    psi = random_batch(rng, 2)
+    np.testing.assert_array_equal(rotate(psi, "XY", np.zeros(len(psi))), psi)
 
 
 def test_rotation_z_on_plus_state():
-    plus = apply_hadamard_all(zero_state(1))
-    out = apply_pauli_rotation(plus, "Z", math.pi / 4)
-    np.testing.assert_allclose(out.amplitudes, [(1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15)
+    plus = _hadamard_all_batch(np.array([[1, 0]], dtype=complex))
+    out = rotate(plus, "Z", [math.pi / 4])
+    np.testing.assert_allclose(out[0], [(1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15)
 
 
 def test_rotation_matches_dense_term_unitary():
     rng = np.random.default_rng(7)
-    psi = random_statevector(rng, 2)
-    out = apply_pauli_rotation(Statevector(psi), "ZZ", 0.7)
-    expected = dense_term_unitary("ZZ", 0.7) @ psi
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+    psi = random_batch(rng, 2)
+    thetas = rng.uniform(-2, 2, size=len(psi))
+    out = rotate(psi, "ZZ", thetas)
+    for row, start, theta in zip(out, psi, thetas):
+        np.testing.assert_allclose(row, dense_term_unitary("ZZ", theta) @ start, atol=1e-12)
 
 
 def test_rotation_all_letters_match_dense():
     rng = np.random.default_rng(8)
     for letters in ("XI", "IY", "ZX", "YY", "XYZ"):
-        n = len(letters)
-        psi = random_statevector(rng, n)
-        theta = float(rng.uniform(-2, 2))
-        out = apply_pauli_rotation(Statevector(psi), letters, theta)
-        expected = dense_term_unitary(letters, theta) @ psi
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+        psi = random_batch(rng, len(letters))
+        thetas = rng.uniform(-2, 2, size=len(psi))
+        out = rotate(psi, letters, thetas)
+        for row, start, theta in zip(out, psi, thetas):
+            np.testing.assert_allclose(row, dense_term_unitary(letters, theta) @ start, atol=1e-12)
 
 
 def test_rotation_involution():
     rng = np.random.default_rng(9)
-    psi = Statevector(random_statevector(rng, 3))
-    there = apply_pauli_rotation(psi, "XYZ", 1.3)
-    back = apply_pauli_rotation(there, "XYZ", -1.3)
-    np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
+    psi = random_batch(rng, 3)
+    there = rotate(psi, "XYZ", np.full(len(psi), 1.3))
+    back = rotate(there, "XYZ", np.full(len(psi), -1.3))
+    np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
-def test_rotation_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_pauli_rotation(zero_state(2), "Z", 0.1)
-
-
-# --- feature_map_state ---
+# --- feature_map_states ---
 
 def test_alpha_zero_reduces_to_plain_hadamard_layers():
     # rotations vanish, so the circuit is reps Hadamard layers; verified
@@ -134,7 +155,7 @@ def test_alpha_zero_reduces_to_plain_hadamard_layers():
     x = np.array([0.4, 1.9])
     for reps, expected in ((1, [0.5] * 4), (2, [1, 0, 0, 0])):
         spec = FeatureMapSpec(2, ("Z", "ZZ"), reps=reps, alpha=0.0)
-        state = feature_map_state(spec, x).amplitudes
+        state = feature_map_states(spec, x[None])[0]
         oracle = dense_unitary_oracle(spec, x)[:, 0]
         np.testing.assert_allclose(state, oracle, atol=1e-12)
         np.testing.assert_allclose(state, expected, atol=1e-12)
@@ -142,7 +163,7 @@ def test_alpha_zero_reduces_to_plain_hadamard_layers():
 
 def test_single_qubit_z_rotation_closed_form():
     spec = FeatureMapSpec(1, ("Z",), reps=1, alpha=1.0)
-    state = feature_map_state(spec, [0.3]).amplitudes
+    state = feature_map_states(spec, [[0.3]])[0]
     expected = np.array([np.exp(0.3j), np.exp(-0.3j)]) / math.sqrt(2)
     np.testing.assert_allclose(state, expected, atol=1e-12)
 
@@ -150,7 +171,7 @@ def test_single_qubit_z_rotation_closed_form():
 def test_feature_map_matches_oracle_first_column():
     spec = FeatureMapSpec(2, ("Z", "ZZ"), reps=2, alpha=1.0)
     x = np.array([0.5, 1.2])
-    state = feature_map_state(spec, x).amplitudes
+    state = feature_map_states(spec, x[None])[0]
     np.testing.assert_allclose(state, dense_unitary_oracle(spec, x)[:, 0], atol=1e-10)
 
 
@@ -159,7 +180,7 @@ def test_feature_map_oracle_agreement_randomized():
     for _ in range(80):
         spec = random_feature_map_spec(rng)
         x = rng.uniform(0, math.pi, size=spec.n_qubits)
-        state = feature_map_state(spec, x).amplitudes
+        state = feature_map_states(spec, x[None])[0]
         column = dense_unitary_oracle(spec, x)[:, 0]
         np.testing.assert_allclose(phase_align(state, column), state, atol=1e-10)
 
@@ -168,15 +189,15 @@ def test_feature_map_norms():
     rng = np.random.default_rng(321)
     for _ in range(1000):
         spec = random_feature_map_spec(rng)
-        x = rng.uniform(-2, 2, size=spec.n_qubits)
-        state = feature_map_state(spec, x)
-        assert abs(np.linalg.norm(state.amplitudes) ** 2 - 1.0) < 1e-12
+        X = rng.uniform(-2, 2, size=(3, spec.n_qubits))
+        norms = np.linalg.norm(feature_map_states(spec, X), axis=1)
+        assert np.max(np.abs(norms**2 - 1.0)) < 1e-12
 
 
 def test_feature_map_dimension_mismatch():
     spec = FeatureMapSpec(2, ("Z",))
     with pytest.raises(ValueError):
-        feature_map_state(spec, [0.1, 0.2, 0.3])
+        feature_map_states(spec, [[0.1, 0.2, 0.3]])
 
 
 def test_batch_matches_single():
@@ -185,7 +206,7 @@ def test_batch_matches_single():
     X = rng.uniform(0, math.pi, size=(6, 2))
     batch = feature_map_states(spec, X)
     for i, x in enumerate(X):
-        np.testing.assert_array_equal(batch[i], feature_map_state(spec, x).amplitudes)
+        np.testing.assert_array_equal(batch[i], feature_map_states(spec, x[None])[0])
 
 
 # --- dense oracle ---
@@ -221,11 +242,10 @@ def test_commuting_terms_product_equals_summed_exponential():
         labels = ("Z",) if n == 1 else ("Z", "ZZ")
         spec = FeatureMapSpec(n, labels, reps=1, alpha=float(rng.uniform(0.1, 2)))
         x = rng.uniform(0, math.pi, size=n)
-        from qsvm_boost.quantum_sim import DATA_MAPS, _kron_chain, _HADAMARD
-
         generator = np.zeros((1 << n, 1 << n), dtype=complex)
         for p, subset in spec.terms():
-            generator += spec.alpha * DATA_MAPS[spec.data_map_id](subset, x) * dense_pauli_matrix(p)
+            phi = havlicek_data_map(subset, x[None])[0]
+            generator += spec.alpha * phi * dense_pauli_matrix(p.letters)
         # diagonal generator: exponential is elementwise on the diagonal
         assert np.allclose(generator, np.diag(np.diag(generator)))
         summed = np.diag(np.exp(1j * np.diag(generator)))
@@ -254,6 +274,8 @@ def test_parse_rejects_malformed():
         parse_feature_map("reps=2", 2)
     with pytest.raises(ValueError):
         parse_feature_map("paulis=Z;reps", 2)
+    with pytest.raises(ValueError):
+        parse_feature_map("paulis=Z;reps=2;alpha=1.0;map=other", 2)
 
 
 def test_spec_validation():
@@ -264,12 +286,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FeatureMapSpec(2, ("Z",), reps=0)
     with pytest.raises(ValueError):
-        FeatureMapSpec(2, ("Z",), data_map_id="nope")
+        FeatureMapSpec(2, ("ZQ",))
     with pytest.raises(ValueError):
         FeatureMapSpec(13, ("Z",))
 
 
 def test_data_map_higher_order_unsupported():
-    spec = FeatureMapSpec(3, ("XYZ",))
+    # the data map covers single qubits and pairs, so longer labels fail at construction
     with pytest.raises(ValueError):
-        feature_map_state(spec, [0.1, 0.2, 0.3])
+        FeatureMapSpec(3, ("XYZ",))
