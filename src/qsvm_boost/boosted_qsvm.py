@@ -24,7 +24,7 @@ from .svm_solver import (
     predict,
     svm_from_json,
     svm_to_json,
-    train_weighted_svm,
+    train_weighted_svms,
 )
 
 DEFAULT_FEATURE_MAP_MENU = (
@@ -58,8 +58,9 @@ class GridSpec:
     """Search grid: feature-map menu plus alpha and C values.
 
     Every menu label is 1-2 letters from IXYZ with a non-I letter. alphas
-    must lie in (0, 2] and Cs in [1, 100]; both are stored sorted ascending,
-    which together with menu order fixes the tie-breaking order.
+    must lie in (0, 2], Cs in [1, 100] and reps be at least 1. alphas and Cs
+    are stored sorted ascending, which together with menu order fixes the
+    tie-breaking order.
     """
 
     feature_maps: tuple[tuple[str, ...], ...] = DEFAULT_FEATURE_MAP_MENU
@@ -80,6 +81,8 @@ class GridSpec:
             raise ValueError(f"alphas must lie in (0, 2], got {self.alphas}")
         if any(c < 1 or c > 100 for c in self.Cs):
             raise ValueError(f"Cs must lie in [1, 100], got {self.Cs}")
+        if self.reps < 1:
+            raise ValueError("reps must be a positive integer")
         ids = [menu_id(fm) for fm in self.feature_maps]
         if len(set(ids)) != len(ids):
             raise ValueError("feature-map menu contains duplicates")
@@ -165,29 +168,33 @@ def grid_search_best(
     """Best (feature map, alpha, C) cell by unweighted validation accuracy.
 
     Ties go to the earlier cell in (menu order, ascending alpha, ascending C);
-    iteration follows that order, so the first strict improvement wins.
+    iteration follows that order, so the first strict improvement wins. Every
+    cell's SVM is fitted in one batched solver call.
     """
     cache = cache if cache is not None else GramCache()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     y_val = np.asarray(y_val)
     n_qubits = X_train.shape[1]
-    best: GridSearchResult | None = None
+    cells, k_trains = [], []  # per (feature map, alpha): (fm_id, alpha, spec, val x train Gram)
     for labels in grid.feature_maps:
         fm_id = menu_id(labels)
         if fm_id in excluded:
             continue
         for alpha in grid.alphas:
             spec = grid.spec_for(labels, alpha, n_qubits)
-            k_train = cache.fidelity(spec, X_train)
-            k_val = cache.fidelity(spec, X_val, X_train)
-            for C in grid.Cs:
-                model = train_weighted_svm(k_train, y_train, C, weights, settings)
-                accuracy = float(np.mean(predict(model, k_val.values) == y_val))
-                if best is None or accuracy > best.val_accuracy:
-                    best = GridSearchResult((fm_id, alpha, C), model, accuracy, spec)
-    if best is None:
+            k_trains.append(cache.fidelity(spec, X_train))
+            cells.append((fm_id, alpha, spec, cache.fidelity(spec, X_val, X_train)))
+    if not cells:
         raise ValueError("every feature map in the grid is excluded")
+    models = iter(train_weighted_svms(k_trains, y_train, grid.Cs, weights, settings))
+    best: GridSearchResult | None = None
+    for fm_id, alpha, spec, k_val in cells:
+        for C in grid.Cs:
+            model = next(models)
+            accuracy = float(np.mean(predict(model, k_val.values) == y_val))
+            if best is None or accuracy > best.val_accuracy:
+                best = GridSearchResult((fm_id, alpha, C), model, accuracy, spec)
     return best
 
 

@@ -7,9 +7,19 @@ with t_i = 2 y_i - 1 for labels y in {0, 1}. Per-sample weights enter as the
 box bound C*w_i, the sample-weight semantics of the classical SVC this
 mirrors. Working-set selection is the maximal violating pair with
 first-index tie-breaking, so training is deterministic.
+
+One solver fits every problem. ``train_weighted_svms`` takes the (Gram, C)
+problems of a grid search, which share labels and weights, and runs their
+SMO loops in lock-step: each step picks every row's pair with a few numpy
+calls over (rows, n) arrays, takes each row's two-variable step in Python
+floats, and adds the K-row updates of all rows at once. A row leaves the
+working arrays on the step it finishes, so it takes exactly the steps, and
+gives exactly the bits, of a fit of its problem alone. ``train_weighted_svm``
+is the same solver called with one problem.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,109 +78,209 @@ def train_weighted_svm(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> TrainedSVM:
     """Fit the weighted SVM dual on a precomputed train x train kernel."""
-    K = _gram_values(gram)
-    n = K.shape[0]
-    if K.shape[1] != n:
-        raise ValueError(f"training gram must be square, got {K.shape}")
+    return train_weighted_svms([gram], labels, [C], weights, settings)[0]
+
+
+def train_weighted_svms(
+    grams: Sequence[GramMatrix | np.ndarray],
+    labels: np.ndarray,
+    Cs: Sequence[float],
+    weights: np.ndarray | None = None,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> list[TrainedSVM]:
+    """Fit every (gram, C) pair on shared labels and weights, in lock-step.
+
+    Models come back grams outer, Cs inner. Each is bit-identical to a fit of
+    its pair alone.
+    """
+    Ks = [_gram_values(gram) for gram in grams]
     y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match gram size {n}")
+    for K in Ks:
+        n = K.shape[0]
+        if K.shape[1] != n:
+            raise ValueError(f"training gram must be square, got {K.shape}")
+        if y.shape != (n,):
+            raise ValueError(f"labels shape {y.shape} does not match gram size {n}")
+    if not Ks or len(Cs) == 0:
+        return []
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    for C in Cs:
+        if C <= 0:
+            raise ValueError(f"C must be positive, got {C}")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match gram size {n}")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
 
-    t = 2.0 * np.asarray(y, dtype=float) - 1.0
+    Cs = [float(C) for C in Cs]
     effective_classes = np.unique(y[w > 0])
     if effective_classes.size == 0:
         raise ValueError("no training samples with positive weight")
     if effective_classes.size == 1:
         sole = float(2 * int(effective_classes[0]) - 1)
-        return TrainedSVM(
-            dual_coefs=np.zeros(n),
-            bias=sole,
-            support_indices=np.array([], dtype=int),
-            C=float(C),
-            degenerate=True,
-        )
+        return [
+            TrainedSVM(np.zeros(n), sole, np.array([], dtype=int), C, degenerate=True)
+            for _ in Ks for C in Cs
+        ]
 
-    upper = C * w
-    alpha = np.zeros(n)
-    u = np.zeros(n)  # u_k = sum_l alpha_l t_l K_lk
+    t = 2.0 * np.asarray(y, dtype=float) - 1.0
+    upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
+    gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
+    alpha, u, converged = _smo_lockstep(np.stack(Ks), gram_of, t, upper, settings)
+    return [
+        TrainedSVM(
+            dual_coefs=alpha[r] * t,
+            bias=_bias(t, alpha[r], u[r], upper[r]),
+            support_indices=np.flatnonzero(alpha[r] > 0),
+            C=Cs[r % len(Cs)],
+            converged=bool(converged[r]),
+        )
+        for r in range(len(gram_of))
+    ]
+
+
+def _smo_lockstep(
+    stack: np.ndarray,
+    gram_of: np.ndarray,
+    t: np.ndarray,
+    upper: np.ndarray,
+    settings: SolverSettings,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
+
+    Every row starts at step 0 and picks its pair by first-index argmax over
+    its up candidates and argmin over its low ones. A row stops when it has
+    no violating pair or its gap is within tolerance (converged), when its
+    step leaves ``a_j`` unchanged (stuck) or after ``max_passes`` steps.
+    Finished rows are copied out and dropped from the working arrays, only on
+    the steps where some row finishes; the Gram stack is never copied.
+
+    Returns the final ``alpha`` and ``u`` (u_k = sum_l alpha_l t_l K_lk) of
+    every row, and whether it converged.
+    """
+    n_grams, n, _ = stack.shape
+    rows = len(gram_of)
+    alpha_out, u_out = np.zeros((rows, n)), np.zeros((rows, n))
+    converged = np.zeros(rows, dtype=bool)
+    k_rows = stack.reshape(n_grams * n, n)  # row g*n + i is K[g, i]
+    pos = t > 0
+    # up candidates take alpha < upper where t > 0 and alpha > 0 where t < 0; low ones the reverse
+    below_picks = np.stack([pos, ~pos])
+    up_low_sign = np.array([[1.0], [-1.0]])
     tol = settings.kkt_tolerance
-    converged = False
+
+    # working set: one entry per unfinished row
+    live = np.arange(rows)
+    alpha, u, box = np.zeros((rows, n)), np.zeros((rows, n)), upper
+    k_base = (gram_of * n)[:, None]
+
+    def bases(count):
+        r = np.arange(count)[:, None]
+        return r * n, r * (2 * n) + np.array([0, n])
+
+    row_base, pair_base = bases(rows)
+
+    def finish(done, ok, *step_arrays):
+        """Copy the finished rows out; the rest of every working and per-step array."""
+        alpha_out[live[done]] = alpha[done]
+        u_out[live[done]] = u[done]
+        converged[live[done]] = ok
+        return [a[~done] for a in (live, alpha, u, box, k_base, *step_arrays)]
 
     for _ in range(settings.max_passes):
-        neg_e = t - u
-        up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
-        low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
-        if not up_mask.any() or not low_mask.any():
-            converged = True
-            break
-        up_vals = np.where(up_mask, neg_e, -np.inf)
-        low_vals = np.where(low_mask, neg_e, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        gap = up_vals[i] - low_vals[j]
-        if gap <= tol:
-            converged = True
-            break
+        below = alpha < box
+        above = alpha > 0.0
+        candidates = np.where(below_picks, below[:, None], above[:, None])
+        # [:, 0] is neg_e over up candidates, [:, 1] is -neg_e over low candidates, so one
+        # first-index argmax gives i = argmax up and j = argmin low, and
+        # gap = neg_e[i] - neg_e[j] = best[:, 0] + best[:, 1] exactly
+        values = np.where(candidates, (t - u)[:, None] * up_low_sign, -np.inf)
+        ij = values.argmax(2)
+        flat = ij + pair_base
+        best = values.take(flat)
+        gap = best[:, 0] + best[:, 1]
+        if not (gap > tol).all():
+            # a NaN gap with a pair on both sides steps on, as in a fit alone
+            done = (gap <= tol) | ~candidates[:, 0].any(1) | ~candidates[:, 1].any(1)
+            if done.any():
+                live, alpha, u, box, k_base, ij, gap = finish(done, True, ij, gap)
+                if not live.size:
+                    break
+                row_base, pair_base = bases(live.size)
+                flat = ij + pair_base
 
-        ti, tj = t[i], t[j]
-        ai, aj = alpha[i], alpha[j]
-        if ti != tj:
-            lo = max(0.0, aj - ai)
-            hi = min(upper[j], upper[i] + aj - ai)
-        else:
-            lo = max(0.0, ai + aj - upper[i])
-            hi = min(upper[j], ai + aj)
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta > _ETA_FLOOR:
-            # E_i - E_j = neg_e[j] - neg_e[i] = -gap
-            aj_new = aj - tj * gap / eta
-            aj_new = min(hi, max(lo, aj_new))
-        else:
-            # flat direction: step to the improving end of the box
-            aj_new = lo if tj > 0 else hi
-        if aj_new == aj:
-            break  # numerically stuck; report the best iterate
-        delta_j = aj_new - aj
-        ai_new = min(upper[i], max(0.0, ai - ti * tj * delta_j))
-        delta_i = ai_new - ai
-        alpha[i] = ai_new
-        alpha[j] = aj_new
-        u = u + (delta_i * ti) * K[i] + (delta_j * tj) * K[j]
+        cell = ij + row_base  # a_i, a_j in alpha; C w_i, C w_j in box
+        k_pair = k_rows.take(ij + k_base, axis=0)  # (rows, 2, n): K[g, i] and K[g, j]
+        # in k_pair, flat points at K_ii and K_jj, and flat[:, 1] - n at K_ij
+        steps = [_pair_step(*args) for args in zip(
+            gap.tolist(), alpha.take(cell).tolist(), box.take(cell).tolist(), t.take(ij).tolist(),
+            k_pair.take(flat).tolist(), k_pair.take(flat[:, 1] - n).tolist(),
+        )]
+        if None in steps:
+            stuck = np.array([step is None for step in steps])
+            live, alpha, u, box, k_base, ij, k_pair = finish(stuck, False, ij, k_pair)
+            if not live.size:
+                break
+            row_base, pair_base = bases(live.size)
+            cell = ij + row_base
+            steps = [step for step in steps if step is not None]
+        new = np.array(steps)
+        alpha.put(cell, new[:, :2])
+        u += new[:, 2:3] * k_pair[:, 0]
+        u += new[:, 3:4] * k_pair[:, 1]
+    else:
+        finish(np.ones(live.size, dtype=bool), False)  # out of passes
+    return alpha_out, u_out, converged
 
+
+def _pair_step(gap, a, box, t, k_diag, k_ij):
+    """One SMO step of one row on its pair (i, j), in Python floats.
+
+    Takes the gap, ``[a_i, a_j]``, ``[C w_i, C w_j]``, ``[t_i, t_j]``,
+    ``[K_ii, K_jj]`` and ``K_ij``; returns the new ``a_i`` and ``a_j`` with
+    the coefficients ``delta_i t_i`` and ``delta_j t_j`` of the K rows added
+    to ``u``, or None when the step leaves ``a_j`` unchanged.
+    """
+    (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a, box, t, k_diag
+    if ti != tj:
+        lo = max(0.0, aj - ai)
+        hi = min(upper_j, upper_i + aj - ai)
+    else:
+        lo = max(0.0, ai + aj - upper_i)
+        hi = min(upper_j, ai + aj)
+    eta = k_ii + k_jj - 2.0 * k_ij
+    if eta > _ETA_FLOOR:
+        # E_i - E_j = neg_e[j] - neg_e[i] = -gap
+        aj_new = min(hi, max(lo, aj - tj * gap / eta))
+    else:
+        # flat direction: step to the improving end of the box
+        aj_new = lo if tj > 0 else hi
+    if aj_new == aj:
+        return None  # numerically stuck; the row reports its best iterate
+    delta_j = aj_new - aj
+    ai_new = min(upper_i, max(0.0, ai - ti * tj * delta_j))
+    return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
+
+
+def _bias(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.ndarray) -> float:
+    """Bias of one fitted row: the mean over free vectors, else the middle of the feasible interval."""
     neg_e = t - u
     free = (alpha > 0) & (alpha < upper)
     if free.any():
-        bias = float(np.mean(neg_e[free]))
-    else:
-        up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
-        low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
-        lo_b = np.max(neg_e[up_mask]) if up_mask.any() else -np.inf
-        hi_b = np.min(neg_e[low_mask]) if low_mask.any() else np.inf
-        if np.isinf(lo_b) and np.isinf(hi_b):
-            bias = 0.0
-        elif np.isinf(lo_b):
-            bias = float(hi_b)
-        elif np.isinf(hi_b):
-            bias = float(lo_b)
-        else:
-            bias = float((lo_b + hi_b) / 2.0)
-
-    return TrainedSVM(
-        dual_coefs=alpha * t,
-        bias=bias,
-        support_indices=np.flatnonzero(alpha > 0),
-        C=float(C),
-        converged=converged,
-    )
+        return float(np.mean(neg_e[free]))
+    up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
+    low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
+    lo_b = np.max(neg_e[up_mask]) if up_mask.any() else -np.inf
+    hi_b = np.min(neg_e[low_mask]) if low_mask.any() else np.inf
+    if np.isinf(lo_b) and np.isinf(hi_b):
+        return 0.0
+    if np.isinf(lo_b):
+        return float(hi_b)
+    if np.isinf(hi_b):
+        return float(lo_b)
+    return float((lo_b + hi_b) / 2.0)
 
 
 def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> float | np.ndarray:

@@ -5,7 +5,9 @@ import itertools
 
 import numpy as np
 
+from qsvm_boost.kernels import GramMatrix
 from qsvm_boost.quantum_sim import FeatureMapSpec
+from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM
 
 SINGLE_LABELS = ("X", "Y", "Z")
 PAIR_LABELS = ("XX", "YY", "ZZ", "XZ", "ZX", "XY", "YZ")
@@ -108,3 +110,119 @@ def brute_force_qp(K: np.ndarray, labels: np.ndarray, upper: np.ndarray,
         if obj > best_obj:
             best_obj, best_a = obj, a.copy()
     return best_obj, best_a
+
+
+ETA_FLOOR = 1e-12
+
+
+def reference_smo(
+    gram: GramMatrix | np.ndarray,
+    labels: np.ndarray,
+    C: float,
+    weights: np.ndarray | None = None,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> TrainedSVM:
+    """The scalar SMO loop, one problem at a time: the oracle for the batched solver."""
+    K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    n = K.shape[0]
+    if K.shape[1] != n:
+        raise ValueError(f"training gram must be square, got {K.shape}")
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match gram size {n}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if C <= 0:
+        raise ValueError(f"C must be positive, got {C}")
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights shape {w.shape} does not match gram size {n}")
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative")
+
+    t = 2.0 * np.asarray(y, dtype=float) - 1.0
+    effective_classes = np.unique(y[w > 0])
+    if effective_classes.size == 0:
+        raise ValueError("no training samples with positive weight")
+    if effective_classes.size == 1:
+        sole = float(2 * int(effective_classes[0]) - 1)
+        return TrainedSVM(
+            dual_coefs=np.zeros(n),
+            bias=sole,
+            support_indices=np.array([], dtype=int),
+            C=float(C),
+            degenerate=True,
+        )
+
+    upper = C * w
+    alpha = np.zeros(n)
+    u = np.zeros(n)  # u_k = sum_l alpha_l t_l K_lk
+    tol = settings.kkt_tolerance
+    converged = False
+
+    for _ in range(settings.max_passes):
+        neg_e = t - u
+        up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
+        low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
+        if not up_mask.any() or not low_mask.any():
+            converged = True
+            break
+        up_vals = np.where(up_mask, neg_e, -np.inf)
+        low_vals = np.where(low_mask, neg_e, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        gap = up_vals[i] - low_vals[j]
+        if gap <= tol:
+            converged = True
+            break
+
+        ti, tj = t[i], t[j]
+        ai, aj = alpha[i], alpha[j]
+        if ti != tj:
+            lo = max(0.0, aj - ai)
+            hi = min(upper[j], upper[i] + aj - ai)
+        else:
+            lo = max(0.0, ai + aj - upper[i])
+            hi = min(upper[j], ai + aj)
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta > ETA_FLOOR:
+            # E_i - E_j = neg_e[j] - neg_e[i] = -gap
+            aj_new = aj - tj * gap / eta
+            aj_new = min(hi, max(lo, aj_new))
+        else:
+            # flat direction: step to the improving end of the box
+            aj_new = lo if tj > 0 else hi
+        if aj_new == aj:
+            break  # numerically stuck; report the best iterate
+        delta_j = aj_new - aj
+        ai_new = min(upper[i], max(0.0, ai - ti * tj * delta_j))
+        delta_i = ai_new - ai
+        alpha[i] = ai_new
+        alpha[j] = aj_new
+        u = u + (delta_i * ti) * K[i] + (delta_j * tj) * K[j]
+
+    neg_e = t - u
+    free = (alpha > 0) & (alpha < upper)
+    if free.any():
+        bias = float(np.mean(neg_e[free]))
+    else:
+        up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
+        low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
+        lo_b = np.max(neg_e[up_mask]) if up_mask.any() else -np.inf
+        hi_b = np.min(neg_e[low_mask]) if low_mask.any() else np.inf
+        if np.isinf(lo_b) and np.isinf(hi_b):
+            bias = 0.0
+        elif np.isinf(lo_b):
+            bias = float(hi_b)
+        elif np.isinf(hi_b):
+            bias = float(lo_b)
+        else:
+            bias = float((lo_b + hi_b) / 2.0)
+
+    return TrainedSVM(
+        dual_coefs=alpha * t,
+        bias=bias,
+        support_indices=np.flatnonzero(alpha > 0),
+        C=float(C),
+        converged=converged,
+    )

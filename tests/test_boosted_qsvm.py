@@ -159,9 +159,10 @@ def test_grid_search_singleton():
     assert result.grid_point == ("Z,ZZ", 1.0, 10.0)
 
 
-def test_grid_search_tie_breaking_order():
-    # recompute every cell's validation accuracy naively; the winner must be
-    # the first cell reaching the maximum in (menu, alpha, C) order
+@pytest.mark.parametrize("weighting", ["unit", "boosted"])
+def test_grid_search_tie_breaking_order(weighting):
+    # recompute every cell's validation accuracy naively, one fit per cell; the
+    # winner must be the first cell reaching the maximum in (menu, alpha, C) order
     from qsvm_boost.kernels import gram_matrix
     from qsvm_boost.svm_solver import train_weighted_svm
 
@@ -169,6 +170,8 @@ def test_grid_search_tie_breaking_order():
     X_train, y_train = split.train.X, split.train.y
     X_val, y_val = split.val.X, split.val.y
     weights = initial_weights(len(y_train))
+    if weighting == "boosted":  # a later round's weights: every third sample up-weighted
+        weights = update_weights(weights, np.arange(len(y_train)) % 3 == 0, LN3)
     expected = None
     for labels in SMALL_GRID.feature_maps:
         for alpha in SMALL_GRID.alphas:
@@ -232,6 +235,9 @@ def test_grid_spec_validation():
     for bad_label in ("Q", "I", "II", "ZZZ", ""):
         with pytest.raises(ValueError):
             GridSpec(feature_maps=((bad_label,), ("Z",)))
+    for bad_reps in (0, -1):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            GridSpec(reps=bad_reps)
     assert GridSpec(alphas=(2.0, 0.5)).alphas == (0.5, 2.0)  # stored sorted
 
 

@@ -107,6 +107,8 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text(json.dumps({"feature_maps": [["Q"], ["Z"]]}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
+    config_path.write_text(json.dumps({"reps": 0}))
+    assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text("{broken")
     assert run_cli("experiment", "--config", str(config_path)) == 1
     assert run_cli("experiment", "--config", str(tmp_path / "missing.json")) == 1

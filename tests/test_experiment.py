@@ -163,6 +163,33 @@ def test_baseline_linear_ignores_gamma():
     assert result.kernel == "linear" and result.gamma is None
 
 
+def test_baseline_tie_breaking_order():
+    # recompute every cell's validation accuracy naively; the winner must be the
+    # first cell reaching the maximum in (kernel menu, ascending gamma, ascending C) order
+    from qsvm_boost.kernels import linear_gram, rbf_gram
+    from qsvm_boost.svm_solver import predict, train_weighted_svm
+
+    split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
+    kernels, Cs, gammas = ("rbf", "linear"), (10.0, 0.1, 1.0), (1.0, 0.01, 0.1)
+    cells = []
+    for kernel in kernels:
+        for gamma in sorted(gammas) if kernel == "rbf" else [None]:
+            if kernel == "rbf":
+                k_train = rbf_gram(split.train.X, gamma=gamma)
+                k_val = rbf_gram(split.val.X, split.train.X, gamma=gamma)
+            else:
+                k_train, k_val = linear_gram(split.train.X), linear_gram(split.val.X, split.train.X)
+            for C in sorted(Cs):
+                model = train_weighted_svm(k_train, split.train.y, C)
+                accuracy = float(np.mean(predict(model, k_val.values) == split.val.y))
+                cells.append((accuracy, kernel, gamma, C))
+    best = max(accuracy for accuracy, *_ in cells)
+    expected = next(cell for cell in cells if cell[0] == best)
+    result = classical_svm_baseline(split, kernels, Cs, gammas)
+    assert (result.val_accuracy, result.kernel, result.gamma, result.C) == expected
+    assert sum(cell[0] == best for cell in cells) > 1  # ties exist, so the order decides
+
+
 # --- run_experiment ---
 
 def test_run_experiment_cardinality_and_persistence(tmp_path):
@@ -275,6 +302,11 @@ def test_config_validation():
 def test_config_rejects_invalid_menu():
     with pytest.raises(ValueError, match="invalid Pauli letters"):
         config_from_dict({"feature_maps": [["Q"], ["Z"]]})
+
+
+def test_config_rejects_bad_reps():
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        config_from_dict({"reps": 0})
 
 
 def test_config_from_dict_and_file(tmp_path):

@@ -1,9 +1,15 @@
-"""SMO solver tests: analytic cases, KKT feasibility, and QP-oracle equivalence."""
+"""SMO solver tests: analytic cases, KKT feasibility, QP-oracle and scalar-oracle equivalence."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qsvm_boost.kernels import rbf_gram
+from qsvm_boost.boosted_qsvm import GridSpec, initial_weights, update_weights
+from qsvm_boost.datasets import make_moons, split_and_scale
+from qsvm_boost.kernels import gram_matrix, rbf_gram
 from qsvm_boost.svm_solver import (
+    DEFAULT_SETTINGS,
     SolverSettings,
     decision_function,
     dual_objective,
@@ -11,8 +17,9 @@ from qsvm_boost.svm_solver import (
     svm_from_json,
     svm_to_json,
     train_weighted_svm,
+    train_weighted_svms,
 )
-from helpers import brute_force_qp, random_psd_kernel
+from helpers import brute_force_qp, random_psd_kernel, reference_smo
 
 TIGHT = SolverSettings(kkt_tolerance=1e-8, max_passes=200_000)
 
@@ -185,3 +192,76 @@ def test_json_round_trip_preserves_predictions():
     np.testing.assert_array_equal(loaded.dual_coefs, model.dual_coefs)
     assert loaded.bias == model.bias
     np.testing.assert_array_equal(predict(loaded, K), predict(model, K))
+
+
+# --- the batched solver against the scalar oracle ---
+
+@pytest.fixture(scope="module")
+def moons_grid():
+    """The 36 default-grid 2-qubit Grams of 50 moons training points, their labels and Cs."""
+    grid = GridSpec()
+    split = split_and_scale(make_moons(150, noise_std=0.3, seed=5), (50, 50, 50), seed=6)
+    grams = [gram_matrix(grid.spec_for(labels, alpha, 2), split.train.X)
+             for labels in grid.feature_maps for alpha in grid.alphas]
+    assert grid.feature_maps[1] == ("ZZ",) and np.linalg.matrix_rank(grams[4].values) == 3
+    return grams, split.train.y, grid.Cs
+
+
+def exit_reason(model, gram, labels, C, weights, settings) -> str:
+    """kkt, stuck or max_passes, told apart by one oracle run a step shorter.
+
+    A step that neither converges nor sticks moves a_j, so the shorter run
+    returns the same duals only when the fit stuck within its budget.
+    """
+    if model.converged:
+        return "kkt"
+    shorter = reference_smo(gram, labels, C, weights,
+                            replace(settings, max_passes=settings.max_passes - 1))
+    return "stuck" if np.array_equal(shorter.dual_coefs, model.dual_coefs) else "max_passes"
+
+
+@pytest.mark.parametrize("max_passes", [300, DEFAULT_SETTINGS.max_passes])
+@pytest.mark.parametrize("weighting", ["unit", "boosted"])
+def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes):
+    grams, labels, Cs = moons_grid
+    weights = None
+    if weighting == "boosted":
+        misclassified = np.random.default_rng(0).random(len(labels)) < 0.3
+        weights = update_weights(initial_weights(len(labels)), misclassified, math.log(3.0))
+    settings = replace(DEFAULT_SETTINGS, max_passes=max_passes)
+    batch = train_weighted_svms(grams, labels, Cs, weights, settings)
+    cells = [(gram, C) for gram in grams for C in Cs]
+    assert len(batch) == len(cells) == 108
+    reasons = set()
+    for model, (gram, C) in zip(batch, cells):
+        expected = reference_smo(gram, labels, C, weights, settings)
+        np.testing.assert_array_equal(model.dual_coefs, expected.dual_coefs)
+        np.testing.assert_array_equal(np.signbit(model.dual_coefs), np.signbit(expected.dual_coefs))
+        assert model.bias == expected.bias and np.signbit(model.bias) == np.signbit(expected.bias)
+        assert model.converged == expected.converged
+        np.testing.assert_array_equal(model.support_indices, expected.support_indices)
+        assert model.C == expected.C == C and not model.degenerate
+        if max_passes < DEFAULT_SETTINGS.max_passes:
+            reasons.add(exit_reason(expected, gram, labels, C, weights, settings))
+    if max_passes < DEFAULT_SETTINGS.max_passes:
+        # rows leave the batch on different steps: stuck ones early, capped ones at the budget
+        assert reasons == {"kkt", "stuck", "max_passes"}
+
+
+def test_batch_shares_checks_and_degenerate_shortcut():
+    rng = np.random.default_rng(3)
+    grams = [random_psd_kernel(rng, 6) for _ in range(2)]
+    labels = np.array([0, 1, 0, 1, 1, 0])
+    batch = train_weighted_svms(grams, labels, [1.0, 5.0])
+    singles = [train_weighted_svm(K, labels, C) for K in grams for C in (1.0, 5.0)]
+    for model, single in zip(batch, singles):
+        np.testing.assert_array_equal(model.dual_coefs, single.dual_coefs)
+        assert (model.bias, model.C) == (single.bias, single.C)
+    degenerate = train_weighted_svms(grams, np.ones(6, dtype=int), [1.0, 5.0])
+    assert [m.C for m in degenerate] == [1.0, 5.0, 1.0, 5.0]
+    assert all(m.degenerate and m.bias == 1.0 for m in degenerate)
+    assert train_weighted_svms([], labels, [1.0]) == []
+    with pytest.raises(ValueError, match="does not match gram size"):
+        train_weighted_svms([grams[0], np.eye(5)], labels, [1.0])
+    with pytest.raises(ValueError, match="C must be positive"):
+        train_weighted_svms(grams, labels, [1.0, 0.0])
