@@ -2,7 +2,7 @@
 
 Three models per dataset: the boosted ensemble, the single best
 grid-searched quantum-kernel SVM, and a classical RBF/linear SVM baseline.
-The default study (10 datasets per family) takes about 75 seconds on one
+The default study (10 datasets per family) takes about 60 seconds on one
 core; this demo shrinks it to 2 datasets per family. It writes its records,
 models and report files to qsvm_boost_demo/ in the current directory. Run:
 python3 demos/05_experiment_sweep.py

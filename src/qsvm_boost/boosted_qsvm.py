@@ -170,11 +170,27 @@ def grid_search_best(
     Ties go to the earlier cell in (menu order, ascending alpha, ascending C);
     iteration follows that order, so the first strict improvement wins. Every
     cell's SVM is fitted in one batched solver call.
+
+    The result is memoized in ``cache`` on (grid, excluded maps, settings)
+    and the content of the train and validation data, labels and weights. A
+    search that repeats an earlier one on the same cache returns the earlier
+    result object and fits nothing: boosting's unit-weight round 1 reuses the
+    single QSVM's search this way.
     """
     cache = cache if cache is not None else GramCache()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     y_val = np.asarray(y_val)
+    return cache.search(
+        (grid, frozenset(excluded), settings),  # a copy: fit_boosted grows its set
+        (X_train, y_train, weights, X_val, y_val),
+        lambda: _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded,
+                             cache, settings),
+    )
+
+
+def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache,
+                 settings) -> GridSearchResult:
     n_qubits = X_train.shape[1]
     cells, k_trains = [], []  # per (feature map, alpha): (fm_id, alpha, spec, val x train Gram)
     for labels in grid.feature_maps:

@@ -9,6 +9,7 @@ config reproduces its records byte-for-byte.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, fields
@@ -42,7 +43,8 @@ from .svm_solver import (
 MODEL_BOOSTED = "boosted_qsvm"
 MODEL_SINGLE = "single_qsvm"
 MODEL_BASELINE = "svm_baseline"
-# fit order: single first, so it pays for the Gram builds that boosting's round 1 then reuses
+# fit order: single first, so it pays for the whole unit-weight grid search (its Gram
+# builds and its fits), which boosting's round 1 then takes from the shared cache
 MODELS = (MODEL_SINGLE, MODEL_BOOSTED, MODEL_BASELINE)
 _BUNDLE_KEYS = {MODEL_SINGLE: "single", MODEL_BOOSTED: "boosted", MODEL_BASELINE: "baseline"}
 
@@ -90,8 +92,21 @@ class ExperimentConfig:
             raise ValueError("datasets_per_family must be at least 1")
         if len(self.split_sizes) != 3 or sum(self.split_sizes) > self.n_points:
             raise ValueError(f"split sizes {self.split_sizes} incompatible with n_points={self.n_points}")
+        for family, params in self.dataset_params.items():
+            if family not in GENERATORS:
+                raise ValueError(f"dataset_params names unknown family {family!r}")
+            takes = set(inspect.signature(GENERATORS[family]).parameters) - {"n", "seed"}
+            if not isinstance(params, dict) or set(params) - takes:
+                raise ValueError(f"dataset_params for {family} must map a subset of "
+                                 f"{sorted(takes)} to values, got {params!r}")
         if set(self.baseline_kernels) - {"rbf", "linear"}:
             raise ValueError(f"baseline kernels must be rbf/linear, got {self.baseline_kernels}")
+        if not self.baseline_kernels:
+            raise ValueError("baseline_kernels must not be empty")
+        if not self.baseline_Cs:
+            raise ValueError("baseline_Cs must not be empty")
+        if "rbf" in self.baseline_kernels and not self.baseline_gammas:
+            raise ValueError("baseline_gammas must not be empty when rbf is a baseline kernel")
         if any(c < 0.1 or c > 100 for c in self.baseline_Cs):
             raise ValueError("baseline C values must lie in [0.1, 100]")
         if any(g < 0.0001 or g > 10 for g in self.baseline_gammas):
@@ -161,6 +176,9 @@ def classical_svm_baseline(
                 accuracy = _accuracy(predict(model, k_val.values), y_val)
                 if best is None or accuracy > best[0]:
                     best = (accuracy, kernel, gamma, C, model)
+    if best is None:
+        empty = "kernels" if not kernels else "Cs" if not Cs else "gammas"
+        raise ValueError(f"the baseline grid is empty: no {empty} given")
     val_accuracy, kernel, gamma, C, model = best
     X_test, y_test = split.test.X, split.test.y
     if kernel == "rbf":

@@ -84,23 +84,33 @@ def _digest(X: np.ndarray) -> str:
 
 
 class GramCache:
-    """Memoizes Gram matrices, keyed on (kernel identity, dataset content hash).
+    """Memoizes Gram matrices, keyed on (kernel identity, dataset content hash),
+    and grid-search results, keyed on everything the search reads.
 
     Grid search reuses the same (feature map, alpha) Gram across all C values
-    and boosting rounds. A hit returns the stored matrix unchanged.
+    and boosting rounds. A repeated search, such as boosting's unit-weight
+    round 1 after the single QSVM's search on the same split, is not run
+    again. A hit returns the stored object unchanged; ``len`` counts both
+    kinds of entry.
     """
 
     def __init__(self):
-        self._store: dict[tuple, GramMatrix] = {}
+        self._store: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def _get(self, key: tuple, compute) -> GramMatrix:
+    def _get(self, key: tuple, compute):
         hit = self._store.get(key)
         if hit is None:
             hit = self._store[key] = compute()
         return hit
+
+    def search(self, params: tuple, arrays, run):
+        """``run()``'s result, memoized on hashable ``params`` plus the content
+        of ``arrays`` (each an array or None); ``run`` is called on a miss only."""
+        digests = tuple(None if a is None else _digest(a) for a in arrays)
+        return self._get(("search", params, digests), run)
 
     def fidelity(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
         key = (spec.canonical(), _digest(X_a), None if X_b is None else _digest(X_b))

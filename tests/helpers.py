@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from qsvm_boost import boosted_qsvm
 from qsvm_boost.kernels import GramMatrix
 from qsvm_boost.quantum_sim import FeatureMapSpec
 from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM
@@ -226,3 +227,16 @@ def reference_smo(
         C=float(C),
         converged=converged,
     )
+
+
+def count_solver_calls(monkeypatch) -> list:
+    """Record the arguments of every batched solver call the grid search makes."""
+    calls = []
+    solve = boosted_qsvm.train_weighted_svms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", counting)
+    return calls

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 5-7 share one sweep of the default experiment config (10 datasets
-per family, default grids); expect about 90 seconds for the full module.
+per family, default grids); expect about 60 seconds for the full module.
 """
 import csv
 import math

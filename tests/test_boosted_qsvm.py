@@ -1,6 +1,7 @@
 """Boosting-loop tests: round mechanics, stopping, exclusion, pruning, voting."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from qsvm_boost.boosted_qsvm import (
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
 from qsvm_boost.kernels import GramCache
 from qsvm_boost.quantum_sim import FeatureMapSpec
-from qsvm_boost.svm_solver import TrainedSVM, predict
+from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM, predict
+from helpers import count_solver_calls
 
 LN3 = math.log(3.0)
 
@@ -217,6 +219,65 @@ def test_grid_search_propagates_degenerate_train():
     )
     assert result.model.degenerate
     assert result.val_accuracy == pytest.approx(4 / 6)
+
+
+# --- grid-search memo ---
+
+def memo_search_args(split) -> dict:
+    return dict(X_train=split.train.X, y_train=split.train.y,
+                weights=initial_weights(len(split.train.y)), X_val=split.val.X,
+                y_val=split.val.y, grid=SMALL_GRID, excluded=set(), settings=DEFAULT_SETTINGS)
+
+
+def test_grid_search_memo_hit_returns_stored_result(monkeypatch):
+    calls = count_solver_calls(monkeypatch)
+    split = small_split(seed=5)
+    cache = GramCache()
+    args = memo_search_args(split)
+    first = grid_search_best(**args, cache=cache)
+    assert len(calls) == 1
+    # equal content in new objects is the same search
+    copies = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in args.items()}
+    copies.update(grid=replace(SMALL_GRID), excluded=frozenset(), settings=SolverSettings())
+    assert grid_search_best(**copies, cache=cache) is first
+    assert len(calls) == 1
+
+
+def _flip_first(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a[0] = 1 - a[0]
+    return a
+
+
+def _nudge_first(X: np.ndarray) -> np.ndarray:
+    X = X.copy()
+    X[0, 0] += 1e-3
+    return X
+
+
+@pytest.mark.parametrize("part", ["X_train", "y_train", "weights", "X_val", "y_val",
+                                  "grid", "excluded", "settings"])
+def test_grid_search_memo_misses_on_any_changed_part(monkeypatch, part):
+    calls = count_solver_calls(monkeypatch)
+    split = small_split(seed=5)
+    cache = GramCache()
+    args = memo_search_args(split)
+    first = grid_search_best(**args, cache=cache)
+    if part == "excluded":
+        args["excluded"].add("Z,ZZ")  # grown in place, as fit_boosted grows its set
+    else:
+        args[part] = {
+            "X_train": _nudge_first, "X_val": _nudge_first,
+            "y_train": _flip_first, "y_val": _flip_first,
+            "weights": lambda w: update_weights(w, np.arange(len(w)) == 0, LN3),
+            "grid": lambda g: replace(g, Cs=(1.0, 100.0)),
+            "settings": lambda s: SolverSettings(kkt_tolerance=1e-4),
+        }[part](args[part])
+    result = grid_search_best(**args, cache=cache)
+    assert len(calls) == 2 and result is not first
+    fresh = grid_search_best(**args, cache=GramCache())
+    assert (result.grid_point, result.val_accuracy) == (fresh.grid_point, fresh.val_accuracy)
+    assert np.array_equal(result.model.dual_coefs, fresh.model.dual_coefs)
 
 
 def test_grid_spec_validation():

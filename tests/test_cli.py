@@ -109,6 +109,10 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text(json.dumps({"reps": 0}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
+    for bad in ({"baseline_Cs": []}, {"baseline_kernels": []}, {"baseline_gammas": []},
+                {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}}):
+        config_path.write_text(json.dumps(bad))
+        assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text("{broken")
     assert run_cli("experiment", "--config", str(config_path)) == 1
     assert run_cli("experiment", "--config", str(tmp_path / "missing.json")) == 1

@@ -7,11 +7,12 @@ import pytest
 from qsvm_boost.boosted_qsvm import (
     STOP_PERFECT,
     GridSpec,
+    ensemble_to_json,
     fit_boosted,
     grid_search_best,
     initial_weights,
 )
-from qsvm_boost.datasets import dataset_from_csv, make_circles, make_moons, split_and_scale
+from qsvm_boost.datasets import GENERATORS, dataset_from_csv, make_moons, split_and_scale
 from qsvm_boost.experiment import (
     MODEL_BASELINE,
     MODEL_BOOSTED,
@@ -25,6 +26,7 @@ from qsvm_boost.experiment import (
     derive_seed,
     emit_report,
     evaluate_reloaded,
+    fit_model,
     load_config,
     read_records_csv,
     reload_bundle,
@@ -33,6 +35,7 @@ from qsvm_boost.experiment import (
     write_records_csv,
 )
 from qsvm_boost.kernels import GramCache
+from helpers import count_solver_calls
 
 SMALL_GRID = GridSpec(
     feature_maps=(("Z", "ZZ"), ("X", "XX")),
@@ -163,6 +166,17 @@ def test_baseline_linear_ignores_gamma():
     assert result.kernel == "linear" and result.gamma is None
 
 
+@pytest.mark.parametrize("kernels, Cs, gammas, empty", [
+    ((), (1.0,), (1.0,), "kernels"),
+    (("rbf", "linear"), (), (1.0,), "Cs"),
+    (("rbf",), (1.0,), (), "gammas"),
+])
+def test_baseline_rejects_empty_grid(kernels, Cs, gammas, empty):
+    split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
+    with pytest.raises(ValueError, match=f"no {empty} given"):
+        classical_svm_baseline(split, kernels, Cs, gammas)
+
+
 def test_baseline_tie_breaking_order():
     # recompute every cell's validation accuracy naively; the winner must be the
     # first cell reaching the maximum in (kernel menu, ascending gamma, ascending C) order
@@ -204,17 +218,21 @@ def test_run_experiment_cardinality_and_persistence(tmp_path):
     assert (tmp_path / "out" / "models" / f"circles_{seed}.json").exists()
 
 
+def study_split(config: ExperimentConfig, family: str, k: int):
+    """The split of dataset k of one family, as run_experiment makes it."""
+    f = config.families.index(family)
+    data = GENERATORS[family](config.n_points, seed=derive_seed(config.master_seed, f, k, 0),
+                              **config.dataset_params[family])
+    return split_and_scale(data, config.split_sizes, seed=derive_seed(config.master_seed, f, k, 1))
+
+
 def test_perfect_later_round_replaces_round_one():
     # default study, circles dataset 7: round 1 is the unit-weight grid
     # winner, but a later round has zero weighted training error, so the
     # ensemble is truncated to that round alone and round 1 is dropped; the
     # single model therefore cannot be read off the ensemble's first round
     config = ExperimentConfig()
-    family = config.families.index("circles")
-    data = make_circles(config.n_points, seed=derive_seed(config.master_seed, family, 7, 0),
-                        **config.dataset_params["circles"])
-    split = split_and_scale(data, config.split_sizes,
-                            seed=derive_seed(config.master_seed, family, 7, 1))
+    split = study_split(config, "circles", 7)
     X_train, y_train = split.train.X, split.train.y
     X_val, y_val = split.val.X, split.val.y
     cache = GramCache()
@@ -226,6 +244,51 @@ def test_perfect_later_round_replaces_round_one():
     assert ensemble.rounds[0].err_m == 0.0 and ensemble.rounds[0].alpha_m == 1.0
     assert ensemble.rounds[0].grid_point == ("Z,XX", 1.0, 1.0)
     assert single.grid_point == ("Z", 0.5, 10.0)
+
+
+@pytest.mark.parametrize("family, k", [("circles", 7), ("moons", 8)])
+def test_fit_boosted_reuses_unit_weight_search(monkeypatch, family, k):
+    # circles 7 drops round 1 for a perfect later round; moons 8 keeps four rounds
+    config = ExperimentConfig()
+    split = study_split(config, family, k)
+    calls = count_solver_calls(monkeypatch)
+    args = (split.train.X, split.train.y, split.val.X, split.val.y, config.grid,
+            config.max_rounds)
+    fresh = ensemble_to_json(fit_boosted(*args, GramCache()))
+    fresh_calls = len(calls)
+    warm = GramCache()
+    grid_search_best(split.train.X, split.train.y, initial_weights(len(split.train.y)),
+                     split.val.X, split.val.y, config.grid, cache=warm)
+    del calls[:]
+    assert json.dumps(ensemble_to_json(fit_boosted(*args, warm))) == json.dumps(fresh)
+    assert len(calls) == fresh_calls - 1  # round 1 was the memoized search
+
+
+CRITERION_8_CONFIG = dict(
+    families=("xor", "moons", "circles"),
+    datasets_per_family=1,
+    n_points=90,
+    split_sizes=(30, 30, 30),
+    grid=GridSpec(feature_maps=(("Z", "ZZ"), ("X", "XX")), alphas=(1.0, 2.0), Cs=(1.0, 10.0)),
+    max_rounds=3,
+    master_seed=12345,
+)
+
+
+def test_run_experiment_bundles_match_fresh_cache_fits(tmp_path):
+    # the sweep shares one cache across a dataset's models; each model fitted
+    # alone on its own cache must give the same bundle bytes
+    config = ExperimentConfig(output_dir=str(tmp_path), **CRITERION_8_CONFIG)
+    run_experiment(config)
+    for f, family in enumerate(config.families):
+        split = study_split(config, family, 0)
+        dataset_seed = derive_seed(config.master_seed, f, 0, 0)
+        bundle = {"family": family, "dataset_seed": dataset_seed,
+                  "split_seed": derive_seed(config.master_seed, f, 0, 1)}
+        for model_id, key in zip(MODELS, ("single", "boosted", "baseline")):
+            bundle[key] = fit_model(split, config, model_id, GramCache()).entry
+        path = tmp_path / "models" / f"{family}_{dataset_seed}.json"
+        assert path.read_text() == json.dumps(bundle, indent=1, sort_keys=True)
 
 
 def test_reloaded_models_reproduce_accuracies(tmp_path):
@@ -307,6 +370,31 @@ def test_config_rejects_invalid_menu():
 def test_config_rejects_bad_reps():
     with pytest.raises(ValueError, match="reps must be a positive integer"):
         config_from_dict({"reps": 0})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"baseline_Cs": []}, "baseline_Cs must not be empty"),
+    ({"baseline_kernels": []}, "baseline_kernels must not be empty"),
+    ({"baseline_gammas": []}, "baseline_gammas must not be empty"),
+])
+def test_config_rejects_empty_baseline_grid(obj, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(obj)
+    # without rbf the gamma list is unused, so it may be empty
+    config_from_dict({"baseline_kernels": ["linear"], "baseline_gammas": []})
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"moons": {"noise": 0.3}}, "dataset_params for moons"),
+    ({"circles": {"factor": 0.5, "n": 10}}, "dataset_params for circles"),
+    ({"xor": {"seed": 1}}, "dataset_params for xor"),
+    ({"xor": [0.1]}, "dataset_params for xor"),
+    ({"blobs": {}}, "unknown family 'blobs'"),
+])
+def test_config_rejects_bad_dataset_params(params, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict({"dataset_params": params})
+    config_from_dict({"dataset_params": {"moons": {"noise_std": 0.1}, "xor": {}}})
 
 
 def test_config_from_dict_and_file(tmp_path):
