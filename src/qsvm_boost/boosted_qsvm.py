@@ -18,8 +18,6 @@ import numpy as np
 from .kernels import GramCache
 from .quantum_sim import FeatureMapSpec, check_label, parse_feature_map
 from .svm_solver import (
-    DEFAULT_SETTINGS,
-    SolverSettings,
     TrainedSVM,
     predict,
     svm_from_json,
@@ -163,34 +161,31 @@ def grid_search_best(
     grid: GridSpec,
     excluded: frozenset[str] | set[str] = frozenset(),
     cache: GramCache | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> GridSearchResult:
     """Best (feature map, alpha, C) cell by unweighted validation accuracy.
 
     Ties go to the earlier cell in (menu order, ascending alpha, ascending C);
     iteration follows that order, so the first strict improvement wins. Every
-    cell's SVM is fitted in one batched solver call.
+    cell's SVM is fitted in one batched solver call with the default settings.
 
-    The result is memoized in ``cache`` on (grid, excluded maps, settings)
-    and the content of the train and validation data, labels and weights. A
-    search that repeats an earlier one on the same cache returns the earlier
-    result object and fits nothing: boosting's unit-weight round 1 reuses the
-    single QSVM's search this way.
+    The result is memoized in ``cache`` on (grid, excluded maps) and the
+    content of the train and validation data, labels and weights. A search
+    that repeats an earlier one on the same cache returns the earlier result
+    object and fits nothing: boosting's unit-weight round 1 reuses the single
+    QSVM's search this way.
     """
     cache = cache if cache is not None else GramCache()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     y_val = np.asarray(y_val)
     return cache.search(
-        (grid, frozenset(excluded), settings),  # a copy: fit_boosted grows its set
+        (grid, frozenset(excluded)),  # a copy: fit_boosted grows its set
         (X_train, y_train, weights, X_val, y_val),
-        lambda: _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded,
-                             cache, settings),
+        lambda: _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache),
     )
 
 
-def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache,
-                 settings) -> GridSearchResult:
+def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache) -> GridSearchResult:
     n_qubits = X_train.shape[1]
     cells, k_trains = [], []  # per (feature map, alpha): (fm_id, alpha, spec, val x train Gram)
     for labels in grid.feature_maps:
@@ -203,7 +198,7 @@ def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache,
             cells.append((fm_id, alpha, spec, cache.fidelity(spec, X_val, X_train)))
     if not cells:
         raise ValueError("every feature map in the grid is excluded")
-    models = iter(train_weighted_svms(k_trains, y_train, grid.Cs, weights, settings))
+    models = iter(train_weighted_svms(k_trains, y_train, grid.Cs, weights))
     best: GridSearchResult | None = None
     for fm_id, alpha, spec, k_val in cells:
         for C in grid.Cs:
@@ -222,7 +217,6 @@ def fit_boosted(
     grid: GridSpec | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     cache: GramCache | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> BoostedEnsemble:
     """Run the full boosting loop and prune the result on the validation set.
 
@@ -244,45 +238,31 @@ def fit_boosted(
     weights = initial_weights(len(y_train))
     rounds: list[BoostingRound] = []
     excluded: set[str] = set()
-    stop_reason = None
+    stop_reason = STOP_MAX_REACHED
 
-    for round_index in range(max_rounds):
+    for _ in range(max_rounds):
         if all(menu_id(fm) in excluded for fm in grid.feature_maps):
             stop_reason = STOP_MAPS_EXHAUSTED
             break
-        result = grid_search_best(
-            X_train, y_train, weights, X_val, y_val, grid, excluded, cache, settings
-        )
+        result = grid_search_best(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
         k_train = cache.fidelity(result.feature_map, X_train)
         train_preds = predict(result.model, k_train.values)
         err_m = estimator_error(train_preds, y_train, weights)
-
+        alpha_m = estimator_weight(err_m) if 0.0 < err_m < 0.5 else 1.0
+        rnd = BoostingRound(result.model, result.feature_map, result.grid_point,
+                            err_m, alpha_m, result.val_accuracy)
         if err_m <= 0.0:
-            rounds = [
-                BoostingRound(result.model, result.feature_map, result.grid_point,
-                              err_m, 1.0, result.val_accuracy)
-            ]
-            stop_reason = STOP_PERFECT
+            rounds, stop_reason = [rnd], STOP_PERFECT
             break
         if err_m >= 0.5:
-            if round_index == 0:
-                rounds.append(
-                    BoostingRound(result.model, result.feature_map, result.grid_point,
-                                  err_m, 1.0, result.val_accuracy)
-                )
+            if not rounds:
+                rounds.append(rnd)
             stop_reason = STOP_WORSE_THAN_RANDOM
             break
-
-        alpha_m = estimator_weight(err_m)
-        rounds.append(
-            BoostingRound(result.model, result.feature_map, result.grid_point,
-                          err_m, alpha_m, result.val_accuracy)
-        )
+        rounds.append(rnd)
         excluded.add(result.grid_point[0])
         weights = update_weights(weights, train_preds != y_train, alpha_m)
 
-    if stop_reason is None:
-        stop_reason = STOP_MAX_REACHED
     ensemble = BoostedEnsemble(tuple(rounds), len(rounds), stop_reason)
     return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
 

@@ -31,8 +31,6 @@ from .datasets import GENERATORS, SplitDataset, dataset_to_csv, split_and_scale
 from .kernels import GramCache
 from .quantum_sim import parse_feature_map
 from .svm_solver import (
-    DEFAULT_SETTINGS,
-    SolverSettings,
     TrainedSVM,
     predict,
     svm_from_json,
@@ -47,6 +45,12 @@ MODEL_BASELINE = "svm_baseline"
 # builds and its fits), which boosting's round 1 then takes from the shared cache
 MODELS = (MODEL_SINGLE, MODEL_BOOSTED, MODEL_BASELINE)
 _BUNDLE_KEYS = {MODEL_SINGLE: "single", MODEL_BOOSTED: "boosted", MODEL_BASELINE: "baseline"}
+
+# each classical baseline kernel's cache lookup (X_b=None: X_a against itself; linear ignores gamma)
+_BASELINE_GRAMS = {
+    "rbf": lambda cache, X_a, X_b, gamma: cache.rbf(X_a, X_b, gamma=gamma),
+    "linear": lambda cache, X_a, X_b, gamma: cache.linear(X_a, X_b),
+}
 
 DEFAULT_DATASET_PARAMS = {
     "xor": {"margin": 0.0},
@@ -99,8 +103,15 @@ class ExperimentConfig:
             if not isinstance(params, dict) or set(params) - takes:
                 raise ValueError(f"dataset_params for {family} must map a subset of "
                                  f"{sorted(takes)} to values, got {params!r}")
-        if set(self.baseline_kernels) - {"rbf", "linear"}:
-            raise ValueError(f"baseline kernels must be rbf/linear, got {self.baseline_kernels}")
+        for f, family in enumerate(self.families):  # one dataset each, so a bad value fails at load
+            try:
+                GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),
+                                   **self.dataset_params.get(family, {}))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"cannot generate {family} datasets: {exc}") from exc
+        if set(self.baseline_kernels) - set(_BASELINE_GRAMS):
+            raise ValueError(f"baseline kernels must be {'/'.join(_BASELINE_GRAMS)}, "
+                             f"got {self.baseline_kernels}")
         if not self.baseline_kernels:
             raise ValueError("baseline_kernels must not be empty")
         if not self.baseline_Cs:
@@ -129,7 +140,6 @@ class RunRecord:
 
 class BaselineResult(NamedTuple):
     model: TrainedSVM
-    test_accuracy: float
     kernel: str
     gamma: float | None
     C: float
@@ -151,28 +161,26 @@ def classical_svm_baseline(
     Cs: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0),
     gammas: tuple[float, ...] = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0),
     cache: GramCache | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> BaselineResult:
     """Classical-kernel SVM chosen by validation-accuracy grid search.
 
     Tie-breaking mirrors the quantum grid: kernel menu order, then ascending
-    gamma, then ascending C. The gamma list is ignored for linear cells.
+    gamma, then ascending C. The gamma list is ignored for linear cells. A
+    kernel name outside rbf and linear raises ValueError.
     """
     cache = cache if cache is not None else GramCache()
     X_train, y_train = split.train.X, split.train.y
     X_val, y_val = split.val.X, split.val.y
     best = None
     for kernel in kernels:
-        gamma_list = tuple(sorted(gammas)) if kernel == "rbf" else (None,)
-        for gamma in gamma_list:
-            if kernel == "rbf":
-                k_train = cache.rbf(X_train, gamma=gamma)
-                k_val = cache.rbf(X_val, X_train, gamma=gamma)
-            else:
-                k_train = cache.linear(X_train)
-                k_val = cache.linear(X_val, X_train)
+        if kernel not in _BASELINE_GRAMS:
+            raise ValueError(f"unknown baseline kernel {kernel!r}")
+        gram = _BASELINE_GRAMS[kernel]
+        for gamma in sorted(gammas) if kernel == "rbf" else (None,):
+            k_train = gram(cache, X_train, None, gamma)
+            k_val = gram(cache, X_val, X_train, gamma)
             for C in sorted(Cs):
-                model = train_weighted_svm(k_train, y_train, C, None, settings)
+                model = train_weighted_svm(k_train, y_train, C)
                 accuracy = _accuracy(predict(model, k_val.values), y_val)
                 if best is None or accuracy > best[0]:
                     best = (accuracy, kernel, gamma, C, model)
@@ -180,13 +188,7 @@ def classical_svm_baseline(
         empty = "kernels" if not kernels else "Cs" if not Cs else "gammas"
         raise ValueError(f"the baseline grid is empty: no {empty} given")
     val_accuracy, kernel, gamma, C, model = best
-    X_test, y_test = split.test.X, split.test.y
-    if kernel == "rbf":
-        k_test = cache.rbf(X_test, X_train, gamma=gamma)
-    else:
-        k_test = cache.linear(X_test, X_train)
-    test_accuracy = _accuracy(predict(model, k_test.values), y_test)
-    return BaselineResult(model, test_accuracy, kernel, gamma, C, val_accuracy)
+    return BaselineResult(model, kernel, gamma, C, val_accuracy)
 
 
 def _grid_point_text(grid_point: tuple[str, float, float]) -> str:
@@ -232,37 +234,31 @@ class ModelFit(NamedTuple):
 
 def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
               cache: GramCache) -> ModelFit:
-    """Fit one study model on the train split, select it on val, score it on test."""
+    """Fit one study model on train, select it on val, and score its bundle entry on test."""
     X_train, y_train = split.train.X, split.train.y
     X_val, y_val = split.val.X, split.val.y
-    X_test, y_test = split.test.X, split.test.y
     if model_id == MODEL_SINGLE:
         single = grid_search_best(
             X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
             config.grid, frozenset(), cache,
         )
-        k_test = cache.fidelity(single.feature_map, X_test, X_train)
         entry = {
             "feature_map": single.feature_map.canonical(),
             "alpha": single.grid_point[1],
             "C": single.grid_point[2],
             "val_accuracy": single.val_accuracy,
-            "test_accuracy": _accuracy(predict(single.model, k_test.values), y_test),
             "svm": svm_to_json(single.model),
         }
-        return ModelFit(entry, 1, _grid_point_text(single.grid_point))
-    if model_id == MODEL_BOOSTED:
+        fit = ModelFit(entry, 1, _grid_point_text(single.grid_point))
+    elif model_id == MODEL_BOOSTED:
         ensemble = fit_boosted(
             X_train, y_train, X_val, y_val, config.grid, config.max_rounds, cache
         )
-        _, labels = predict_ensemble_batch(ensemble, X_test, X_train, cache)
-        entry = ensemble_to_json(ensemble)
-        entry["test_accuracy"] = _accuracy(labels, y_test)
-        return ModelFit(
-            entry, ensemble.pruned_length,
+        fit = ModelFit(
+            ensemble_to_json(ensemble), ensemble.pruned_length,
             ";".join(_grid_point_text(r.grid_point) for r in ensemble.active_rounds),
         )
-    if model_id == MODEL_BASELINE:
+    elif model_id == MODEL_BASELINE:
         base = classical_svm_baseline(
             split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
             cache,
@@ -272,12 +268,28 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
             "gamma": base.gamma,
             "C": base.C,
             "val_accuracy": base.val_accuracy,
-            "test_accuracy": base.test_accuracy,
             "svm": svm_to_json(base.model),
         }
         gamma_text = "-" if base.gamma is None else repr(base.gamma)
-        return ModelFit(entry, 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
-    raise ValueError(f"unknown model {model_id!r}")
+        fit = ModelFit(entry, 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
+    else:
+        raise ValueError(f"unknown model {model_id!r}")
+    fit.entry["test_accuracy"] = _test_accuracy(model_id, fit.entry, split, cache)
+    return fit
+
+
+def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramCache) -> float:
+    """Test accuracy of the model that a bundle entry describes."""
+    X_train, X_test = split.train.X, split.test.X
+    if model_id == MODEL_BOOSTED:
+        _, labels = predict_ensemble_batch(ensemble_from_json(entry), X_test, X_train, cache)
+        return _accuracy(labels, split.test.y)
+    if model_id == MODEL_SINGLE:
+        spec = parse_feature_map(entry["feature_map"], X_train.shape[1])
+        k_test = cache.fidelity(spec, X_test, X_train)
+    else:
+        k_test = _BASELINE_GRAMS[entry["kernel"]](cache, X_test, X_train, entry["gamma"])
+    return _accuracy(predict(svm_from_json(entry["svm"]), k_test.values), split.test.y)
 
 
 def _run_one_dataset(
@@ -494,29 +506,11 @@ def reload_bundle(path) -> dict:
 
 
 def evaluate_reloaded(bundle: dict, split: SplitDataset, cache: GramCache | None = None) -> dict[str, float]:
-    """Re-evaluate serialized models on the test split; returns test accuracies."""
+    """Test accuracy of each model in a bundle, keyed by model id; each entry is scored
+    as ``fit_model`` scored it, so its recorded ``test_accuracy`` comes back."""
     cache = cache if cache is not None else GramCache()
-    X_train, X_test, y_test = split.train.X, split.test.X, split.test.y
-    out: dict[str, float] = {}
-    if "single" in bundle:
-        entry = bundle["single"]
-        spec = parse_feature_map(entry["feature_map"], X_train.shape[1])
-        model = svm_from_json(entry["svm"])
-        k_test = cache.fidelity(spec, X_test, X_train)
-        out[MODEL_SINGLE] = _accuracy(predict(model, k_test.values), y_test)
-    if "boosted" in bundle:
-        ensemble = ensemble_from_json(bundle["boosted"])
-        _, labels = predict_ensemble_batch(ensemble, X_test, X_train, cache)
-        out[MODEL_BOOSTED] = _accuracy(labels, y_test)
-    if "baseline" in bundle:
-        entry = bundle["baseline"]
-        model = svm_from_json(entry["svm"])
-        if entry["kernel"] == "rbf":
-            k_test = cache.rbf(X_test, X_train, gamma=entry["gamma"])
-        else:
-            k_test = cache.linear(X_test, X_train)
-        out[MODEL_BASELINE] = _accuracy(predict(model, k_test.values), y_test)
-    return out
+    return {model_id: _test_accuracy(model_id, bundle[_BUNDLE_KEYS[model_id]], split, cache)
+            for model_id in MODELS if _BUNDLE_KEYS[model_id] in bundle}
 
 
 # --- config file ---

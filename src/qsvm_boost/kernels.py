@@ -85,7 +85,7 @@ def _digest(X: np.ndarray) -> str:
 
 class GramCache:
     """Memoizes Gram matrices, keyed on (kernel identity, dataset content hash),
-    and grid-search results, keyed on everything the search reads.
+    and grid-search results, keyed on grid, excluded maps, data, labels and weights.
 
     Grid search reuses the same (feature map, alpha) Gram across all C values
     and boosting rounds. A repeated search, such as boosting's unit-weight

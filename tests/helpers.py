@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -240,3 +242,12 @@ def count_solver_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", counting)
     return calls
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on PYTHONPATH,
+    so a subprocess imports the package under test without it being installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

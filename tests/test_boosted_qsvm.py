@@ -29,7 +29,7 @@ from qsvm_boost.boosted_qsvm import (
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
 from qsvm_boost.kernels import GramCache
 from qsvm_boost.quantum_sim import FeatureMapSpec
-from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM, predict
+from qsvm_boost.svm_solver import TrainedSVM, predict
 from helpers import count_solver_calls
 
 LN3 = math.log(3.0)
@@ -226,7 +226,7 @@ def test_grid_search_propagates_degenerate_train():
 def memo_search_args(split) -> dict:
     return dict(X_train=split.train.X, y_train=split.train.y,
                 weights=initial_weights(len(split.train.y)), X_val=split.val.X,
-                y_val=split.val.y, grid=SMALL_GRID, excluded=set(), settings=DEFAULT_SETTINGS)
+                y_val=split.val.y, grid=SMALL_GRID, excluded=set())
 
 
 def test_grid_search_memo_hit_returns_stored_result(monkeypatch):
@@ -238,7 +238,7 @@ def test_grid_search_memo_hit_returns_stored_result(monkeypatch):
     assert len(calls) == 1
     # equal content in new objects is the same search
     copies = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in args.items()}
-    copies.update(grid=replace(SMALL_GRID), excluded=frozenset(), settings=SolverSettings())
+    copies.update(grid=replace(SMALL_GRID), excluded=frozenset())
     assert grid_search_best(**copies, cache=cache) is first
     assert len(calls) == 1
 
@@ -256,7 +256,7 @@ def _nudge_first(X: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("part", ["X_train", "y_train", "weights", "X_val", "y_val",
-                                  "grid", "excluded", "settings"])
+                                  "grid", "excluded"])
 def test_grid_search_memo_misses_on_any_changed_part(monkeypatch, part):
     calls = count_solver_calls(monkeypatch)
     split = small_split(seed=5)
@@ -271,7 +271,6 @@ def test_grid_search_memo_misses_on_any_changed_part(monkeypatch, part):
             "y_train": _flip_first, "y_val": _flip_first,
             "weights": lambda w: update_weights(w, np.arange(len(w)) == 0, LN3),
             "grid": lambda g: replace(g, Cs=(1.0, 100.0)),
-            "settings": lambda s: SolverSettings(kkt_tolerance=1e-4),
         }[part](args[part])
     result = grid_search_best(**args, cache=cache)
     assert len(calls) == 2 and result is not first

@@ -6,6 +6,7 @@ import sys
 from qsvm_boost.cli import main
 from qsvm_boost.datasets import SplitDataset, dataset_from_csv
 from qsvm_boost.experiment import ExperimentConfig, reload_bundle, run_experiment
+from helpers import src_env
 
 
 def run_cli(*args) -> int:
@@ -113,6 +114,14 @@ def test_experiment_bad_config_exits_1(tmp_path):
                 {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path)) == 1
+    # a bad dataset parameter value fails at load, before the xor datasets run
+    config_path.write_text(json.dumps({
+        "families": ["xor", "moons"], "datasets_per_family": 1, "feature_maps": [["Z"]],
+        "alphas": [1.0], "Cs": [1.0], "dataset_params": {"moons": {"noise_std": -1}},
+    }))
+    assert run_cli("experiment", "--config", str(config_path),
+                   "--output-dir", str(tmp_path / "out"), "--quiet") == 1
+    assert not (tmp_path / "out").exists()
     config_path.write_text("{broken")
     assert run_cli("experiment", "--config", str(config_path)) == 1
     assert run_cli("experiment", "--config", str(tmp_path / "missing.json")) == 1
@@ -130,7 +139,7 @@ def test_no_arguments_exits_1():
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "qsvm_boost.cli", "--help"],
-        capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "experiment" in proc.stdout

@@ -1,10 +1,11 @@
 """The walkthrough demos run to completion against the current package."""
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -19,12 +20,8 @@ DEMOS = (
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(REPO / "demos" / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -34,7 +34,8 @@ from qsvm_boost.experiment import (
     tukey_quartiles,
     write_records_csv,
 )
-from qsvm_boost.kernels import GramCache
+from qsvm_boost.kernels import GramCache, linear_gram, rbf_gram
+from qsvm_boost.svm_solver import predict, train_weighted_svm
 from helpers import count_solver_calls
 
 SMALL_GRID = GridSpec(
@@ -153,10 +154,33 @@ def test_baseline_separable_reaches_one():
 
     data = LabeledDataset(X, y, "xor", 0)
     split = split_and_scale(data, (20, 20, 20), seed=3)
-    result = classical_svm_baseline(split)
-    assert result.test_accuracy == 1.0
+    entry = fit_model(split, ExperimentConfig(), MODEL_BASELINE, GramCache()).entry
+    assert entry["test_accuracy"] == 1.0
     # both kernel types separate this, so the menu-order tie keeps rbf
-    assert result.kernel == "rbf"
+    assert entry["kernel"] == "rbf"
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_baseline_test_accuracy_comes_from_its_entry(kernel):
+    # the recorded accuracy, the reloaded bundle's and a direct scoring of the
+    # fitted model on the kernel's own test Gram must all agree
+    split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
+    config = ExperimentConfig(baseline_kernels=(kernel,))
+    entry = fit_model(split, config, MODEL_BASELINE, GramCache()).entry
+    assert entry["kernel"] == kernel
+    bundle = json.loads(json.dumps({"baseline": entry}))
+    assert evaluate_reloaded(bundle, split) == {MODEL_BASELINE: entry["test_accuracy"]}
+    base = classical_svm_baseline(split, (kernel,), config.baseline_Cs, config.baseline_gammas)
+    k_test = (rbf_gram(split.test.X, split.train.X, gamma=base.gamma) if kernel == "rbf"
+              else linear_gram(split.test.X, split.train.X))
+    direct = float(np.mean(predict(base.model, k_test.values) == split.test.y))
+    assert entry["test_accuracy"] == direct
+
+
+def test_baseline_rejects_unknown_kernel():
+    split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
+    with pytest.raises(ValueError, match="unknown baseline kernel 'poly'"):
+        classical_svm_baseline(split, kernels=("poly",))
 
 
 def test_baseline_linear_ignores_gamma():
@@ -180,9 +204,6 @@ def test_baseline_rejects_empty_grid(kernels, Cs, gammas, empty):
 def test_baseline_tie_breaking_order():
     # recompute every cell's validation accuracy naively; the winner must be the
     # first cell reaching the maximum in (kernel menu, ascending gamma, ascending C) order
-    from qsvm_boost.kernels import linear_gram, rbf_gram
-    from qsvm_boost.svm_solver import predict, train_weighted_svm
-
     split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
     kernels, Cs, gammas = ("rbf", "linear"), (10.0, 0.1, 1.0), (1.0, 0.01, 0.1)
     cells = []
@@ -390,6 +411,9 @@ def test_config_rejects_empty_baseline_grid(obj, message):
     ({"xor": {"seed": 1}}, "dataset_params for xor"),
     ({"xor": [0.1]}, "dataset_params for xor"),
     ({"blobs": {}}, "unknown family 'blobs'"),
+    ({"moons": {"noise_std": -1}}, "cannot generate moons datasets: noise_std must be nonnegative"),
+    ({"xor": {"margin": 1.5}}, "cannot generate xor datasets: margin must lie in"),
+    ({"circles": {"factor": "half"}}, "cannot generate circles datasets"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):
