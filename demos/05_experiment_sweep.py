@@ -7,6 +7,8 @@ core; this demo shrinks it to 2 datasets per family. It writes its records,
 models and report files to qsvm_boost_demo/ in the current directory. Run:
 python3 demos/05_experiment_sweep.py
 """
+from pathlib import Path
+
 from qsvm_boost import ExperimentConfig, aggregate, emit_report, run_experiment
 
 config = ExperimentConfig(
@@ -31,5 +33,6 @@ for family, fs in sorted(stats.families.items()):
 paths = emit_report(stats, records, config.output_dir)
 print()
 print("report files:")
+print(f"  records: {Path(config.output_dir) / 'records.csv'}")
 for name, path in paths.items():
     print(f"  {name}: {path}")

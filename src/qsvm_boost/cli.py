@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .datasets import GENERATORS, SplitDataset, dataset_from_csv, dataset_to_csv, split_and_scale
 from .experiment import (
@@ -65,7 +66,7 @@ def _cmd_experiment(args) -> int:
     records = run_experiment(config, verbose=not args.quiet)
     stats = aggregate(records)
     paths = emit_report(stats, records, config.output_dir)
-    print(f"wrote {paths['records']}, {paths['summary']}, {paths['boxplot']}")
+    print(f"wrote {Path(config.output_dir) / 'records.csv'}, {paths['summary']}, {paths['boxplot']}")
     return 0
 
 

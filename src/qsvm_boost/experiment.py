@@ -476,17 +476,13 @@ def read_records_csv(path) -> list[RunRecord]:
 
 
 def emit_report(stats: SummaryStats, records: list[RunRecord], output_dir) -> dict[str, Path]:
-    """Write records CSV, summary JSON, and box-plot CSV; returns the paths."""
+    """Write summary JSON and box-plot CSV; returns the paths. The records CSV is
+    ``run_experiment``'s to write."""
     if not records:
         raise ValueError("refusing to write a report for an empty record list")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "records": out / "records.csv",
-        "summary": out / "summary.json",
-        "boxplot": out / "boxplot.csv",
-    }
-    write_records_csv(paths["records"], records)
+    paths = {"summary": out / "summary.json", "boxplot": out / "boxplot.csv"}
     with open(paths["summary"], "w") as fh:
         json.dump(stats.to_json(), fh, indent=1, sort_keys=True)
     with open(paths["boxplot"], "w", newline="") as fh:

@@ -6,6 +6,16 @@ by ``reps`` repetitions of [Hadamard layer, then one Pauli rotation
 ``theta = alpha * phi_S(x)`` where ``phi_S`` is the fixed Havlicek data map
 for the subset S of qubits the term acts on.
 
+The batched simulator works on the float64 view of its (m, 2^n) complex
+states, real and imaginary parts interleaved. The Hadamard layer H^{(x)n} is
+two real matmuls: H^{(x)(n-h)} on the high half of the amplitude index and
+H^{(x)h} on the low half, h = n // 2. A rotation is exact real arithmetic:
+i*P moves every amplitude and multiplies it by +-1 or +-i, so on the float
+view it is one column gather and a +-1 sign, memoized per Pauli string, and
+the rotation does the floating-point operations of the complex product. At
+one and two qubits the states are bit-for-bit those of a qubit-by-qubit
+Hadamard layer; above that they agree to round-off.
+
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
   - letter i of a Pauli string acts on qubit i
@@ -13,6 +23,7 @@ Conventions (fixed; the simulator and the dense oracle must share them):
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,13 +169,35 @@ def parse_feature_map(text: str, n_qubits: int) -> FeatureMapSpec:
 
 # --- statevector kernels (batched over samples; shape (m, 2^n)) ---
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H^{(x)(n-h)} for the high axis and H^{(x)h} (x) I_2 for the low axis of the
+    float view, h = n // 2; real, symmetric, with _HADAMARD's 1/sqrt(2) entries."""
+    def power(k):
+        return functools.reduce(np.kron, [_HADAMARD.real] * k, np.eye(1))
+
+    h = n // 2
+    return _frozen(power(n - h), np.kron(power(h), np.eye(2)))
+
+
 def _hadamard_all_batch(psi: np.ndarray) -> np.ndarray:
+    """H on every qubit of every row: the float64 view reshaped to (m, high, low
+    parts) takes one real matmul per axis. At one or two qubits each matmul
+    covers one qubit, so the bits are those of a per-qubit 2x2 layer."""
     m, dim = psi.shape
     n = dim.bit_length() - 1
-    t = psi.reshape((m,) + (2,) * n)
-    for ax in range(1, n + 1):
-        t = np.moveaxis(np.moveaxis(t, ax, -1) @ _HADAMARD, -1, ax)
-    return t.reshape(m, dim)
+    high, low = _hadamard_factors(n)
+    v = np.ascontiguousarray(psi).view(np.float64).reshape(m, len(high), len(low))
+    v = high @ v
+    if n > 1:
+        v = v @ low
+    return v.reshape(m, 2 * dim).view(complex)
 
 
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
@@ -188,20 +221,34 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     return k ^ xmask, phase
 
 
-def _apply_pauli_batch(psi: np.ndarray, action: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Return P|psi> for each row of psi, P given by its :func:`_pauli_action`."""
-    index, phase = action
-    return np.take(psi, index, axis=1) * phase
+@functools.lru_cache(maxsize=None)
+def _rotation_gather(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column index and sign with (i P psi) = sign * v[:, index] on the float64 view v of psi.
+
+    v interleaves real and imaginary parts. Every phase c of i*P is +-1 or
+    +-i, and c * (a + ib) is (c a, c b) for real c and (-d b, d a) for
+    c = i d, so each output part is one input part times +-1: the exact
+    arithmetic of the complex product.
+    """
+    index, phase = _pauli_action(letters)
+    c = 1j * phase
+    swap = c.imag != 0
+    column = np.stack([2 * index + swap, 2 * index + ~swap], axis=1).ravel()
+    sign = np.stack([c.real - c.imag, c.real + c.imag], axis=1).ravel()
+    return _frozen(column, sign)
 
 
-def _rotate_batch(
-    psi: np.ndarray, action: tuple[np.ndarray, np.ndarray], thetas: np.ndarray
-) -> np.ndarray:
-    """exp(i*theta*P)|psi> = cos(theta)|psi> + i sin(theta) P|psi> per row, since P^2 = I."""
-    flipped = _apply_pauli_batch(psi, action)
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    return c * psi + 1j * s * flipped
+def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
+                  cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """exp(i*theta*P)|psi> = cos(theta)|psi> + sin(theta) iP|psi> per row, since P^2 = I,
+    on the float64 view ``v`` with iP as its :func:`_rotation_gather`; cos and sin are (m, 1)."""
+    column, sign = gather
+    turned = np.take(v, column, axis=1)
+    turned *= sign
+    turned *= sin
+    out = cos * v
+    out += turned
+    return out
 
 
 def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
@@ -209,16 +256,17 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.n_qubits:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
-    terms = [
-        (_pauli_action(p.letters), spec.alpha * havlicek_data_map(subset, X))
-        for p, subset in spec.terms()
-    ]
+    terms = []
+    for p, subset in spec.terms():
+        thetas = spec.alpha * havlicek_data_map(subset, X)
+        terms.append((_rotation_gather(p.letters), np.cos(thetas)[:, None], np.sin(thetas)[:, None]))
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0
     for _ in range(spec.reps):
-        psi = _hadamard_all_batch(psi)
-        for action, thetas in terms:
-            psi = _rotate_batch(psi, action, thetas)
+        v = _hadamard_all_batch(psi).view(np.float64)
+        for gather, cos, sin in terms:
+            v = _rotate_batch(v, gather, cos, sin)
+        psi = v.view(complex)
     return psi
 
 

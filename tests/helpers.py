@@ -9,7 +9,7 @@ import numpy as np
 
 from qsvm_boost import boosted_qsvm
 from qsvm_boost.kernels import GramMatrix
-from qsvm_boost.quantum_sim import FeatureMapSpec
+from qsvm_boost.quantum_sim import _HADAMARD, FeatureMapSpec, _pauli_action, havlicek_data_map
 from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM
 
 SINGLE_LABELS = ("X", "Y", "Z")
@@ -229,6 +229,49 @@ def reference_smo(
         C=float(C),
         converged=converged,
     )
+
+
+def reference_hadamard(psi: np.ndarray) -> np.ndarray:
+    """H on every qubit, one moveaxis and complex 2x2 matmul per qubit: the oracle
+    for the simulator's two-matmul Hadamard layer."""
+    m, dim = psi.shape
+    n = dim.bit_length() - 1
+    t = psi.reshape((m,) + (2,) * n)
+    for ax in range(1, n + 1):
+        t = np.moveaxis(np.moveaxis(t, ax, -1) @ _HADAMARD, -1, ax)
+    return t.reshape(m, dim)
+
+
+def reference_apply_pauli(psi: np.ndarray, action: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Return P|psi> for each row of psi, P given by its ``_pauli_action``."""
+    index, phase = action
+    return np.take(psi, index, axis=1) * phase
+
+
+def reference_rotate(
+    psi: np.ndarray, action: tuple[np.ndarray, np.ndarray], thetas: np.ndarray
+) -> np.ndarray:
+    """exp(i*theta*P)|psi> in complex arithmetic: the oracle for the real-view rotation."""
+    flipped = reference_apply_pauli(psi, action)
+    c = np.cos(thetas)[:, None]
+    s = np.sin(thetas)[:, None]
+    return c * psi + 1j * s * flipped
+
+
+def reference_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
+    """``feature_map_states`` built from the oracle Hadamard layer and rotation."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    terms = [
+        (_pauli_action(p.letters), spec.alpha * havlicek_data_map(subset, X))
+        for p, subset in spec.terms()
+    ]
+    psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
+    psi[:, 0] = 1.0
+    for _ in range(spec.reps):
+        psi = reference_hadamard(psi)
+        for action, thetas in terms:
+            psi = reference_rotate(psi, action, thetas)
+    return psi
 
 
 def count_solver_calls(monkeypatch) -> list:

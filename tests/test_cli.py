@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+from qsvm_boost import experiment
 from qsvm_boost.cli import main
 from qsvm_boost.datasets import SplitDataset, dataset_from_csv
 from qsvm_boost.experiment import ExperimentConfig, reload_bundle, run_experiment
@@ -75,7 +76,7 @@ def test_fit_malformed_csv_exits_1(tmp_path):
                    "--out", str(tmp_path / "m.json")) == 1
 
 
-def test_experiment_and_report(tmp_path):
+def write_small_config(tmp_path):
     config = {
         "families": ["circles"],
         "datasets_per_family": 1,
@@ -90,6 +91,11 @@ def test_experiment_and_report(tmp_path):
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def test_experiment_and_report(tmp_path):
+    config_path = write_small_config(tmp_path)
     assert run_cli("experiment", "--config", str(config_path), "--quiet") == 0
     results = tmp_path / "results"
     assert (results / "records.csv").exists()
@@ -100,6 +106,21 @@ def test_experiment_and_report(tmp_path):
     assert run_cli("report", "--records", str(results / "records.csv"),
                    "--out", str(report_dir)) == 0
     assert (report_dir / "summary.json").exists()
+
+
+def test_experiment_writes_records_once(tmp_path, monkeypatch, capsys):
+    written = []
+    write = experiment.write_records_csv
+
+    def counting(path, records):
+        written.append(path)
+        write(path, records)
+
+    monkeypatch.setattr(experiment, "write_records_csv", counting)
+    assert run_cli("experiment", "--config", str(write_small_config(tmp_path)), "--quiet") == 0
+    records_path = tmp_path / "results" / "records.csv"
+    assert written == [records_path]
+    assert capsys.readouterr().out.startswith(f"wrote {records_path}, ")
 
 
 def test_experiment_bad_config_exits_1(tmp_path):

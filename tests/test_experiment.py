@@ -352,7 +352,9 @@ def test_emit_report_files(tmp_path):
     records = [make_record(f, s, m, 0.5 + 0.01 * s, 1)
                for f in ("xor", "moons") for s in (1, 2, 3) for m in MODELS]
     paths = emit_report(aggregate(records), records, tmp_path / "report")
-    assert paths["records"].exists() and paths["summary"].exists() and paths["boxplot"].exists()
+    assert set(paths) == {"summary", "boxplot"}
+    assert paths["summary"].exists() and paths["boxplot"].exists()
+    assert not (tmp_path / "report" / "records.csv").exists()
     boxplot_lines = paths["boxplot"].read_text().strip().splitlines()
     assert len(boxplot_lines) == 1 + 2 * len(MODELS)  # header + families x models
     summary = json.loads(paths["summary"].read_text())

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from qsvm_boost import kernels
+from qsvm_boost.boosted_qsvm import GridSpec
+from qsvm_boost.kernels import gram_matrix
 from qsvm_boost.quantum_sim import (
     _HADAMARD,
     FeatureMapSpec,
     PauliString,
-    _apply_pauli_batch,
     _hadamard_all_batch,
     _kron_chain,
     _pauli_action,
     _rotate_batch,
+    _rotation_gather,
     dense_pauli_matrix,
     dense_term_unitary,
     dense_unitary_oracle,
@@ -21,7 +24,15 @@ from qsvm_boost.quantum_sim import (
     havlicek_data_map,
     parse_feature_map,
 )
-from helpers import phase_align, random_feature_map_spec, random_statevector
+from helpers import (
+    phase_align,
+    random_feature_map_spec,
+    random_statevector,
+    reference_apply_pauli,
+    reference_hadamard,
+    reference_rotate,
+    reference_states,
+)
 
 
 def random_batch(rng, n_qubits, rows=4):
@@ -29,7 +40,24 @@ def random_batch(rng, n_qubits, rows=4):
 
 
 def rotate(psi, letters, thetas):
-    return _rotate_batch(psi, _pauli_action(letters), np.asarray(thetas, dtype=float))
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    v = np.ascontiguousarray(psi).view(np.float64)
+    return _rotate_batch(v, _rotation_gather(letters), np.cos(thetas), np.sin(thetas)).view(complex)
+
+
+def pauli_strings(n):
+    return [s for s in map("".join, itertools.product("IXYZ", repeat=n)) if set(s) != {"I"}]
+
+
+def default_grid_specs(n_qubits):
+    """Every (feature map, alpha) spec of the default grid whose labels fit on n_qubits."""
+    grid = GridSpec()
+    return [
+        FeatureMapSpec(n_qubits, labels, reps=grid.reps, alpha=alpha)
+        for labels in grid.feature_maps
+        if max(map(len, labels)) <= n_qubits
+        for alpha in grid.alphas
+    ]
 
 
 # --- start state |0...0> ---
@@ -70,11 +98,9 @@ def test_pauli_action_matches_dense_matrix():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3):
         psi = random_batch(rng, n)
-        for letters in map("".join, itertools.product("IXYZ", repeat=n)):
-            if set(letters) == {"I"}:
-                continue
+        for letters in pauli_strings(n):
             np.testing.assert_array_equal(
-                _apply_pauli_batch(psi, _pauli_action(letters)), psi @ dense_pauli_matrix(letters).T
+                reference_apply_pauli(psi, _pauli_action(letters)), psi @ dense_pauli_matrix(letters).T
             )
 
 
@@ -100,10 +126,25 @@ def test_hadamard_self_inverse():
 
 def test_hadamard_matches_dense_layer():
     rng = np.random.default_rng(12)
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         psi = random_batch(rng, n)
         dense = psi @ _kron_chain([_HADAMARD] * n).T
-        np.testing.assert_allclose(_hadamard_all_batch(psi), dense, atol=1e-12)
+        np.testing.assert_allclose(_hadamard_all_batch(psi), dense, atol=1e-13)
+
+
+def test_hadamard_matches_oracle_wide_and_non_contiguous():
+    rng = np.random.default_rng(14)
+    batch = random_batch(rng, 4, rows=6)
+    for psi in (random_batch(rng, 12, rows=3), batch[::2], np.asfortranarray(batch)):
+        np.testing.assert_allclose(_hadamard_all_batch(psi), reference_hadamard(psi), atol=1e-13)
+
+
+def test_hadamard_bits_match_oracle_up_to_two_qubits():
+    # one or two qubits means one qubit per matmul: the same two-term sums as the oracle
+    rng = np.random.default_rng(15)
+    for n in (1, 2):
+        psi = random_batch(rng, n, rows=50)
+        np.testing.assert_array_equal(_hadamard_all_batch(psi), reference_hadamard(psi))
 
 
 # --- Pauli rotations ---
@@ -137,6 +178,19 @@ def test_rotation_all_letters_match_dense():
         out = rotate(psi, letters, thetas)
         for row, start, theta in zip(out, psi, thetas):
             np.testing.assert_allclose(row, dense_term_unitary(letters, theta) @ start, atol=1e-12)
+
+
+def test_rotation_equals_complex_oracle_exactly():
+    # i*P only permutes and negates float parts, so the real-view rotation
+    # performs the oracle's arithmetic on every string
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3, 4):
+        for letters in pauli_strings(n):
+            psi = random_batch(rng, n, rows=6)
+            thetas = rng.uniform(-math.pi, math.pi, size=len(psi))
+            np.testing.assert_array_equal(
+                rotate(psi, letters, thetas), reference_rotate(psi, _pauli_action(letters), thetas)
+            )
 
 
 def test_rotation_involution():
@@ -207,6 +261,31 @@ def test_batch_matches_single():
     batch = feature_map_states(spec, X)
     for i, x in enumerate(X):
         np.testing.assert_array_equal(batch[i], feature_map_states(spec, x[None])[0])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("rows", [50, 500])
+def test_states_bits_match_oracle_path_up_to_two_qubits(n_qubits, rows):
+    X = np.random.default_rng(rows + n_qubits).uniform(0, math.pi, size=(rows, n_qubits))
+    specs = default_grid_specs(n_qubits)
+    assert len(specs) == (4 if n_qubits == 1 else 36)
+    for spec in specs:
+        np.testing.assert_array_equal(feature_map_states(spec, X), reference_states(spec, X))
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4, 5, 8])
+def test_grams_match_oracle_path_above_two_qubits(n_qubits, monkeypatch):
+    rng = np.random.default_rng(30 + n_qubits)
+    X_train = rng.uniform(0, math.pi, size=(30, n_qubits))
+    X_val = rng.uniform(0, math.pi, size=(20, n_qubits))
+    specs = default_grid_specs(n_qubits)
+    grams = [(gram_matrix(s, X_train).values, gram_matrix(s, X_val, X_train).values) for s in specs]
+    monkeypatch.setattr(kernels, "feature_map_states", reference_states)
+    for spec, (self_gram, cross_gram) in zip(specs, grams):
+        np.testing.assert_allclose(self_gram, gram_matrix(spec, X_train).values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            cross_gram, gram_matrix(spec, X_val, X_train).values, rtol=0, atol=1e-13
+        )
 
 
 # --- dense oracle ---
