@@ -23,7 +23,7 @@ print()
 # the same kind of circuit through a FeatureMapSpec
 spec = FeatureMapSpec(n_qubits=2, labels=("Z", "ZZ"), reps=2, alpha=1.0)
 print("spec:", spec.canonical())
-print("expanded Pauli strings:", [str(p) for p in spec.paulis])
+print("expanded Pauli strings and the qubits they act on:", spec.terms())
 
 # feature_map_states encodes a batch of rows, one state per row
 X = np.array([[0.5, 1.2], [2.0, 0.3]])

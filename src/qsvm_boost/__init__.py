@@ -2,7 +2,6 @@
 
 from .quantum_sim import (
     FeatureMapSpec,
-    PauliString,
     dense_term_unitary,
     dense_unitary_oracle,
     feature_map_states,

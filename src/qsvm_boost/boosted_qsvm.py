@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import GramCache
-from .quantum_sim import FeatureMapSpec, check_label, parse_feature_map
+from .quantum_sim import FeatureMapSpec, check_label, is_integer, parse_feature_map
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -56,9 +56,9 @@ class GridSpec:
     """Search grid: feature-map menu plus alpha and C values.
 
     Every menu label is 1-2 letters from IXYZ with a non-I letter. alphas
-    must lie in (0, 2], Cs in [1, 100] and reps be at least 1. alphas and Cs
-    are stored sorted ascending, which together with menu order fixes the
-    tie-breaking order.
+    must lie in (0, 2], Cs in [1, 100] and reps be an integer of at least 1.
+    alphas and Cs are stored sorted ascending, which together with menu order
+    fixes the tie-breaking order.
     """
 
     feature_maps: tuple[tuple[str, ...], ...] = DEFAULT_FEATURE_MAP_MENU
@@ -75,11 +75,11 @@ class GridSpec:
         for fm in self.feature_maps:
             for label in fm:
                 check_label(label)
-        if any(a <= 0 or a > 2 for a in self.alphas):
+        if not all(0 < a <= 2 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 2], got {self.alphas}")
-        if any(c < 1 or c > 100 for c in self.Cs):
+        if not all(1 <= c <= 100 for c in self.Cs):
             raise ValueError(f"Cs must lie in [1, 100], got {self.Cs}")
-        if self.reps < 1:
+        if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
         ids = [menu_id(fm) for fm in self.feature_maps]
         if len(set(ids)) != len(ids):

@@ -97,8 +97,8 @@ def make_moons(n: int, noise_std: float = 0.2, seed: int = 0) -> LabeledDataset:
     """Two interleaving half-circles with additive Gaussian noise."""
     if n < 4:
         raise ValueError("need at least 4 samples")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError("noise_std must be nonnegative and finite")
     n0 = n // 2
     n1 = n - n0
     t0 = np.linspace(0.0, math.pi, n0)
@@ -123,8 +123,8 @@ def make_circles(
         raise ValueError("need at least 4 samples")
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError("noise_std must be nonnegative and finite")
     n0 = n // 2
     n1 = n - n0
     a0 = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)

@@ -29,7 +29,7 @@ from .boosted_qsvm import (
 )
 from .datasets import GENERATORS, SplitDataset, dataset_to_csv, split_and_scale
 from .kernels import GramCache
-from .quantum_sim import parse_feature_map
+from .quantum_sim import is_integer, parse_feature_map
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -83,6 +83,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
+        for name in ("datasets_per_family", "n_points", "max_rounds", "master_seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(is_integer(s) for s in self.split_sizes):
+            raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
         object.__setattr__(self, "split_sizes", tuple(int(s) for s in self.split_sizes))
         object.__setattr__(self, "baseline_kernels", tuple(self.baseline_kernels))
         object.__setattr__(self, "baseline_Cs", tuple(sorted(float(c) for c in self.baseline_Cs)))
@@ -118,9 +123,9 @@ class ExperimentConfig:
             raise ValueError("baseline_Cs must not be empty")
         if "rbf" in self.baseline_kernels and not self.baseline_gammas:
             raise ValueError("baseline_gammas must not be empty when rbf is a baseline kernel")
-        if any(c < 0.1 or c > 100 for c in self.baseline_Cs):
+        if not all(0.1 <= c <= 100 for c in self.baseline_Cs):
             raise ValueError("baseline C values must lie in [0.1, 100]")
-        if any(g < 0.0001 or g > 10 for g in self.baseline_gammas):
+        if not all(0.0001 <= g <= 10 for g in self.baseline_gammas):
             raise ValueError("baseline gamma values must lie in [0.0001, 10]")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")

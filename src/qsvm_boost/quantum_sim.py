@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,38 +44,20 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 DATA_MAP = "havlicek-default"
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis, letter i acting on qubit i."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("Pauli string must not be empty")
-        bad = set(self.letters) - set("IXYZ")
-        if bad:
-            raise ValueError(f"invalid Pauli letters {sorted(bad)} in {self.letters!r}")
-        if set(self.letters) == {"I"}:
-            raise ValueError("Pauli string needs at least one non-identity letter")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubit indices with a non-identity letter."""
-        return tuple(q for q, c in enumerate(self.letters) if c != "I")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
-
-
 def check_label(label: str) -> None:
     """Reject a menu label that is not 1-2 letters from IXYZ with a non-I letter."""
     if not isinstance(label, str) or not 1 <= len(label) <= 2:
         raise ValueError(f"Pauli label {label!r} must be a string of 1 or 2 letters")
-    PauliString(label)
+    bad = set(label) - set("IXYZ")
+    if bad:
+        raise ValueError(f"invalid Pauli letters {sorted(bad)} in {label!r}")
+    if set(label) == {"I"}:
+        raise ValueError(f"Pauli label {label!r} needs at least one non-identity letter")
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool or an integral float is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def havlicek_data_map(subset: tuple[int, ...], X: np.ndarray) -> np.ndarray:
@@ -85,29 +68,13 @@ def havlicek_data_map(subset: tuple[int, ...], X: np.ndarray) -> np.ndarray:
     return (math.pi - X[:, i]) * (math.pi - X[:, j])
 
 
-def _expand_label(label: str, n_qubits: int) -> list[PauliString]:
-    """Place a k-letter label on every ascending k-subset of qubits.
-
-    A single letter therefore means that rotation on each qubit, and a pair
-    (e.g. "ZZ") means the two-qubit string on every qubit pair.
-    """
-    k = len(label)
-    out = []
-    for qubits in itertools.combinations(range(n_qubits), k):
-        letters = ["I"] * n_qubits
-        for letter, q in zip(label, qubits):
-            letters[q] = letter
-        out.append(PauliString("".join(letters)))
-    return out
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     """Pauli menu, repetition count and rotation factor defining one feature map.
 
     ``labels`` holds the menu form ("Z" = one rotation per qubit, "ZZ" = the
-    two-qubit string on each pair); the expanded full-length strings are
-    available as :attr:`paulis`. The data map is always ``havlicek-default``.
+    two-qubit string on each pair); :meth:`terms` lists the full-length
+    strings it expands to. The data map is always ``havlicek-default``.
     """
 
     n_qubits: int
@@ -119,7 +86,7 @@ class FeatureMapSpec:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.reps < 1:
+        if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
         if not self.labels:
             raise ValueError("feature map needs at least one Pauli label")
@@ -128,14 +95,21 @@ class FeatureMapSpec:
             if len(label) > self.n_qubits:
                 raise ValueError(f"label {label!r} does not fit on {self.n_qubits} qubits")
 
-    @property
-    def paulis(self) -> tuple[PauliString, ...]:
-        """Expanded full-length Pauli strings, in circuit order."""
-        return tuple(p for label in self.labels for p in _expand_label(label, self.n_qubits))
+    def terms(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(full-length Pauli string, qubits with a non-I letter) pairs, in circuit order.
 
-    def terms(self) -> list[tuple[PauliString, tuple[int, ...]]]:
-        """(Pauli string, acted-on subset) pairs, in circuit order."""
-        return [(p, p.support) for p in self.paulis]
+        A k-letter label sits on every ascending k-subset of qubits, in
+        itertools.combinations order.
+        """
+        out = []
+        for label in self.labels:
+            for qubits in itertools.combinations(range(self.n_qubits), len(label)):
+                letters = ["I"] * self.n_qubits
+                for letter, q in zip(label, qubits):
+                    letters[q] = letter
+                support = tuple(q for letter, q in zip(label, qubits) if letter != "I")
+                out.append(("".join(letters), support))
+        return out
 
     def canonical(self) -> str:
         """Canonical text form, e.g. ``paulis=Z,ZZ;reps=2;alpha=1.0;map=havlicek-default``."""
@@ -257,9 +231,9 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != spec.n_qubits:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
     terms = []
-    for p, subset in spec.terms():
+    for letters, subset in spec.terms():
         thetas = spec.alpha * havlicek_data_map(subset, X)
-        terms.append((_rotation_gather(p.letters), np.cos(thetas)[:, None], np.sin(thetas)[:, None]))
+        terms.append((_rotation_gather(letters), np.cos(thetas)[:, None], np.sin(thetas)[:, None]))
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0
     for _ in range(spec.reps):
@@ -305,7 +279,7 @@ def dense_unitary_oracle(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
     u = np.eye(1 << spec.n_qubits, dtype=complex)
     for _ in range(spec.reps):
         u = h_layer @ u
-        for p, subset in spec.terms():
+        for letters, subset in spec.terms():
             theta = spec.alpha * havlicek_data_map(subset, x[None])[0]
-            u = dense_term_unitary(p.letters, theta) @ u
+            u = dense_term_unitary(letters, theta) @ u
     return u

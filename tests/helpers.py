@@ -262,8 +262,8 @@ def reference_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     """``feature_map_states`` built from the oracle Hadamard layer and rotation."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     terms = [
-        (_pauli_action(p.letters), spec.alpha * havlicek_data_map(subset, X))
-        for p, subset in spec.terms()
+        (_pauli_action(letters), spec.alpha * havlicek_data_map(subset, X))
+        for letters, subset in spec.terms()
     ]
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0

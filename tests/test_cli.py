@@ -148,6 +148,19 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(tmp_path / "missing.json")) == 1
 
 
+def test_experiment_non_integer_or_nan_config_exits_1(tmp_path):
+    config_path = tmp_path / "bad.json"
+    for text in ('{"reps": 2.0}', '{"reps": true}', '{"max_rounds": 1.0}',
+                 '{"datasets_per_family": 1.5}', '{"split_sizes": [20.5, 20, 19]}',
+                 '{"alphas": [NaN]}', '{"baseline_Cs": [NaN]}',
+                 '{"dataset_params": {"moons": {"noise_std": NaN}}}',
+                 '{"dataset_params": {"moons": {"noise_std": Infinity}}}'):
+        config_path.write_text(text)
+        assert run_cli("experiment", "--config", str(config_path),
+                       "--output-dir", str(tmp_path / "out"), "--quiet") == 1, text
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_missing_records_exits_1(tmp_path):
     assert run_cli("report", "--records", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path)) == 1

@@ -86,6 +86,13 @@ def test_circles_guards_and_determinism():
     np.testing.assert_array_equal(a.X, b.X)
 
 
+@pytest.mark.parametrize("generator", [make_moons, make_circles])
+@pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
+def test_noise_std_must_be_nonnegative_and_finite(generator, noise_std):
+    with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+        generator(60, noise_std=noise_std)
+
+
 def test_dataset_invariants():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), "xor", 0)

@@ -35,6 +35,7 @@ from qsvm_boost.experiment import (
     write_records_csv,
 )
 from qsvm_boost.kernels import GramCache, linear_gram, rbf_gram
+from qsvm_boost.quantum_sim import FeatureMapSpec
 from qsvm_boost.svm_solver import predict, train_weighted_svm
 from helpers import count_solver_calls
 
@@ -391,8 +392,47 @@ def test_config_rejects_invalid_menu():
 
 
 def test_config_rejects_bad_reps():
-    with pytest.raises(ValueError, match="reps must be a positive integer"):
-        config_from_dict({"reps": 0})
+    for reps in (0, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            config_from_dict({"reps": reps})
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            FeatureMapSpec(2, ("Z",), reps=reps)
+    assert config_from_dict({"reps": np.int64(3)}).grid.reps == 3
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"max_rounds": 1.0}, "max_rounds must be an integer"),
+    ({"max_rounds": True}, "max_rounds must be an integer"),
+    ({"datasets_per_family": 1.5}, "datasets_per_family must be an integer"),
+    ({"n_points": 150.0}, "n_points must be an integer"),
+    ({"master_seed": 7.0}, "master_seed must be an integer"),
+    ({"split_sizes": [20.5, 20, 19]}, "split_sizes must be integers"),
+    ({"split_sizes": [50, 50, False]}, "split_sizes must be integers"),
+])
+def test_config_rejects_non_integer_counts(obj, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(obj)
+
+
+def test_config_keeps_numpy_integer_counts():
+    config = config_from_dict({"datasets_per_family": np.int64(2), "split_sizes": np.array([40, 40, 40]),
+                               "max_rounds": np.int32(3), "master_seed": np.uint32(9)})
+    assert config.split_sizes == (40, 40, 40)
+    assert all(type(s) is int for s in config.split_sizes)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"alphas": [float("nan")]}, "alphas must lie in"),
+    ({"Cs": [float("nan")]}, "Cs must lie in"),
+    ({"baseline_Cs": [float("nan")]}, "baseline C values must lie in"),
+    ({"baseline_gammas": [float("nan")]}, "baseline gamma values must lie in"),
+    ({"dataset_params": {"moons": {"noise_std": float("nan")}}}, "cannot generate moons datasets"),
+    ({"dataset_params": {"circles": {"noise_std": float("nan")}}}, "cannot generate circles datasets"),
+    ({"dataset_params": {"moons": {"noise_std": float("inf")}}}, "cannot generate moons datasets"),
+])
+def test_config_rejects_nan(obj, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(obj)
 
 
 @pytest.mark.parametrize("obj, message", [

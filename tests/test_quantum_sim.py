@@ -11,12 +11,12 @@ from qsvm_boost.kernels import gram_matrix
 from qsvm_boost.quantum_sim import (
     _HADAMARD,
     FeatureMapSpec,
-    PauliString,
     _hadamard_all_batch,
     _kron_chain,
     _pauli_action,
     _rotate_batch,
     _rotation_gather,
+    check_label,
     dense_pauli_matrix,
     dense_term_unitary,
     dense_unitary_oracle,
@@ -81,15 +81,20 @@ def test_zero_state_size_guard():
         FeatureMapSpec(0, ("Z",))
 
 
-# --- PauliString invariants and the index-mask action ---
+# --- menu labels and the index-mask action ---
 
 def test_pauli_string_validation():
-    assert PauliString("ZI").support == (0,)
-    assert PauliString("IZ").support == (1,)
-    with pytest.raises(ValueError):
-        PauliString("II")
-    with pytest.raises(ValueError):
-        PauliString("ZA")
+    for label in ("Z", "ZI", "IZ", "XY"):
+        check_label(label)
+    assert FeatureMapSpec(2, ("ZI",)).terms() == [("ZI", (0,))]
+    assert FeatureMapSpec(2, ("IZ",)).terms() == [("IZ", (1,))]
+    with pytest.raises(ValueError, match="non-identity"):
+        check_label("II")
+    with pytest.raises(ValueError, match="invalid Pauli letters"):
+        check_label("ZA")
+    for bad in ("", "ZZZ", None, ("Z",)):
+        with pytest.raises(ValueError, match="1 or 2 letters"):
+            check_label(bad)
 
 
 def test_pauli_action_matches_dense_matrix():
@@ -322,9 +327,9 @@ def test_commuting_terms_product_equals_summed_exponential():
         spec = FeatureMapSpec(n, labels, reps=1, alpha=float(rng.uniform(0.1, 2)))
         x = rng.uniform(0, math.pi, size=n)
         generator = np.zeros((1 << n, 1 << n), dtype=complex)
-        for p, subset in spec.terms():
+        for letters, subset in spec.terms():
             phi = havlicek_data_map(subset, x[None])[0]
-            generator += spec.alpha * phi * dense_pauli_matrix(p.letters)
+            generator += spec.alpha * phi * dense_pauli_matrix(letters)
         # diagonal generator: exponential is elementwise on the diagonal
         assert np.allclose(generator, np.diag(np.diag(generator)))
         summed = np.diag(np.exp(1j * np.diag(generator)))
@@ -336,9 +341,37 @@ def test_commuting_terms_product_equals_summed_exponential():
 
 def test_label_expansion_order():
     spec = FeatureMapSpec(2, ("Z", "ZZ"))
-    assert [str(p) for p in spec.paulis] == ["ZI", "IZ", "ZZ"]
+    assert spec.terms() == [("ZI", (0,)), ("IZ", (1,)), ("ZZ", (0, 1))]
     spec3 = FeatureMapSpec(3, ("ZZ",))
-    assert [str(p) for p in spec3.paulis] == ["ZZI", "ZIZ", "IZZ"]
+    assert spec3.terms() == [("ZZI", (0, 1)), ("ZIZ", (0, 2)), ("IZZ", (1, 2))]
+
+
+def test_terms_of_every_label_with_identities():
+    # each label on every ascending qubit subset, written out in full; the
+    # support is the positions of the non-I letters of the full string
+    labels = [label for k in (1, 2) for label in pauli_strings(k)]
+    assert len(labels) == 3 + 15
+    for n in range(1, 5):
+        for label in labels:
+            if len(label) > n:
+                continue
+            expected = []
+            for qubits in itertools.combinations(range(n), len(label)):
+                full = "".join(label[qubits.index(q)] if q in qubits else "I" for q in range(n))
+                expected.append((full, tuple(q for q, c in enumerate(full) if c != "I")))
+            assert FeatureMapSpec(n, (label,)).terms() == expected, (n, label)
+
+
+@pytest.mark.parametrize("labels", [("IZ",), ("XI", "ZZ"), ("IY", "Z")])
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_identity_letter_menus_match_oracle(labels, n_qubits):
+    rng = np.random.default_rng(40 + n_qubits)
+    X = rng.uniform(0, math.pi, size=(5, n_qubits))
+    for alpha in (0.5, 2.0):
+        spec = FeatureMapSpec(n_qubits, labels, reps=2, alpha=alpha)
+        states = feature_map_states(spec, X)
+        for state, x in zip(states, X):
+            np.testing.assert_allclose(state, dense_unitary_oracle(spec, x)[:, 0], atol=1e-12)
 
 
 def test_canonical_round_trip():

@@ -1,0 +1,30 @@
+"""The README's config block loads and its library quick start runs."""
+import json
+import re
+from pathlib import Path
+
+from qsvm_boost.experiment import config_from_dict
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def code_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_config_block_loads():
+    (block,) = code_blocks("json")
+    obj = json.loads(block)
+    config = config_from_dict(obj)
+    assert config.grid.feature_maps == tuple(tuple(fm) for fm in obj["feature_maps"])
+    assert config.datasets_per_family == obj["datasets_per_family"]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    (block,) = code_blocks("python")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    stop_reason, pruned_length, accuracy = capsys.readouterr().out.split()
+    assert stop_reason in {"perfect", "worse_than_random", "max_reached", "maps_exhausted"}
+    assert int(pruned_length) >= 1
+    assert 0.0 <= float(accuracy) <= 1.0
