@@ -55,8 +55,9 @@ def menu_id(labels: tuple[str, ...]) -> str:
 class GridSpec:
     """Search grid: feature-map menu plus alpha and C values.
 
-    Every menu label is 1-2 letters from IXYZ with a non-I letter. alphas
-    must lie in (0, 2], Cs in [1, 100] and reps be an integer of at least 1.
+    The menu is a list of non-empty label lists, and every label is 1-2
+    letters from IXYZ with a non-I letter. alphas must lie in (0, 2], Cs in
+    [1, 100] and reps be an integer of at least 1.
     alphas and Cs are stored sorted ascending, which together with menu order
     fixes the tie-breaking order.
     """
@@ -67,6 +68,11 @@ class GridSpec:
     reps: int = 2
 
     def __post_init__(self):
+        # the menu and each map must be lists: a bare string would read as its letters
+        menu = self.feature_maps
+        for entry in (menu, *menu) if isinstance(menu, (list, tuple)) else (menu,):
+            if not isinstance(entry, (list, tuple)) or not entry:
+                raise ValueError(f"feature_maps needs non-empty lists of Pauli labels, got {entry!r}")
         object.__setattr__(self, "feature_maps", tuple(tuple(fm) for fm in self.feature_maps))
         object.__setattr__(self, "alphas", tuple(sorted(float(a) for a in self.alphas)))
         object.__setattr__(self, "Cs", tuple(sorted(float(c) for c in self.Cs)))

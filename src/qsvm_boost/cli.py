@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .boosted_qsvm import DEFAULT_MAX_ROUNDS
 from .datasets import GENERATORS, SplitDataset, dataset_from_csv, dataset_to_csv, split_and_scale
 from .experiment import (
     MODELS,
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one model on one split dataset")
     p.add_argument("--data", required=True, help="split dataset CSV")
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
+    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 

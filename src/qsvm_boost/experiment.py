@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boosted_qsvm import (
+    DEFAULT_MAX_ROUNDS,
     GridSpec,
     ensemble_from_json,
     ensemble_to_json,
@@ -28,7 +29,7 @@ from .boosted_qsvm import (
     predict_ensemble_batch,
 )
 from .datasets import GENERATORS, SplitDataset, dataset_to_csv, split_and_scale
-from .kernels import GramCache
+from .kernels import GramCache, linear_gram, rbf_gram
 from .quantum_sim import is_integer, parse_feature_map
 from .svm_solver import (
     TrainedSVM,
@@ -46,11 +47,12 @@ MODEL_BASELINE = "svm_baseline"
 MODELS = (MODEL_SINGLE, MODEL_BOOSTED, MODEL_BASELINE)
 _BUNDLE_KEYS = {MODEL_SINGLE: "single", MODEL_BOOSTED: "boosted", MODEL_BASELINE: "baseline"}
 
-# each classical baseline kernel's cache lookup (X_b=None: X_a against itself; linear ignores gamma)
-_BASELINE_GRAMS = {
-    "rbf": lambda cache, X_a, X_b, gamma: cache.rbf(X_a, X_b, gamma=gamma),
-    "linear": lambda cache, X_a, X_b, gamma: cache.linear(X_a, X_b),
-}
+# each classical baseline kernel's Gram, built per use: no study asks for one twice
+_BASELINE_GRAMS = {"rbf": rbf_gram, "linear": linear_gram}
+
+DEFAULT_BASELINE_KERNELS = ("rbf", "linear")
+DEFAULT_BASELINE_CS = (0.1, 1.0, 10.0, 100.0)
+DEFAULT_BASELINE_GAMMAS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 
 DEFAULT_DATASET_PARAMS = {
     "xor": {"margin": 0.0},
@@ -74,10 +76,10 @@ class ExperimentConfig:
         family: dict(params) for family, params in DEFAULT_DATASET_PARAMS.items()
     })
     grid: GridSpec = field(default_factory=GridSpec)
-    baseline_kernels: tuple[str, ...] = ("rbf", "linear")
-    baseline_Cs: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
-    baseline_gammas: tuple[float, ...] = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
-    max_rounds: int = 10
+    baseline_kernels: tuple[str, ...] = DEFAULT_BASELINE_KERNELS
+    baseline_Cs: tuple[float, ...] = DEFAULT_BASELINE_CS
+    baseline_gammas: tuple[float, ...] = DEFAULT_BASELINE_GAMMAS
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     master_seed: int = 20240911
     output_dir: str = "results"
 
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("datasets_per_family must be at least 1")
         if len(self.split_sizes) != 3 or sum(self.split_sizes) > self.n_points:
             raise ValueError(f"split sizes {self.split_sizes} incompatible with n_points={self.n_points}")
+        if min(self.split_sizes) < 1:
+            raise ValueError(f"split sizes must be at least 1, got {self.split_sizes}")
         for family, params in self.dataset_params.items():
             if family not in GENERATORS:
                 raise ValueError(f"dataset_params names unknown family {family!r}")
@@ -162,18 +166,17 @@ def _accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
 
 def classical_svm_baseline(
     split: SplitDataset,
-    kernels: tuple[str, ...] = ("rbf", "linear"),
-    Cs: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0),
-    gammas: tuple[float, ...] = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0),
-    cache: GramCache | None = None,
+    kernels: tuple[str, ...] = DEFAULT_BASELINE_KERNELS,
+    Cs: tuple[float, ...] = DEFAULT_BASELINE_CS,
+    gammas: tuple[float, ...] = DEFAULT_BASELINE_GAMMAS,
 ) -> BaselineResult:
     """Classical-kernel SVM chosen by validation-accuracy grid search.
 
     Tie-breaking mirrors the quantum grid: kernel menu order, then ascending
     gamma, then ascending C. The gamma list is ignored for linear cells. A
-    kernel name outside rbf and linear raises ValueError.
+    kernel name outside rbf and linear raises ValueError. Each (kernel, gamma)
+    cell builds its train and val Grams once, uncached: no study reuses them.
     """
-    cache = cache if cache is not None else GramCache()
     X_train, y_train = split.train.X, split.train.y
     X_val, y_val = split.val.X, split.val.y
     best = None
@@ -182,8 +185,9 @@ def classical_svm_baseline(
             raise ValueError(f"unknown baseline kernel {kernel!r}")
         gram = _BASELINE_GRAMS[kernel]
         for gamma in sorted(gammas) if kernel == "rbf" else (None,):
-            k_train = gram(cache, X_train, None, gamma)
-            k_val = gram(cache, X_val, X_train, gamma)
+            params = {} if gamma is None else {"gamma": gamma}
+            k_train = gram(X_train, **params)
+            k_val = gram(X_val, X_train, **params)
             for C in sorted(Cs):
                 model = train_weighted_svm(k_train, y_train, C)
                 accuracy = _accuracy(predict(model, k_val.values), y_val)
@@ -266,7 +270,6 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
     elif model_id == MODEL_BASELINE:
         base = classical_svm_baseline(
             split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
-            cache,
         )
         entry = {
             "kernel": base.kernel,
@@ -293,7 +296,8 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
         spec = parse_feature_map(entry["feature_map"], X_train.shape[1])
         k_test = cache.fidelity(spec, X_test, X_train)
     else:
-        k_test = _BASELINE_GRAMS[entry["kernel"]](cache, X_test, X_train, entry["gamma"])
+        params = {} if entry["gamma"] is None else {"gamma": entry["gamma"]}
+        k_test = _BASELINE_GRAMS[entry["kernel"]](X_test, X_train, **params)
     return _accuracy(predict(svm_from_json(entry["svm"]), k_test.values), split.test.y)
 
 

@@ -2,7 +2,10 @@
 
 The fidelity kernel is k(x, y) = |<phi(x)|phi(y)>|^2, the squared overlap of
 the encoded statevectors. Per-sample states are computed once per Gram
-assembly and inner products taken pairwise.
+assembly and inner products taken pairwise. Every kernel's Gram, fidelity,
+rbf or linear, goes through one assembly that mirrors a self Gram's upper
+triangle and stamps the kernel's id. :class:`GramCache` memoizes fidelity
+Grams and grid searches; the classical baseline's Grams are built per use.
 """
 from __future__ import annotations
 
@@ -21,14 +24,12 @@ class GramMatrix:
     values: np.ndarray
     spec_id: str
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
-
-def _mirror_upper(g: np.ndarray) -> np.ndarray:
-    # exact symmetry: keep the upper triangle, mirror it below the diagonal
-    return np.triu(g) + np.triu(g, 1).T
+def _assemble(values: np.ndarray, X_b, spec_id: str) -> GramMatrix:
+    # a self Gram (X_b=None) keeps its upper triangle, mirrored below the diagonal: exact symmetry
+    if X_b is None:
+        values = np.triu(values) + np.triu(values, 1).T
+    return GramMatrix(values=values, spec_id=spec_id)
 
 
 def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
@@ -37,16 +38,9 @@ def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = 
     With ``X_b=None`` the Gram of X_a against itself is returned, with the
     upper triangle computed and mirrored so the result is exactly symmetric.
     """
-    X_a = np.atleast_2d(np.asarray(X_a, dtype=float))
     states_a = feature_map_states(spec, X_a)
-    if X_b is None:
-        overlaps = states_a @ states_a.conj().T
-        values = _mirror_upper(np.abs(overlaps) ** 2)
-    else:
-        X_b = np.atleast_2d(np.asarray(X_b, dtype=float))
-        states_b = feature_map_states(spec, X_b)
-        values = np.abs(states_a @ states_b.conj().T) ** 2
-    return GramMatrix(values=values, spec_id=spec.canonical())
+    states_b = states_a if X_b is None else feature_map_states(spec, X_b)
+    return _assemble(np.abs(states_a @ states_b.conj().T) ** 2, X_b, spec.canonical())
 
 
 def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
@@ -59,19 +53,13 @@ def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) ->
         + np.sum(X_b2**2, axis=1)[None, :]
         - 2.0 * (X_a @ X_b2.T)
     )
-    values = np.exp(-gamma * np.maximum(sq, 0.0))
-    if X_b is None:
-        values = _mirror_upper(values)
-    return GramMatrix(values=values, spec_id=f"rbf;gamma={gamma!r}")
+    return _assemble(np.exp(-gamma * np.maximum(sq, 0.0)), X_b, f"rbf;gamma={gamma!r}")
 
 
 def linear_gram(X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
     X_a = np.atleast_2d(np.asarray(X_a, dtype=float))
     X_b2 = X_a if X_b is None else np.atleast_2d(np.asarray(X_b, dtype=float))
-    values = X_a @ X_b2.T
-    if X_b is None:
-        values = _mirror_upper(values)
-    return GramMatrix(values=values, spec_id="linear")
+    return _assemble(X_a @ X_b2.T, X_b, "linear")
 
 
 def _digest(X: np.ndarray) -> str:
@@ -84,14 +72,15 @@ def _digest(X: np.ndarray) -> str:
 
 
 class GramCache:
-    """Memoizes Gram matrices, keyed on (kernel identity, dataset content hash),
+    """Memoizes fidelity Gram matrices, keyed on (feature map, dataset content hash),
     and grid-search results, keyed on grid, excluded maps, data, labels and weights.
 
     Grid search reuses the same (feature map, alpha) Gram across all C values
     and boosting rounds. A repeated search, such as boosting's unit-weight
     round 1 after the single QSVM's search on the same split, is not run
     again. A hit returns the stored object unchanged; ``len`` counts both
-    kinds of entry.
+    kinds of entry. Classical baseline Grams are not held here: no study
+    asks for one twice, so each is built per use.
     """
 
     def __init__(self):
@@ -115,14 +104,6 @@ class GramCache:
     def fidelity(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
         key = (spec.canonical(), _digest(X_a), None if X_b is None else _digest(X_b))
         return self._get(key, lambda: gram_matrix(spec, X_a, X_b))
-
-    def rbf(self, X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
-        key = (f"rbf;gamma={gamma!r}", _digest(X_a), None if X_b is None else _digest(X_b))
-        return self._get(key, lambda: rbf_gram(X_a, X_b, gamma=gamma))
-
-    def linear(self, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
-        key = ("linear", _digest(X_a), None if X_b is None else _digest(X_b))
-        return self._get(key, lambda: linear_gram(X_a, X_b))
 
 
 def export_gram_csv(gram: GramMatrix, path) -> None:

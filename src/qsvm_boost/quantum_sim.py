@@ -84,8 +84,8 @@ class FeatureMapSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        if not (is_integer(self.n_qubits) and 1 <= self.n_qubits <= MAX_QUBITS):
+            raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {self.n_qubits!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
         if not self.labels:

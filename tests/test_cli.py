@@ -131,6 +131,11 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text(json.dumps({"reps": 0}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
+    for bad in ({"feature_maps": [[]]}, {"feature_maps": ["ZZ", "Z"]}, {"split_sizes": [0, 50, 50]}):
+        config_path.write_text(json.dumps(bad))
+        assert run_cli("experiment", "--config", str(config_path), "--output-dir",
+                       str(tmp_path / "load_fails"), "--quiet") == 1
+        assert not (tmp_path / "load_fails").exists()
     for bad in ({"baseline_Cs": []}, {"baseline_kernels": []}, {"baseline_gammas": []},
                 {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}}):
         config_path.write_text(json.dumps(bad))

@@ -1,5 +1,6 @@
 """Experiment harness tests: aggregation, baseline, persistence, reproducibility."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,8 +168,10 @@ def test_baseline_test_accuracy_comes_from_its_entry(kernel):
     # fitted model on the kernel's own test Gram must all agree
     split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
     config = ExperimentConfig(baseline_kernels=(kernel,))
-    entry = fit_model(split, config, MODEL_BASELINE, GramCache()).entry
+    cache = GramCache()
+    entry = fit_model(split, config, MODEL_BASELINE, cache).entry
     assert entry["kernel"] == kernel
+    assert len(cache) == 0  # the cache holds fidelity Grams and searches; baseline Grams are per use
     bundle = json.loads(json.dumps({"baseline": entry}))
     assert evaluate_reloaded(bundle, split) == {MODEL_BASELINE: entry["test_accuracy"]}
     base = classical_svm_baseline(split, (kernel,), config.baseline_Cs, config.baseline_gammas)
@@ -384,11 +387,18 @@ def test_config_validation():
         ExperimentConfig(baseline_kernels=("poly",))
     with pytest.raises(ValueError):
         ExperimentConfig(split_sizes=(100, 100, 100), n_points=150)
+    for sizes in ([0, 50, 50], [50, 0, 50], [50, 50, 0], [-1, 50, 50]):
+        with pytest.raises(ValueError, match="split sizes must be at least 1"):
+            config_from_dict({"split_sizes": sizes})
 
 
 def test_config_rejects_invalid_menu():
     with pytest.raises(ValueError, match="invalid Pauli letters"):
         config_from_dict({"feature_maps": [["Q"], ["Z"]]})
+    # an empty map, and a bare string that would read as the map of its letters
+    for menu, entry in (([[]], "[]"), (["ZZ", "Z"], "'ZZ'"), ("ZZ", "'ZZ'"), ([], "[]")):
+        with pytest.raises(ValueError, match=f"non-empty lists of Pauli labels, got {re.escape(entry)}"):
+            config_from_dict({"feature_maps": menu})
 
 
 def test_config_rejects_bad_reps():

@@ -137,6 +137,26 @@ def test_classical_gram_matches_scalar():
     assert np.array_equal(gl, gl.T)
 
 
+@pytest.mark.parametrize("kernel, n_features", [
+    ("fidelity", 2), ("fidelity", 3), ("fidelity", 8), ("rbf", 2), ("linear", 2),
+])
+def test_self_gram_is_the_mirrored_upper_triangle_of_the_cross_gram(kernel, n_features):
+    # every kernel shares one assembly: a self Gram is its cross Gram's upper triangle, mirrored.
+    # The cross Gram takes X itself, not a copy: numpy computes X @ X.T by a symmetric BLAS
+    # product, whose bits can differ from the general product's, and a self Gram keeps them.
+    X = np.random.default_rng(90).uniform(0, math.pi, size=(30, n_features))
+    spec = FeatureMapSpec(n_features, ("Z", "YY"), alpha=1.5)
+    build = {
+        "fidelity": lambda *rows: gram_matrix(spec, *rows),
+        "rbf": lambda *rows: rbf_gram(*rows, gamma=0.7),
+        "linear": linear_gram,
+    }[kernel]
+    self_gram, cross = build(X), build(X, X)
+    assert self_gram.spec_id == cross.spec_id
+    c = cross.values
+    np.testing.assert_array_equal(self_gram.values, np.triu(c) + np.triu(c, 1).T)
+
+
 def test_cache_transparency():
     rng = np.random.default_rng(70)
     spec = FeatureMapSpec(2, ("Z", "ZZ"), alpha=0.5)

@@ -79,6 +79,10 @@ def test_zero_state_size_guard():
         FeatureMapSpec(13, ("Z",))
     with pytest.raises(ValueError):
         FeatureMapSpec(0, ("Z",))
+    for n_qubits in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            FeatureMapSpec(n_qubits, ("Z",))
+    assert FeatureMapSpec(np.int64(2), ("Z",)).terms() == [("ZI", (0,)), ("IZ", (1,))]
 
 
 # --- menu labels and the index-mask action ---
