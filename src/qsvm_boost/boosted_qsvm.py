@@ -10,8 +10,9 @@ are a weighted majority vote over the pruned rounds.
 """
 from __future__ import annotations
 
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,16 @@ def menu_id(labels: tuple[str, ...]) -> str:
     return ",".join(labels)
 
 
+def sorted_reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as an ascending float tuple. A ValueError naming ``name`` unless
+    it is a non-string sequence (or 1-D numpy array) of real, non-bool numbers."""
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if (isinstance(items, (str, bytes)) or not isinstance(items, Sequence)
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)):
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
+    return tuple(sorted(float(v) for v in items))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search grid: feature-map menu plus alpha and C values.
@@ -74,8 +85,8 @@ class GridSpec:
             if not isinstance(entry, (list, tuple)) or not entry:
                 raise ValueError(f"feature_maps needs non-empty lists of Pauli labels, got {entry!r}")
         object.__setattr__(self, "feature_maps", tuple(tuple(fm) for fm in self.feature_maps))
-        object.__setattr__(self, "alphas", tuple(sorted(float(a) for a in self.alphas)))
-        object.__setattr__(self, "Cs", tuple(sorted(float(c) for c in self.Cs)))
+        object.__setattr__(self, "alphas", sorted_reals("alphas", self.alphas))
+        object.__setattr__(self, "Cs", sorted_reals("Cs", self.Cs))
         if not self.feature_maps or not self.alphas or not self.Cs:
             raise ValueError("grid lists must be non-empty")
         for fm in self.feature_maps:
@@ -96,13 +107,22 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class BoostingRound:
-    estimator: TrainedSVM
+class GridSearchResult:
+    """A fitted grid cell: its SVM, feature map, (feature-map id, alpha, C) point
+    and unweighted validation accuracy. The single QSVM is one."""
+
+    model: TrainedSVM
     feature_map: FeatureMapSpec
     grid_point: tuple[str, float, float]  # (feature-map id, alpha, C)
+    val_accuracy: float
+
+
+@dataclass(frozen=True)
+class BoostingRound(GridSearchResult):
+    """A grid-search result plus the round's weighted error and vote weight."""
+
     err_m: float
     alpha_m: float
-    val_accuracy: float
 
 
 @dataclass(frozen=True)
@@ -118,13 +138,6 @@ class BoostedEnsemble:
     @property
     def active_rounds(self) -> tuple[BoostingRound, ...]:
         return self.rounds[: self.pruned_length]
-
-
-class GridSearchResult(NamedTuple):
-    grid_point: tuple[str, float, float]
-    model: TrainedSVM
-    val_accuracy: float
-    feature_map: FeatureMapSpec
 
 
 def initial_weights(n: int) -> np.ndarray:
@@ -211,7 +224,7 @@ def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
             model = next(models)
             accuracy = float(np.mean(predict(model, k_val.values) == y_val))
             if best is None or accuracy > best.val_accuracy:
-                best = GridSearchResult((fm_id, alpha, C), model, accuracy, spec)
+                best = GridSearchResult(model, spec, (fm_id, alpha, C), accuracy)
     return best
 
 
@@ -255,8 +268,7 @@ def fit_boosted(
         train_preds = predict(result.model, k_train.values)
         err_m = estimator_error(train_preds, y_train, weights)
         alpha_m = estimator_weight(err_m) if 0.0 < err_m < 0.5 else 1.0
-        rnd = BoostingRound(result.model, result.feature_map, result.grid_point,
-                            err_m, alpha_m, result.val_accuracy)
+        rnd = BoostingRound(**vars(result), err_m=err_m, alpha_m=alpha_m)
         if err_m <= 0.0:
             rounds, stop_reason = [rnd], STOP_PERFECT
             break
@@ -284,7 +296,7 @@ def _round_votes(
     votes = np.empty((len(rounds), X_new.shape[0]), dtype=int)
     for m, rnd in enumerate(rounds):
         k_new = cache.fidelity(rnd.feature_map, X_new, X_train)
-        votes[m] = predict(rnd.estimator, k_new.values)
+        votes[m] = predict(rnd.model, k_new.values)
     return votes
 
 
@@ -324,19 +336,29 @@ def prune_by_validation(
     return replace(ensemble, pruned_length=int(np.argmin(prefix_errors)) + 1)
 
 
+def result_to_json(result: GridSearchResult) -> dict:
+    """A fitted grid cell's bundle entry; a boosting round's adds err_m and alpha_m."""
+    return {
+        "feature_map": result.feature_map.canonical(),
+        "alpha": result.grid_point[1],
+        "C": result.grid_point[2],
+        "val_accuracy": result.val_accuracy,
+        "svm": svm_to_json(result.model),
+    }
+
+
+def result_from_json(entry: dict, n_qubits: int) -> GridSearchResult:
+    """The grid cell that ``result_to_json`` wrote, on ``n_qubits`` qubits."""
+    spec = parse_feature_map(entry["feature_map"], n_qubits)
+    grid_point = (menu_id(spec.labels), float(entry["alpha"]), float(entry["C"]))
+    return GridSearchResult(svm_from_json(entry["svm"]), spec, grid_point, float(entry["val_accuracy"]))
+
+
 def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
     return {
         "n_qubits": ensemble.rounds[0].feature_map.n_qubits,
         "rounds": [
-            {
-                "feature_map": rnd.feature_map.canonical(),
-                "alpha": rnd.grid_point[1],
-                "C": rnd.grid_point[2],
-                "err_m": rnd.err_m,
-                "alpha_m": rnd.alpha_m,
-                "val_accuracy": rnd.val_accuracy,
-                "svm": svm_to_json(rnd.estimator),
-            }
+            {**result_to_json(rnd), "err_m": rnd.err_m, "alpha_m": rnd.alpha_m}
             for rnd in ensemble.rounds
         ],
         "pruned_length": ensemble.pruned_length,
@@ -346,17 +368,9 @@ def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
 
 def ensemble_from_json(obj: dict) -> BoostedEnsemble:
     n_qubits = int(obj["n_qubits"])
-    rounds = []
-    for entry in obj["rounds"]:
-        spec = parse_feature_map(entry["feature_map"], n_qubits)
-        rounds.append(
-            BoostingRound(
-                estimator=svm_from_json(entry["svm"]),
-                feature_map=spec,
-                grid_point=(menu_id(spec.labels), float(entry["alpha"]), float(entry["C"])),
-                err_m=float(entry["err_m"]),
-                alpha_m=float(entry["alpha_m"]),
-                val_accuracy=float(entry["val_accuracy"]),
-            )
-        )
-    return BoostedEnsemble(tuple(rounds), int(obj["pruned_length"]), obj["stop_reason"])
+    rounds = tuple(
+        BoostingRound(**vars(result_from_json(entry, n_qubits)),
+                      err_m=float(entry["err_m"]), alpha_m=float(entry["alpha_m"]))
+        for entry in obj["rounds"]
+    )
+    return BoostedEnsemble(rounds, int(obj["pruned_length"]), obj["stop_reason"])

@@ -8,6 +8,7 @@ JSON out), ``experiment`` (full sweep from a config file), ``report``
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -29,15 +30,15 @@ from .kernels import GramCache
 
 
 def _cmd_generate(args) -> int:
-    kwargs = {}
-    if args.family == "xor":
-        kwargs["margin"] = args.margin
-    else:
-        if args.noise_std is not None:
-            kwargs["noise_std"] = args.noise_std
-        if args.family == "circles":
-            kwargs["factor"] = args.factor
-    data = GENERATORS[args.family](args.n, seed=args.seed, **kwargs)
+    generator = GENERATORS[args.family]
+    # only the flags given, so the generator's own defaults apply to the rest
+    kwargs = {k: getattr(args, k) for k in ("margin", "noise_std", "factor")
+              if getattr(args, k) is not None}
+    foreign = sorted(set(kwargs) - set(inspect.signature(generator).parameters))
+    if foreign:
+        flags = ", ".join("--" + k.replace("_", "-") for k in foreign)
+        raise ValueError(f"{args.family} takes no {flags}")
+    data = generator(args.n, seed=args.seed, **kwargs)
     if args.split:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         if len(sizes) != 3:
@@ -87,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(GENERATORS), required=True)
     p.add_argument("--n", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=0.0, help="xor exclusion band")
+    p.add_argument("--margin", type=float, default=None, help="xor exclusion band")
     p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
-    p.add_argument("--factor", type=float, default=0.5, help="circles inner radius")
+    p.add_argument("--factor", type=float, default=None, help="circles inner radius")
     p.add_argument("--split", action="store_true", help="split 50/50/50 and scale to [0, pi]")
     p.add_argument("--sizes", default="50,50,50")
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)

@@ -69,11 +69,6 @@ class SplitDataset:
     test: LabeledDataset
 
 
-def xor_label(x1: float, x2: float) -> int:
-    """1 when the coordinates share a sign, 0 otherwise."""
-    return 1 if x1 * x2 > 0 else 0
-
-
 def make_xor(n: int, margin: float = 0.0, seed: int = 0) -> LabeledDataset:
     """Uniform points on [-1, 1]^2 outside the band |x1*x2| < margin."""
     if n < 4:

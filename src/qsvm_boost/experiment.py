@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -27,10 +28,13 @@ from .boosted_qsvm import (
     grid_search_best,
     initial_weights,
     predict_ensemble_batch,
+    result_from_json,
+    result_to_json,
+    sorted_reals,
 )
 from .datasets import GENERATORS, SplitDataset, dataset_to_csv, split_and_scale
 from .kernels import GramCache, linear_gram, rbf_gram
-from .quantum_sim import is_integer, parse_feature_map
+from .quantum_sim import is_integer
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -60,11 +64,6 @@ DEFAULT_DATASET_PARAMS = {
     "circles": {"factor": 0.5, "noise_std": 0.1},
 }
 
-_RECORD_FIELDS = (
-    "family", "dataset_seed", "model_id", "test_accuracy",
-    "ensemble_size", "grid_points", "wall_time", "error",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,8 +91,12 @@ class ExperimentConfig:
             raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
         object.__setattr__(self, "split_sizes", tuple(int(s) for s in self.split_sizes))
         object.__setattr__(self, "baseline_kernels", tuple(self.baseline_kernels))
-        object.__setattr__(self, "baseline_Cs", tuple(sorted(float(c) for c in self.baseline_Cs)))
-        object.__setattr__(self, "baseline_gammas", tuple(sorted(float(g) for g in self.baseline_gammas)))
+        object.__setattr__(self, "baseline_Cs", sorted_reals("baseline_Cs", self.baseline_Cs))
+        object.__setattr__(self, "baseline_gammas", sorted_reals("baseline_gammas", self.baseline_gammas))
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
+        if not isinstance(self.dataset_params, dict):
+            raise ValueError(f"dataset_params must be a dict by family, got {self.dataset_params!r}")
         unknown = set(self.families) - set(GENERATORS)
         if unknown:
             raise ValueError(f"unknown dataset families {sorted(unknown)}")
@@ -251,14 +254,7 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
             X_train, y_train, initial_weights(len(y_train)), X_val, y_val,
             config.grid, frozenset(), cache,
         )
-        entry = {
-            "feature_map": single.feature_map.canonical(),
-            "alpha": single.grid_point[1],
-            "C": single.grid_point[2],
-            "val_accuracy": single.val_accuracy,
-            "svm": svm_to_json(single.model),
-        }
-        fit = ModelFit(entry, 1, _grid_point_text(single.grid_point))
+        fit = ModelFit(result_to_json(single), 1, _grid_point_text(single.grid_point))
     elif model_id == MODEL_BOOSTED:
         ensemble = fit_boosted(
             X_train, y_train, X_val, y_val, config.grid, config.max_rounds, cache
@@ -293,12 +289,13 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
         _, labels = predict_ensemble_batch(ensemble_from_json(entry), X_test, X_train, cache)
         return _accuracy(labels, split.test.y)
     if model_id == MODEL_SINGLE:
-        spec = parse_feature_map(entry["feature_map"], X_train.shape[1])
-        k_test = cache.fidelity(spec, X_test, X_train)
+        single = result_from_json(entry, X_train.shape[1])
+        model, k_test = single.model, cache.fidelity(single.feature_map, X_test, X_train)
     else:
         params = {} if entry["gamma"] is None else {"gamma": entry["gamma"]}
+        model = svm_from_json(entry["svm"])
         k_test = _BASELINE_GRAMS[entry["kernel"]](X_test, X_train, **params)
-    return _accuracy(predict(svm_from_json(entry["svm"]), k_test.values), split.test.y)
+    return _accuracy(predict(model, k_test.values), split.test.y)
 
 
 def _run_one_dataset(
@@ -452,33 +449,25 @@ def aggregate(records: list[RunRecord]) -> SummaryStats:
 # --- record and report I/O ---
 
 def write_records_csv(path, records: list[RunRecord]) -> None:
-    """Records CSV sorted by (family, seed, model); floats written via repr."""
+    """Records CSV sorted by (family, seed, model): ``RunRecord``'s field names, then
+    each record's fields in that order (the csv module writes floats via repr)."""
     ordered = sorted(records, key=lambda r: (r.family, r.dataset_seed, r.model_id))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_RECORD_FIELDS)
-        for r in ordered:
-            writer.writerow([
-                r.family, r.dataset_seed, r.model_id, repr(r.test_accuracy),
-                r.ensemble_size, r.grid_points, repr(r.wall_time), r.error,
-            ])
+        writer.writerow(f.name for f in fields(RunRecord))
+        writer.writerows(astuple(r) for r in ordered)
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    records = []
+    """Records CSV rows as ``RunRecord``s, each column converted by its field's type.
+    A missing column is a KeyError, a row shorter than the header a ValueError;
+    an extra column is ignored."""
+    types = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(RunRecord(
-                family=row["family"],
-                dataset_seed=int(row["dataset_seed"]),
-                model_id=row["model_id"],
-                test_accuracy=float(row["test_accuracy"]),
-                ensemble_size=int(row["ensemble_size"]),
-                grid_points=row["grid_points"],
-                wall_time=float(row["wall_time"]),
-                error=row["error"],
-            ))
+        rows = list(csv.DictReader(fh))
+    if any(None in row.values() for row in rows):
+        raise ValueError(f"{path} has a row with fewer fields than its header")
+    records = [RunRecord(**{name: kind(row[name]) for name, kind in types.items()}) for row in rows]
     if not records:
         raise ValueError(f"no records found in {path}")
     return records
@@ -496,10 +485,9 @@ def emit_report(stats: SummaryStats, records: list[RunRecord], output_dir) -> di
         json.dump(stats.to_json(), fh, indent=1, sort_keys=True)
     with open(paths["boxplot"], "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["family", "model", "median", "q1", "q3", "whisker_lo", "whisker_hi"])
-        for (family, model), b in sorted(stats.box.items()):
-            writer.writerow([family, model, repr(b.median), repr(b.q1), repr(b.q3),
-                             repr(b.whisker_lo), repr(b.whisker_hi)])
+        writer.writerow(["family", "model", *(f.name for f in fields(BoxStats))])
+        writer.writerows([family, model, *astuple(box)]
+                         for (family, model), box in sorted(stats.box.items()))
     return paths
 
 

@@ -139,7 +139,7 @@ def test_criterion_4_algorithm_mechanics():
     if ens.stop_reason == STOP_MAX_REACHED:
         assert all(0.0 < r.err_m < 0.5 for r in ens.rounds)
     votes = np.array([
-        predict(r.estimator, cache.fidelity(r.feature_map, split.val.X, split.train.X).values)
+        predict(r.model, cache.fidelity(r.feature_map, split.val.X, split.train.X).values)
         for r in ens.rounds
     ])
     alphas = np.array([r.alpha_m for r in ens.rounds])
@@ -157,7 +157,7 @@ def test_criterion_4_algorithm_mechanics():
     _, ens_labels = predict_ensemble_batch(single, split.test.X, split.train.X, cache)
     rnd = single.rounds[0]
     k_test = cache.fidelity(rnd.feature_map, split.test.X, split.train.X)
-    np.testing.assert_array_equal(ens_labels, predict(rnd.estimator, k_test.values))
+    np.testing.assert_array_equal(ens_labels, predict(rnd.model, k_test.values))
     print("CRITERION 4 PASS: error/weight formulas, stopping conditions, exclusion "
           "uniqueness, pruning dominance and single-round equivalence verified")
 

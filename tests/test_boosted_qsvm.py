@@ -24,6 +24,8 @@ from qsvm_boost.boosted_qsvm import (
     menu_id,
     predict_ensemble_batch,
     prune_by_validation,
+    result_from_json,
+    result_to_json,
     update_weights,
 )
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
@@ -48,7 +50,7 @@ def constant_model(label: int, train_size: int = 1) -> TrainedSVM:
 
 def stub_round(label: int, alpha_m: float) -> BoostingRound:
     return BoostingRound(
-        estimator=constant_model(label),
+        model=constant_model(label),
         feature_map=FeatureMapSpec(2, ("Z",)),
         grid_point=("Z", 1.0, 1.0),
         err_m=0.25,
@@ -388,7 +390,7 @@ def test_single_round_equivalence():
     _, ensemble_labels = predict_ensemble_batch(ens, split.test.X, split.train.X, cache)
     rnd = ens.rounds[0]
     k_test = cache.fidelity(rnd.feature_map, split.test.X, split.train.X)
-    np.testing.assert_array_equal(ensemble_labels, predict(rnd.estimator, k_test.values))
+    np.testing.assert_array_equal(ensemble_labels, predict(rnd.model, k_test.values))
 
 
 def test_pruning_dominance_and_argmin():
@@ -400,7 +402,7 @@ def test_pruning_dominance_and_argmin():
     )
     # recompute prefix validation errors independently from per-round votes
     votes = np.array([
-        predict(r.estimator, cache.fidelity(r.feature_map, split.val.X, split.train.X).values)
+        predict(r.model, cache.fidelity(r.feature_map, split.val.X, split.train.X).values)
         for r in ens.rounds
     ])
     alphas = np.array([r.alpha_m for r in ens.rounds])
@@ -445,10 +447,28 @@ def test_ensemble_json_round_trip():
     loaded = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(ens))))
     assert loaded.pruned_length == ens.pruned_length
     assert loaded.stop_reason == ens.stop_reason
+    for got, rnd in zip(loaded.rounds, ens.rounds, strict=True):
+        assert (got.grid_point, got.val_accuracy, got.err_m, got.alpha_m) == (
+            rnd.grid_point, rnd.val_accuracy, rnd.err_m, rnd.alpha_m)
+        assert got.feature_map.canonical() == rnd.feature_map.canonical()
     s_orig, l_orig = predict_ensemble_batch(ens, split.test.X, split.train.X, cache)
     s_load, l_load = predict_ensemble_batch(loaded, split.test.X, split.train.X, cache)
     np.testing.assert_allclose(s_load, s_orig, atol=0)
     np.testing.assert_array_equal(l_load, l_orig)
+
+
+def test_result_json_round_trip():
+    split = small_split(seed=13)
+    result = grid_search_best(split.train.X, split.train.y, initial_weights(len(split.train.y)),
+                              split.val.X, split.val.y, SMALL_GRID)
+    entry = json.loads(json.dumps(result_to_json(result)))
+    assert set(entry) == {"feature_map", "alpha", "C", "val_accuracy", "svm"}
+    loaded = result_from_json(entry, split.train.X.shape[1])
+    assert loaded.grid_point == result.grid_point
+    assert loaded.val_accuracy == result.val_accuracy
+    assert loaded.feature_map == result.feature_map
+    np.testing.assert_array_equal(loaded.model.dual_coefs, result.model.dual_coefs)
+    assert loaded.model.bias == result.model.bias
 
 
 def test_fit_boosted_validation():

@@ -40,6 +40,22 @@ def test_generate_bad_margin_exits_1(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 1
 
 
+def test_generate_passes_only_the_family_parameters(tmp_path):
+    # a flag the family's generator does not take is an error, not dropped
+    for family, flags in (("xor", ["--noise-std", "5", "--factor", "0.9"]),
+                          ("moons", ["--margin", "0.1"]), ("circles", ["--margin", "0.0"])):
+        out = tmp_path / f"{family}_bad.csv"
+        assert run_cli("generate", "--family", family, *flags, "--out", str(out)) == 1
+        assert not out.exists()
+    # flags left out take the generator's defaults: the same bytes as the defaults given
+    for family, flags in (("xor", ["--margin", "0.0"]), ("moons", ["--noise-std", "0.2"]),
+                          ("circles", ["--factor", "0.5", "--noise-std", "0.1"])):
+        plain, given = tmp_path / f"{family}_plain.csv", tmp_path / f"{family}_given.csv"
+        assert run_cli("generate", "--family", family, "--seed", "4", "--out", str(plain)) == 0
+        assert run_cli("generate", "--family", family, "--seed", "4", *flags, "--out", str(given)) == 0
+        assert plain.read_bytes() == given.read_bytes()
+
+
 def test_fit_all_models(tmp_path):
     # the study run with the fit command's grids writes the split it fitted;
     # fitting that split from the command line must give the same bundle entries
@@ -123,7 +139,7 @@ def test_experiment_writes_records_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith(f"wrote {records_path}, ")
 
 
-def test_experiment_bad_config_exits_1(tmp_path):
+def test_experiment_bad_config_exits_1(tmp_path, monkeypatch):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"nonsense_key": 1}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
@@ -131,7 +147,8 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(config_path)) == 1
     config_path.write_text(json.dumps({"reps": 0}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
-    for bad in ({"feature_maps": [[]]}, {"feature_maps": ["ZZ", "Z"]}, {"split_sizes": [0, 50, 50]}):
+    for bad in ({"feature_maps": [[]]}, {"feature_maps": ["ZZ", "Z"]}, {"split_sizes": [0, 50, 50]},
+                {"Cs": [1, "10"]}, {"dataset_params": []}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path), "--output-dir",
                        str(tmp_path / "load_fails"), "--quiet") == 1
@@ -148,6 +165,11 @@ def test_experiment_bad_config_exits_1(tmp_path):
     assert run_cli("experiment", "--config", str(config_path),
                    "--output-dir", str(tmp_path / "out"), "--quiet") == 1
     assert not (tmp_path / "out").exists()
+    # an output_dir that is not a path fails at load, not when the sweep opens it
+    monkeypatch.chdir(tmp_path)
+    config_path.write_text(json.dumps({"output_dir": 5}))
+    assert run_cli("experiment", "--config", str(config_path), "--quiet") == 1
+    assert not (tmp_path / "5").exists()
     config_path.write_text("{broken")
     assert run_cli("experiment", "--config", str(config_path)) == 1
     assert run_cli("experiment", "--config", str(tmp_path / "missing.json")) == 1

@@ -14,17 +14,10 @@ from qsvm_boost.datasets import (
     make_moons,
     make_xor,
     split_and_scale,
-    xor_label,
 )
 
 
 # --- xor ---
-
-def test_xor_label_rule():
-    assert xor_label(0.5, 0.5) == 1
-    assert xor_label(-0.5, 0.5) == 0
-    assert xor_label(-0.5, -0.5) == 1
-
 
 def test_xor_labels_match_quadrants():
     data = make_xor(200, margin=0.0, seed=4)

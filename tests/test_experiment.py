@@ -1,5 +1,7 @@
 """Experiment harness tests: aggregation, baseline, persistence, reproducibility."""
+import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -329,17 +331,37 @@ def test_reloaded_models_reproduce_accuracies(tmp_path):
 
 def test_records_csv_round_trip(tmp_path):
     records = [
-        make_record("xor", 5, MODEL_BOOSTED, 0.93, 3),
+        RunRecord("xor", 5, MODEL_BOOSTED, 0.93, 3, "Z@alpha=1.0@C=10.0;X,XX@alpha=0.5@C=1.0", 0.25),
         make_record("xor", 5, MODEL_SINGLE, 0.91, 1),
         make_record("moons", 4, MODEL_BASELINE, 1 / 3, 1),
+        make_record("moons", 4, MODEL_SINGLE, float("nan"), 0, 'ValueError: bad "C", or alpha'),
     ]
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
+    assert path.read_text().splitlines()[0] == (
+        "family,dataset_seed,model_id,test_accuracy,ensemble_size,grid_points,wall_time,error")
+    key = lambda r: (r.family, r.dataset_seed, r.model_id)
     loaded = read_records_csv(path)
-    assert sorted(loaded, key=lambda r: (r.family, r.dataset_seed, r.model_id)) == sorted(
-        records, key=lambda r: (r.family, r.dataset_seed, r.model_id)
-    )
+    for got, want in zip(sorted(loaded, key=key), sorted(records, key=key), strict=True):
+        for name in RunRecord.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b) and (a == b or math.isnan(a) and math.isnan(b)), name
     assert aggregate(loaded) == aggregate(records)
+
+    # an extra column is ignored; a missing one is a KeyError
+    rows = list(csv.reader(path.open(newline="")))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([row + ["extra"] for row in rows])
+    assert len(read_records_csv(path)) == len(records)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([row[:-1] for row in rows])
+    with pytest.raises(KeyError, match="error"):
+        read_records_csv(path)
+    # a truncated row is refused, not read with a None or "None" field
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0], rows[1][:-1], *rows[2:]])
+    with pytest.raises(ValueError, match="fewer fields than its header"):
+        read_records_csv(path)
 
 
 def test_reproducibility_small(tmp_path):
@@ -361,6 +383,7 @@ def test_emit_report_files(tmp_path):
     assert not (tmp_path / "report" / "records.csv").exists()
     boxplot_lines = paths["boxplot"].read_text().strip().splitlines()
     assert len(boxplot_lines) == 1 + 2 * len(MODELS)  # header + families x models
+    assert boxplot_lines[0] == "family,model,median,q1,q3,whisker_lo,whisker_hi"
     summary = json.loads(paths["summary"].read_text())
     assert summary["conventions"]["quartiles"] == "tukey-hinges"
     assert set(summary["box"]) == {"xor", "moons"}
@@ -418,6 +441,7 @@ def test_config_rejects_bad_reps():
     ({"master_seed": 7.0}, "master_seed must be an integer"),
     ({"split_sizes": [20.5, 20, 19]}, "split_sizes must be integers"),
     ({"split_sizes": [50, 50, False]}, "split_sizes must be integers"),
+    ({"output_dir": 5}, "output_dir must be a path"),
 ])
 def test_config_rejects_non_integer_counts(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -429,6 +453,11 @@ def test_config_keeps_numpy_integer_counts():
                                "max_rounds": np.int32(3), "master_seed": np.uint32(9)})
     assert config.split_sizes == (40, 40, 40)
     assert all(type(s) is int for s in config.split_sizes)
+    # numpy arrays and numpy floats load as number lists
+    config = config_from_dict({"alphas": np.array([1.5, 0.5]), "Cs": [np.float32(10), np.int64(1)],
+                               "baseline_gammas": np.float64([0.1, 1])})
+    assert config.grid.alphas == (0.5, 1.5) and config.grid.Cs == (1.0, 10.0)
+    assert config.baseline_gammas == (0.1, 1.0)
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -439,6 +468,17 @@ def test_config_keeps_numpy_integer_counts():
     ({"dataset_params": {"moons": {"noise_std": float("nan")}}}, "cannot generate moons datasets"),
     ({"dataset_params": {"circles": {"noise_std": float("nan")}}}, "cannot generate circles datasets"),
     ({"dataset_params": {"moons": {"noise_std": float("inf")}}}, "cannot generate moons datasets"),
+    # a number list must be a list of real, non-bool numbers
+    ({"alphas": "12"}, "alphas must be a list of real numbers"),
+    ({"alphas": [True]}, "alphas must be a list of real numbers"),
+    ({"alphas": 1.0}, "alphas must be a list of real numbers"),
+    ({"Cs": "1"}, "Cs must be a list of real numbers"),
+    ({"Cs": [1, "10"]}, "Cs must be a list of real numbers"),
+    ({"Cs": [1, None]}, "Cs must be a list of real numbers"),
+    ({"baseline_Cs": "1"}, "baseline_Cs must be a list of real numbers"),
+    ({"baseline_Cs": [[1.0]]}, "baseline_Cs must be a list of real numbers"),
+    ({"baseline_gammas": "1"}, "baseline_gammas must be a list of real numbers"),
+    ({"baseline_gammas": np.array([True])}, "baseline_gammas must be a list of real numbers"),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -466,6 +506,7 @@ def test_config_rejects_empty_baseline_grid(obj, message):
     ({"moons": {"noise_std": -1}}, "cannot generate moons datasets: noise_std must be nonnegative"),
     ({"xor": {"margin": 1.5}}, "cannot generate xor datasets: margin must lie in"),
     ({"circles": {"factor": "half"}}, "cannot generate circles datasets"),
+    ([], "dataset_params must be a dict"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):
