@@ -83,6 +83,9 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("families", "baseline_kernels"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list of names, got {getattr(self, name)!r}")
         object.__setattr__(self, "families", tuple(self.families))
         for name in ("datasets_per_family", "n_points", "max_rounds", "master_seed"):
             if not is_integer(getattr(self, name)):
@@ -115,6 +118,9 @@ class ExperimentConfig:
             if not isinstance(params, dict) or set(params) - takes:
                 raise ValueError(f"dataset_params for {family} must map a subset of "
                                  f"{sorted(takes)} to values, got {params!r}")
+            for key, value in params.items():
+                if isinstance(value, bool):
+                    raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         for f, family in enumerate(self.families):  # one dataset each, so a bad value fails at load
             try:
                 GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),

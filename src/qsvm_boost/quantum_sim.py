@@ -12,9 +12,10 @@ two real matmuls: H^{(x)(n-h)} on the high half of the amplitude index and
 H^{(x)h} on the low half, h = n // 2. A rotation is exact real arithmetic:
 i*P moves every amplitude and multiplies it by +-1 or +-i, so on the float
 view it is one column gather and a +-1 sign, memoized per Pauli string, and
-the rotation does the floating-point operations of the complex product. At
-one and two qubits the states are bit-for-bit those of a qubit-by-qubit
-Hadamard layer; above that they agree to round-off.
+the rotation does the floating-point operations of the complex product into
+a buffer that a repetition's rotations reuse. At one and two qubits the
+states are bit-for-bit those of a qubit-by-qubit Hadamard layer; above that
+they agree to round-off.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -213,14 +214,15 @@ def _rotation_gather(letters: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
-                  cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+                  cos: np.ndarray, sin: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(i*theta*P)|psi> = cos(theta)|psi> + sin(theta) iP|psi> per row, since P^2 = I,
-    on the float64 view ``v`` with iP as its :func:`_rotation_gather`; cos and sin are (m, 1)."""
+    on the float64 view ``v`` with iP as its :func:`_rotation_gather`; cos and sin are (m, 1).
+    Written into and returned as ``out``, a buffer of v's shape that is not v."""
     column, sign = gather
     turned = np.take(v, column, axis=1)
     turned *= sign
     turned *= sin
-    out = cos * v
+    np.multiply(cos, v, out=out)
     out += turned
     return out
 
@@ -238,8 +240,9 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     psi[:, 0] = 1.0
     for _ in range(spec.reps):
         v = _hadamard_all_batch(psi).view(np.float64)
+        spare = np.empty_like(v)
         for gather, cos, sin in terms:
-            v = _rotate_batch(v, gather, cos, sin)
+            v, spare = _rotate_batch(v, gather, cos, sin, spare), v
         psi = v.view(complex)
     return psi
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qsvm_boost import boosted_qsvm
+from qsvm_boost import boosted_qsvm, kernels
 from qsvm_boost.kernels import GramMatrix
 from qsvm_boost.quantum_sim import _HADAMARD, FeatureMapSpec, _pauli_action, havlicek_data_map
 from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM
@@ -284,6 +284,20 @@ def count_solver_calls(monkeypatch) -> list:
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", counting)
+    return calls
+
+
+def count_simulations(monkeypatch) -> list:
+    """Record (spec, rows, states) for every simulator call the Gram layer makes."""
+    calls = []
+    simulate = kernels.feature_map_states
+
+    def counting(spec, X):
+        states = simulate(spec, X)
+        calls.append((spec, np.array(X, dtype=float), states))
+        return states
+
+    monkeypatch.setattr(kernels, "feature_map_states", counting)
     return calls
 
 

@@ -32,7 +32,7 @@ from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
 from qsvm_boost.kernels import GramCache
 from qsvm_boost.quantum_sim import FeatureMapSpec
 from qsvm_boost.svm_solver import TrainedSVM, predict
-from helpers import count_solver_calls
+from helpers import count_simulations, count_solver_calls
 
 LN3 = math.log(3.0)
 
@@ -192,6 +192,19 @@ def test_grid_search_tie_breaking_order(weighting):
     assert result.grid_point == expected[1]
     # ties exist in this grid, so the rule is actually exercised
     assert result.val_accuracy < 1.0 or result.grid_point[1] == SMALL_GRID.alphas[0]
+
+
+def test_grid_search_simulates_each_row_set_once_per_spec(monkeypatch):
+    # each spec's train states serve both its train Gram and its val-vs-train Gram
+    calls = count_simulations(monkeypatch)
+    split = small_split()
+    grid = GridSpec()
+    grid_search_best(split.train.X, split.train.y, initial_weights(len(split.train.y)),
+                     split.val.X, split.val.y, grid)
+    specs = len(grid.feature_maps) * len(grid.alphas)
+    assert specs == 36
+    simulated = [(spec.canonical(), rows.tobytes()) for spec, rows, _ in calls]
+    assert len(simulated) == len(set(simulated)) == 2 * specs
 
 
 def test_grid_search_exclusion():

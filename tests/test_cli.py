@@ -154,7 +154,8 @@ def test_experiment_bad_config_exits_1(tmp_path, monkeypatch):
                        str(tmp_path / "load_fails"), "--quiet") == 1
         assert not (tmp_path / "load_fails").exists()
     for bad in ({"baseline_Cs": []}, {"baseline_kernels": []}, {"baseline_gammas": []},
-                {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}}):
+                {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}},
+                {"dataset_params": {"moons": {"noise_std": True}}}, {"families": "xor"}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path)) == 1
     # a bad dataset parameter value fails at load, before the xor datasets run

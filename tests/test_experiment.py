@@ -479,6 +479,12 @@ def test_config_keeps_numpy_integer_counts():
     ({"baseline_Cs": [[1.0]]}, "baseline_Cs must be a list of real numbers"),
     ({"baseline_gammas": "1"}, "baseline_gammas must be a list of real numbers"),
     ({"baseline_gammas": np.array([True])}, "baseline_gammas must be a list of real numbers"),
+    # a name list must not be a bare string, which would read as its letters
+    ({"families": "xor"}, "^families must be a list of names, got 'xor'$"),
+    ({"baseline_kernels": "rbf"}, "^baseline_kernels must be a list of names, got 'rbf'$"),
+    # a bool dataset parameter fails even for a family the run does not generate
+    ({"families": ["xor"], "dataset_params": {"circles": {"factor": True}}},
+     "dataset_params for circles: factor must be a number, got True"),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -507,6 +513,11 @@ def test_config_rejects_empty_baseline_grid(obj, message):
     ({"xor": {"margin": 1.5}}, "cannot generate xor datasets: margin must lie in"),
     ({"circles": {"factor": "half"}}, "cannot generate circles datasets"),
     ([], "dataset_params must be a dict"),
+    # a bool would pass the generators' range checks as 0 or 1
+    ({"moons": {"noise_std": True}}, "dataset_params for moons: noise_std must be a number, got True"),
+    ({"xor": {"margin": False}}, "dataset_params for xor: margin must be a number, got False"),
+    ({"circles": {"factor": 0.5, "noise_std": True}},
+     "dataset_params for circles: noise_std must be a number, got True"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ import pytest
 
 from qsvm_boost.kernels import GramCache, export_gram_csv, gram_matrix, linear_gram, rbf_gram
 from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle
-from helpers import linear_kernel, random_feature_map_spec, rbf_kernel
+from helpers import count_simulations, linear_kernel, random_feature_map_spec, rbf_kernel
 
 
 def fidelity(spec: FeatureMapSpec, x, y) -> float:
@@ -179,6 +179,52 @@ def test_cache_distinguishes_specs_and_data():
     b = cache.fidelity(FeatureMapSpec(2, ("Z",), alpha=1.5), X)
     assert not np.array_equal(a.values, b.values)
     assert len(cache) == 2
+
+
+def test_cache_reuses_train_states_once_per_row_set(monkeypatch):
+    # a search's train Gram then its val-vs-train Gram, then batches scored against the train rows
+    rng = np.random.default_rng(90)
+    spec = FeatureMapSpec(2, ("X", "ZZ"), alpha=1.5)
+    X_train, X_val, X_new = (rng.uniform(0, math.pi, size=(n, 2)) for n in (6, 4, 5))
+    requests = [(X_train, None), (X_val, X_train), (X_new, X_train), (X_new[:2], X_train)]
+    fresh = [gram_matrix(spec, X_a, X_b) for X_a, X_b in requests]
+    calls = count_simulations(monkeypatch)
+    cache = GramCache()
+    grams = [cache.fidelity(spec, X_a, X_b) for X_a, X_b in requests]
+    for gram, expected in zip(grams, fresh):
+        assert np.array_equal(gram.values, expected.values)
+        assert gram.spec_id == expected.spec_id
+    assert [len(X) for _, X, _ in calls] == [6, 4, 5, 2]  # the train rows once, each other side once
+    assert np.array_equal(calls[0][1], X_train)
+    assert len(cache) == len(requests)  # the kept states are not an entry
+    memo = calls[0][2]
+    assert not memo.flags.writeable
+    with pytest.raises(ValueError):
+        memo[0, 0] = 0.0
+    # a stored Gram is returned without simulating anything
+    assert cache.fidelity(spec, X_val, X_train) is grams[1]
+    assert len(calls) == 4
+
+
+def test_cache_state_memo_is_keyed_on_spec_and_rows(monkeypatch):
+    rng = np.random.default_rng(91)
+    spec, other_alpha = FeatureMapSpec(2, ("Z", "ZZ"), alpha=1.0), FeatureMapSpec(2, ("Z", "ZZ"), alpha=1.5)
+    X_val, X_train, X_moved = (rng.uniform(0, math.pi, size=(5, 2)) for _ in range(3))
+    requests = [(spec, X_val, X_train), (spec, X_val, X_moved), (other_alpha, X_val, X_moved),
+                (other_alpha, X_moved, None), (spec, X_moved, None)]
+    fresh = [gram_matrix(s, X_a, X_b).values for s, X_a, X_b in requests]
+    calls = count_simulations(monkeypatch)
+    cache = GramCache()
+    for (s, X_a, X_b), expected in zip(requests, fresh):
+        assert np.array_equal(cache.fidelity(s, X_a, X_b).values, expected)
+    names = {"val": X_val, "train": X_train, "moved": X_moved}
+    simulated = [(s.alpha, next(name for name, X in names.items() if np.array_equal(X, rows)))
+                 for s, rows, _ in calls]
+    # new X_b rows of the same shape, and a new alpha, are simulated again; the
+    # self Gram on the rows just kept for alpha 1.5 simulates nothing
+    assert simulated == [(1.0, "train"), (1.0, "val"), (1.0, "moved"), (1.0, "val"),
+                         (1.5, "moved"), (1.5, "val"), (1.0, "moved")]
+    assert len(cache) == len(requests)
 
 
 def test_export_gram_csv(tmp_path):

@@ -42,7 +42,8 @@ def random_batch(rng, n_qubits, rows=4):
 def rotate(psi, letters, thetas):
     thetas = np.asarray(thetas, dtype=float)[:, None]
     v = np.ascontiguousarray(psi).view(np.float64)
-    return _rotate_batch(v, _rotation_gather(letters), np.cos(thetas), np.sin(thetas)).view(complex)
+    out = np.empty_like(v)
+    return _rotate_batch(v, _rotation_gather(letters), np.cos(thetas), np.sin(thetas), out).view(complex)
 
 
 def pauli_strings(n):
@@ -270,6 +271,22 @@ def test_batch_matches_single():
     batch = feature_map_states(spec, X)
     for i, x in enumerate(X):
         np.testing.assert_array_equal(batch[i], feature_map_states(spec, x[None])[0])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 5])
+def test_states_own_their_memory_and_leave_inputs_alone(n_qubits):
+    # the rotations write into reused buffers; no call's result may be another's
+    rng = np.random.default_rng(40 + n_qubits)
+    spec = FeatureMapSpec(n_qubits, ("X", "Y", "Z"), reps=3, alpha=1.5)
+    X = rng.uniform(0, math.pi, size=(4, n_qubits))
+    before = X.copy()
+    first, second = feature_map_states(spec, X), feature_map_states(spec, X)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(X, before)
+    first[:] = 0.0
+    np.testing.assert_array_equal(second, feature_map_states(spec, X))
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
