@@ -11,7 +11,6 @@ are a weighted majority vote over the pruned rounds.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,14 +51,20 @@ def menu_id(labels: tuple[str, ...]) -> str:
     return ",".join(labels)
 
 
-def sorted_reals(name: str, values) -> tuple[float, ...]:
-    """``values`` as an ascending float tuple. A ValueError naming ``name`` unless
-    it is a non-string sequence (or 1-D numpy array) of real, non-bool numbers."""
+def checked_items(name: str, values, kind: str, check) -> tuple:
+    """The items of ``values`` as a tuple. A ValueError "``name`` must be ``kind``"
+    unless it is a list, a tuple or a 1-D numpy array whose every item passes ``check``."""
     items = values.tolist() if isinstance(values, np.ndarray) else values
-    if (isinstance(items, (str, bytes)) or not isinstance(items, Sequence)
-            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)):
-        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
-    return tuple(sorted(float(v) for v in items))
+    if not isinstance(items, (list, tuple)) or not all(check(v) for v in items):
+        raise ValueError(f"{name} must be {kind}, got {values!r}")
+    return tuple(items)
+
+
+def sorted_reals(name: str, values) -> tuple[float, ...]:
+    """``values``, a list of real, non-bool numbers, as an ascending float tuple."""
+    reals = checked_items(name, values, "a list of real numbers",
+                          lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+    return tuple(sorted(float(v) for v in reals))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 from .boosted_qsvm import (
     DEFAULT_MAX_ROUNDS,
     GridSpec,
+    checked_items,
     ensemble_from_json,
     ensemble_to_json,
     fit_boosted,
@@ -71,9 +72,7 @@ class ExperimentConfig:
     datasets_per_family: int = 10
     n_points: int = 150
     split_sizes: tuple[int, int, int] = (50, 50, 50)
-    dataset_params: dict = field(default_factory=lambda: {
-        family: dict(params) for family, params in DEFAULT_DATASET_PARAMS.items()
-    })
+    dataset_params: dict = field(default_factory=dict)  # given families laid over DEFAULT_DATASET_PARAMS
     grid: GridSpec = field(default_factory=GridSpec)
     baseline_kernels: tuple[str, ...] = DEFAULT_BASELINE_KERNELS
     baseline_Cs: tuple[float, ...] = DEFAULT_BASELINE_CS
@@ -83,17 +82,14 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name in ("families", "baseline_kernels"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list of names, got {getattr(self, name)!r}")
-        object.__setattr__(self, "families", tuple(self.families))
+        for name in ("families", "baseline_kernels"):  # a bare string would read as its letters
+            object.__setattr__(self, name, checked_items(name, getattr(self, name), "a list of names",
+                                                         lambda v: isinstance(v, str)))
         for name in ("datasets_per_family", "n_points", "max_rounds", "master_seed"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(is_integer(s) for s in self.split_sizes):
-            raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
-        object.__setattr__(self, "split_sizes", tuple(int(s) for s in self.split_sizes))
-        object.__setattr__(self, "baseline_kernels", tuple(self.baseline_kernels))
+        sizes = checked_items("split_sizes", self.split_sizes, "integers", is_integer)
+        object.__setattr__(self, "split_sizes", tuple(int(s) for s in sizes))
         object.__setattr__(self, "baseline_Cs", sorted_reals("baseline_Cs", self.baseline_Cs))
         object.__setattr__(self, "baseline_gammas", sorted_reals("baseline_gammas", self.baseline_gammas))
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -121,10 +117,12 @@ class ExperimentConfig:
             for key, value in params.items():
                 if isinstance(value, bool):
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
+        merged = DEFAULT_DATASET_PARAMS | self.dataset_params
+        object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
         for f, family in enumerate(self.families):  # one dataset each, so a bad value fails at load
             try:
                 GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),
-                                   **self.dataset_params.get(family, {}))
+                                   **self.dataset_params[family])
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"cannot generate {family} datasets: {exc}") from exc
         if set(self.baseline_kernels) - set(_BASELINE_GRAMS):
@@ -318,8 +316,7 @@ def _run_one_dataset(
 
     t0 = time.perf_counter()
     try:
-        params = config.dataset_params.get(family, {})
-        data = GENERATORS[family](config.n_points, seed=dataset_seed, **params)
+        data = GENERATORS[family](config.n_points, seed=dataset_seed, **config.dataset_params[family])
         split = split_and_scale(data, config.split_sizes, seed=split_seed)
         dataset_to_csv(datasets_dir / f"{family}_{dataset_seed}.csv", split)
     except Exception as exc:  # generation failed: mark all three models

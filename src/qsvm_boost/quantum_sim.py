@@ -130,15 +130,16 @@ def parse_feature_map(text: str, n_qubits: int) -> FeatureMapSpec:
         if not sep:
             raise ValueError(f"malformed feature-map field {part!r}")
         fields[key.strip()] = value.strip()
-    if "paulis" not in fields:
-        raise ValueError(f"feature-map text missing paulis= field: {text!r}")
-    if fields.get("map", DATA_MAP) != DATA_MAP:
+    for key in ("paulis", "reps", "alpha", "map"):
+        if key not in fields:
+            raise ValueError(f"feature-map text missing {key}= field: {text!r}")
+    if fields["map"] != DATA_MAP:
         raise ValueError(f"unknown data map {fields['map']!r}, only {DATA_MAP} is supported")
     return FeatureMapSpec(
         n_qubits=n_qubits,
         labels=tuple(fields["paulis"].split(",")),
-        reps=int(fields.get("reps", 2)),
-        alpha=float(fields.get("alpha", 1.0)),
+        reps=int(fields["reps"]),
+        alpha=float(fields["alpha"]),
     )
 
 

@@ -12,10 +12,11 @@ One solver fits every problem. ``train_weighted_svms`` takes the (Gram, C)
 problems of a grid search, which share labels and weights, and runs their
 SMO loops in lock-step: each step picks every row's pair with a few numpy
 calls over (rows, n) arrays, takes each row's two-variable step in Python
-floats, and adds the K-row updates of all rows at once. A row leaves the
-working arrays on the step it finishes, so it takes exactly the steps, and
-gives exactly the bits, of a fit of its problem alone. ``train_weighted_svm``
-is the same solver called with one problem.
+floats, and adds the K-row updates of all rows at once. A finished row,
+converged or stuck, leaves the working arrays at the top of a pass; a stuck
+step leaves ``alpha`` and ``u`` of a finite Gram as they were, so every row
+takes exactly the steps, and gives exactly the bits, of a fit of its problem
+alone. ``train_weighted_svm`` is the same solver called with one problem.
 """
 from __future__ import annotations
 
@@ -50,17 +51,21 @@ LABEL_CONVENTION = "y{0,1}<->t{-1,+1}:t=2y-1"
 class TrainedSVM:
     """Fitted dual solution; immutable after fit.
 
-    ``dual_coefs[i]`` is alpha_i * t_i over the full training set, zero
-    outside ``support_indices``. A degenerate model (single effective class)
+    ``dual_coefs[i]`` is alpha_i * t_i over the full training set, nonzero
+    exactly at ``support_indices``. A degenerate model (single effective class)
     has zero dual coefficients and bias equal to the sole class's t value.
     """
 
     dual_coefs: np.ndarray
     bias: float
-    support_indices: np.ndarray
     C: float
     converged: bool = True
     degenerate: bool = False
+
+    @property
+    def support_indices(self) -> np.ndarray:
+        """Indices with alpha_i > 0: alpha is never negative or -0.0 and t_i is +-1."""
+        return np.flatnonzero(self.dual_coefs)
 
 
 def _gram_values(gram: GramMatrix | np.ndarray) -> np.ndarray:
@@ -121,7 +126,7 @@ def train_weighted_svms(
     if effective_classes.size == 1:
         sole = float(2 * int(effective_classes[0]) - 1)
         return [
-            TrainedSVM(np.zeros(n), sole, np.array([], dtype=int), C, degenerate=True)
+            TrainedSVM(np.zeros(n), sole, C, degenerate=True)
             for _ in Ks for C in Cs
         ]
 
@@ -133,7 +138,6 @@ def train_weighted_svms(
         TrainedSVM(
             dual_coefs=alpha[r] * t,
             bias=_bias(t, alpha[r], u[r], upper[r]),
-            support_indices=np.flatnonzero(alpha[r] > 0),
             C=Cs[r % len(Cs)],
             converged=bool(converged[r]),
         )
@@ -153,9 +157,9 @@ def _smo_lockstep(
     Every row starts at step 0 and picks its pair by first-index argmax over
     its up candidates and argmin over its low ones. A row stops when it has
     no violating pair or its gap is within tolerance (converged), when its
-    step leaves ``a_j`` unchanged (stuck) or after ``max_passes`` steps.
-    Finished rows are copied out and dropped from the working arrays, only on
-    the steps where some row finishes; the Gram stack is never copied.
+    last step left ``a_j`` unchanged (stuck) or after ``max_passes`` steps.
+    Finished rows are copied out and dropped from the working arrays at the
+    top of a pass where some row finishes; the Gram stack is never copied.
 
     Returns the final ``alpha`` and ``u`` (u_k = sum_l alpha_l t_l K_lk) of
     every row, and whether it converged.
@@ -189,6 +193,7 @@ def _smo_lockstep(
         converged[live[done]] = ok
         return [a[~done] for a in (live, alpha, u, box, k_base, *step_arrays)]
 
+    stalled = False
     for _ in range(settings.max_passes):
         below = alpha < box
         above = alpha > 0.0
@@ -201,11 +206,12 @@ def _smo_lockstep(
         flat = ij + pair_base
         best = values.take(flat)
         gap = best[:, 0] + best[:, 1]
-        if not (gap > tol).all():
+        if stalled or not (gap > tol).all():
             # a NaN gap with a pair on both sides steps on, as in a fit alone
-            done = (gap <= tol) | ~candidates[:, 0].any(1) | ~candidates[:, 1].any(1)
+            ok = (gap <= tol) | ~candidates[:, 0].any(1) | ~candidates[:, 1].any(1)
+            done = ok | (moved == 0.0) if stalled else ok
             if done.any():
-                live, alpha, u, box, k_base, ij, gap = finish(done, True, ij, gap)
+                live, alpha, u, box, k_base, ij, gap = finish(done, ok[done], ij, gap)
                 if not live.size:
                     break
                 row_base, pair_base = bases(live.size)
@@ -214,22 +220,15 @@ def _smo_lockstep(
         cell = ij + row_base  # a_i, a_j in alpha; C w_i, C w_j in box
         k_pair = k_rows.take(ij + k_base, axis=0)  # (rows, 2, n): K[g, i] and K[g, j]
         # in k_pair, flat points at K_ii and K_jj, and flat[:, 1] - n at K_ij
-        steps = [_pair_step(*args) for args in zip(
+        new = np.array([_pair_step(*args) for args in zip(
             gap.tolist(), alpha.take(cell).tolist(), box.take(cell).tolist(), t.take(ij).tolist(),
             k_pair.take(flat).tolist(), k_pair.take(flat[:, 1] - n).tolist(),
-        )]
-        if None in steps:
-            stuck = np.array([step is None for step in steps])
-            live, alpha, u, box, k_base, ij, k_pair = finish(stuck, False, ij, k_pair)
-            if not live.size:
-                break
-            row_base, pair_base = bases(live.size)
-            cell = ij + row_base
-            steps = [step for step in steps if step is not None]
-        new = np.array(steps)
+        )])
         alpha.put(cell, new[:, :2])
         u += new[:, 2:3] * k_pair[:, 0]
         u += new[:, 3:4] * k_pair[:, 1]
+        moved = new[:, 3]  # delta_j t_j: 0.0 where a_j, and so alpha and u of a finite Gram, did not change
+        stalled = not moved.all()
     else:
         finish(np.ones(live.size, dtype=bool), False)  # out of passes
     return alpha_out, u_out, converged
@@ -241,7 +240,7 @@ def _pair_step(gap, a, box, t, k_diag, k_ij):
     Takes the gap, ``[a_i, a_j]``, ``[C w_i, C w_j]``, ``[t_i, t_j]``,
     ``[K_ii, K_jj]`` and ``K_ij``; returns the new ``a_i`` and ``a_j`` with
     the coefficients ``delta_i t_i`` and ``delta_j t_j`` of the K rows added
-    to ``u``, or None when the step leaves ``a_j`` unchanged.
+    to ``u``. Both are 0.0, and ``a_i`` comes back unchanged, when ``a_j`` does not move.
     """
     (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a, box, t, k_diag
     if ti != tj:
@@ -257,8 +256,6 @@ def _pair_step(gap, a, box, t, k_diag, k_ij):
     else:
         # flat direction: step to the improving end of the box
         aj_new = lo if tj > 0 else hi
-    if aj_new == aj:
-        return None  # numerically stuck; the row reports its best iterate
     delta_j = aj_new - aj
     ai_new = min(upper_i, max(0.0, ai - ti * tj * delta_j))
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
@@ -274,8 +271,6 @@ def _bias(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.ndarray) ->
     low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
     lo_b = np.max(neg_e[up_mask]) if up_mask.any() else -np.inf
     hi_b = np.min(neg_e[low_mask]) if low_mask.any() else np.inf
-    if np.isinf(lo_b) and np.isinf(hi_b):
-        return 0.0
     if np.isinf(lo_b):
         return float(hi_b)
     if np.isinf(hi_b):
@@ -283,11 +278,11 @@ def _bias(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.ndarray) ->
     return float((lo_b + hi_b) / 2.0)
 
 
-def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> float | np.ndarray:
+def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> np.float64 | np.ndarray:
     """sum_i dual_coefs[i] * k(x_i, x_new) + bias.
 
     Accepts a single row (k(x_i, x_new) per training sample i) or a 2-D
-    stack of rows, returning a scalar or a vector accordingly.
+    stack of rows, returning a numpy scalar or a vector accordingly.
     """
     rows = np.asarray(kernel_row, dtype=float)
     if rows.shape[-1] != model.dual_coefs.shape[0]:
@@ -295,16 +290,12 @@ def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> float | np.n
             f"kernel row length {rows.shape[-1]} does not match "
             f"training size {model.dual_coefs.shape[0]}"
         )
-    values = rows @ model.dual_coefs + model.bias
-    return float(values) if rows.ndim == 1 else values
+    return rows @ model.dual_coefs + model.bias
 
 
-def predict(model: TrainedSVM, kernel_row: np.ndarray) -> int | np.ndarray:
-    """Label in {0, 1}; a decision value of exactly 0 maps to 1."""
-    values = decision_function(model, kernel_row)
-    if np.ndim(values) == 0:
-        return 1 if values >= 0 else 0
-    return (values >= 0).astype(int)
+def predict(model: TrainedSVM, kernel_row: np.ndarray) -> np.int64 | np.ndarray:
+    """Label in {0, 1} per row, a numpy scalar for one row; a decision of exactly 0 maps to 1."""
+    return (decision_function(model, kernel_row) >= 0).astype(int)
 
 
 def dual_objective(gram: GramMatrix | np.ndarray, labels: np.ndarray, alphas: np.ndarray) -> float:
@@ -331,8 +322,7 @@ def svm_from_json(obj: dict) -> TrainedSVM:
     return TrainedSVM(
         dual_coefs=np.asarray(obj["dual_coefs"], dtype=float),
         bias=float(obj["bias"]),
-        support_indices=np.asarray(obj["support_indices"], dtype=int),
         C=float(obj["C"]),
-        converged=bool(obj.get("converged", True)),
-        degenerate=bool(obj.get("degenerate", False)),
+        converged=bool(obj["converged"]),
+        degenerate=bool(obj["degenerate"]),
     )

@@ -152,7 +152,6 @@ def reference_smo(
         return TrainedSVM(
             dual_coefs=np.zeros(n),
             bias=sole,
-            support_indices=np.array([], dtype=int),
             C=float(C),
             degenerate=True,
         )
@@ -225,7 +224,6 @@ def reference_smo(
     return TrainedSVM(
         dual_coefs=alpha * t,
         bias=bias,
-        support_indices=np.flatnonzero(alpha > 0),
         C=float(C),
         converged=converged,
     )

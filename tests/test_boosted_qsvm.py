@@ -42,7 +42,6 @@ def constant_model(label: int, train_size: int = 1) -> TrainedSVM:
     return TrainedSVM(
         dual_coefs=np.zeros(train_size),
         bias=1.0 if label == 1 else -1.0,
-        support_indices=np.array([], dtype=int),
         C=1.0,
         degenerate=True,
     )

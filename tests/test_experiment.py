@@ -17,6 +17,7 @@ from qsvm_boost.boosted_qsvm import (
 )
 from qsvm_boost.datasets import GENERATORS, dataset_from_csv, make_moons, split_and_scale
 from qsvm_boost.experiment import (
+    DEFAULT_DATASET_PARAMS,
     MODEL_BASELINE,
     MODEL_BOOSTED,
     MODEL_SINGLE,
@@ -485,6 +486,13 @@ def test_config_keeps_numpy_integer_counts():
     # a bool dataset parameter fails even for a family the run does not generate
     ({"families": ["xor"], "dataset_params": {"circles": {"factor": True}}},
      "dataset_params for circles: factor must be a number, got True"),
+    # a list must be a list, and its items of the right kind
+    ({"families": 5}, "^families must be a list of names, got 5$"),
+    ({"baseline_kernels": 5}, "^baseline_kernels must be a list of names, got 5$"),
+    ({"split_sizes": 50}, "^split_sizes must be integers, got 50$"),
+    ({"families": [["xor"]]}, re.escape("families must be a list of names, got [['xor']]")),
+    ({"baseline_kernels": [["rbf"]]}, re.escape("baseline_kernels must be a list of names, got [['rbf']]")),
+    ({"families": {"xor": 1}}, re.escape("families must be a list of names, got {'xor': 1}")),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -523,6 +531,16 @@ def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):
         config_from_dict({"dataset_params": params})
     config_from_dict({"dataset_params": {"moons": {"noise_std": 0.1}, "xor": {}}})
+
+
+def test_partial_dataset_params_keep_the_other_defaults():
+    config = config_from_dict({"dataset_params": {"xor": {"margin": 0.1}}})
+    assert config.dataset_params == {**DEFAULT_DATASET_PARAMS, "xor": {"margin": 0.1}}
+    assert config.dataset_params["moons"] == {"noise_std": 0.3}
+    assert config.dataset_params["moons"] is not DEFAULT_DATASET_PARAMS["moons"]
+    # a family given as {} takes its generator's defaults
+    assert config_from_dict({"dataset_params": {"circles": {}}}).dataset_params["circles"] == {}
+    assert ExperimentConfig().dataset_params == DEFAULT_DATASET_PARAMS
 
 
 def test_config_from_dict_and_file(tmp_path):

@@ -409,6 +409,12 @@ def test_parse_rejects_malformed():
         parse_feature_map("paulis=Z;reps", 2)
     with pytest.raises(ValueError):
         parse_feature_map("paulis=Z;reps=2;alpha=1.0;map=other", 2)
+    # every field is required: a truncated text fills nothing in
+    for text, key in (("paulis=Z;alpha=1.0;map=havlicek-default", "reps"),
+                      ("paulis=Z;reps=2;map=havlicek-default", "alpha"),
+                      ("paulis=Z;reps=2;alpha=1.0", "map")):
+        with pytest.raises(ValueError, match=f"missing {key}= field"):
+            parse_feature_map(text, 2)
 
 
 def test_spec_validation():
