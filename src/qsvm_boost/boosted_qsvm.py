@@ -10,6 +10,7 @@ are a weighted majority vote over the pruned rounds.
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, replace
 
@@ -61,10 +62,13 @@ def checked_items(name: str, values, kind: str, check) -> tuple:
 
 
 def sorted_reals(name: str, values) -> tuple[float, ...]:
-    """``values``, a list of real, non-bool numbers, as an ascending float tuple."""
+    """``values``, a list of distinct real, non-bool numbers, as an ascending float tuple."""
     reals = checked_items(name, values, "a list of real numbers",
                           lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
-    return tuple(sorted(float(v) for v in reals))
+    ordered = tuple(sorted(float(v) for v in reals))
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise ValueError(f"{name} must not repeat a value, got {values!r}")
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,9 @@ def grid_search_best(
 ) -> GridSearchResult:
     """Best (feature map, alpha, C) cell by unweighted validation accuracy.
 
-    Ties go to the earlier cell in (menu order, ascending alpha, ascending C);
-    iteration follows that order, so the first strict improvement wins. Every
-    cell's SVM is fitted in one batched solver call with the default settings.
+    Ties go to the earlier cell in (menu order, ascending alpha, ascending C),
+    by ``best_cell``'s rule. Every cell's SVM is fitted in one batched solver
+    call with the default settings.
 
     The result is memoized in ``cache`` on (grid, excluded maps) and the
     content of the train and validation data, labels and weights. A search
@@ -211,7 +215,7 @@ def grid_search_best(
 
 def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache) -> GridSearchResult:
     n_qubits = X_train.shape[1]
-    cells, k_trains = [], []  # per (feature map, alpha): (fm_id, alpha, spec, val x train Gram)
+    cells, k_trains = [], []  # per (feature map, alpha): ((fm_id, alpha, spec), val x train Gram)
     for labels in grid.feature_maps:
         fm_id = menu_id(labels)
         if fm_id in excluded:
@@ -219,18 +223,21 @@ def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
         for alpha in grid.alphas:
             spec = grid.spec_for(labels, alpha, n_qubits)
             k_trains.append(cache.fidelity(spec, X_train))
-            cells.append((fm_id, alpha, spec, cache.fidelity(spec, X_val, X_train)))
+            cells.append(((fm_id, alpha, spec), cache.fidelity(spec, X_val, X_train)))
     if not cells:
         raise ValueError("every feature map in the grid is excluded")
-    models = iter(train_weighted_svms(k_trains, y_train, grid.Cs, weights))
-    best: GridSearchResult | None = None
-    for fm_id, alpha, spec, k_val in cells:
-        for C in grid.Cs:
-            model = next(models)
-            accuracy = float(np.mean(predict(model, k_val.values) == y_val))
-            if best is None or accuracy > best.val_accuracy:
-                best = GridSearchResult(model, spec, (fm_id, alpha, C), accuracy)
-    return best
+    models = train_weighted_svms(k_trains, y_train, grid.Cs, weights)
+    (fm_id, alpha, spec), C, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
+    return GridSearchResult(model, spec, (fm_id, alpha, C), accuracy)
+
+
+def best_cell(cells, Cs, models, y_val) -> tuple:
+    """``(key, C, model, val_accuracy)`` of the first most accurate model, the winner rule of
+    both grid searches. ``cells`` are ``(key, val x train GramMatrix)`` pairs in tie-break
+    order and ``models`` their fits, cells outer and Cs inner: a tie goes to the earlier cell."""
+    scored = [(key, C, model, float(np.mean(predict(model, k_val.values) == y_val)))
+              for ((key, k_val), C), model in zip(itertools.product(cells, Cs), models, strict=True)]
+    return max(scored, key=lambda cell: cell[3])
 
 
 def fit_boosted(
@@ -290,19 +297,14 @@ def fit_boosted(
     return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
 
 
-def _round_votes(
-    rounds: tuple[BoostingRound, ...],
-    X_new: np.ndarray,
-    X_train: np.ndarray,
-    cache: GramCache | None,
-) -> np.ndarray:
+def _prefix_scores(rounds, X_new, X_train, cache) -> np.ndarray:
+    """Row k: the weighted vote score of ``rounds[:k + 1]`` on every point of ``X_new``."""
     cache = cache if cache is not None else GramCache()
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    votes = np.empty((len(rounds), X_new.shape[0]), dtype=int)
-    for m, rnd in enumerate(rounds):
-        k_new = cache.fidelity(rnd.feature_map, X_new, X_train)
-        votes[m] = predict(rnd.model, k_new.values)
-    return votes
+    votes = np.array([predict(rnd.model, cache.fidelity(rnd.feature_map, X_new, X_train).values)
+                      for rnd in rounds])
+    alphas = np.array([rnd.alpha_m for rnd in rounds])
+    return np.cumsum(alphas[:, None] * votes, axis=0) / np.cumsum(alphas)[:, None]
 
 
 def predict_ensemble_batch(
@@ -312,10 +314,7 @@ def predict_ensemble_batch(
     cache: GramCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and labels of the pruned weighted vote for a batch of points."""
-    active = ensemble.active_rounds
-    votes = _round_votes(active, X_new, X_train, cache)
-    alphas = np.array([rnd.alpha_m for rnd in active])
-    scores = alphas @ votes / np.sum(alphas)
+    scores = _prefix_scores(ensemble.active_rounds, X_new, X_train, cache)[-1]
     return scores, (scores >= 0.5).astype(int)
 
 
@@ -328,16 +327,13 @@ def prune_by_validation(
 ) -> BoostedEnsemble:
     """Set pruned_length to the prefix with minimum validation error.
 
+    Each prefix is scored by the vote ``predict_ensemble_batch`` casts, so the
+    pruned ensemble's validation labels give exactly the error chosen here.
     Ties go to the shortest prefix, so the pruned error never exceeds the
     full-ensemble error.
     """
-    y_val = np.asarray(y_val)
-    votes = _round_votes(ensemble.rounds, X_val, X_train, cache)
-    alphas = np.array([rnd.alpha_m for rnd in ensemble.rounds])
-    weighted = np.cumsum(alphas[:, None] * votes, axis=0)
-    totals = np.cumsum(alphas)
-    prefix_labels = (weighted / totals[:, None]) >= 0.5
-    prefix_errors = np.mean(prefix_labels != y_val[None, :], axis=1)
+    prefix_labels = _prefix_scores(ensemble.rounds, X_val, X_train, cache) >= 0.5
+    prefix_errors = np.mean(prefix_labels != np.asarray(y_val)[None, :], axis=1)
     return replace(ensemble, pruned_length=int(np.argmin(prefix_errors)) + 1)
 
 

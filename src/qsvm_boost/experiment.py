@@ -22,6 +22,7 @@ import numpy as np
 from .boosted_qsvm import (
     DEFAULT_MAX_ROUNDS,
     GridSpec,
+    best_cell,
     checked_items,
     ensemble_from_json,
     ensemble_to_json,
@@ -179,31 +180,28 @@ def classical_svm_baseline(
 ) -> BaselineResult:
     """Classical-kernel SVM chosen by validation-accuracy grid search.
 
-    Tie-breaking mirrors the quantum grid: kernel menu order, then ascending
-    gamma, then ascending C. The gamma list is ignored for linear cells. A
-    kernel name outside rbf and linear raises ValueError. Each (kernel, gamma)
-    cell builds its train and val Grams once, uncached: no study reuses them.
+    The winner is picked by ``best_cell``, the quantum grid's rule: ties go
+    to kernel menu order, then ascending gamma, then ascending C. The gamma
+    list is ignored for linear cells. A kernel name outside rbf and linear
+    raises ValueError. Each (kernel, gamma) cell builds its train and val
+    Grams once, uncached: no study reuses them.
     """
     X_train, y_train = split.train.X, split.train.y
-    X_val, y_val = split.val.X, split.val.y
-    best = None
+    cells, k_trains = [], []  # per (kernel, gamma): ((kernel, gamma), val x train Gram)
     for kernel in kernels:
         if kernel not in _BASELINE_GRAMS:
             raise ValueError(f"unknown baseline kernel {kernel!r}")
         gram = _BASELINE_GRAMS[kernel]
         for gamma in sorted(gammas) if kernel == "rbf" else (None,):
             params = {} if gamma is None else {"gamma": gamma}
-            k_train = gram(X_train, **params)
-            k_val = gram(X_val, X_train, **params)
-            for C in sorted(Cs):
-                model = train_weighted_svm(k_train, y_train, C)
-                accuracy = _accuracy(predict(model, k_val.values), y_val)
-                if best is None or accuracy > best[0]:
-                    best = (accuracy, kernel, gamma, C, model)
-    if best is None:
+            k_trains.append(gram(X_train, **params))
+            cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
+    Cs = sorted(Cs)
+    if not cells or not Cs:
         empty = "kernels" if not kernels else "Cs" if not Cs else "gammas"
         raise ValueError(f"the baseline grid is empty: no {empty} given")
-    val_accuracy, kernel, gamma, C, model = best
+    models = [train_weighted_svm(k_train, y_train, C) for k_train in k_trains for C in Cs]
+    (kernel, gamma), C, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
     return BaselineResult(model, kernel, gamma, C, val_accuracy)
 
 
@@ -271,13 +269,8 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
         base = classical_svm_baseline(
             split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
         )
-        entry = {
-            "kernel": base.kernel,
-            "gamma": base.gamma,
-            "C": base.C,
-            "val_accuracy": base.val_accuracy,
-            "svm": svm_to_json(base.model),
-        }
+        entry = {key: value for key, value in base._asdict().items() if key != "model"}
+        entry["svm"] = svm_to_json(base.model)
         gamma_text = "-" if base.gamma is None else repr(base.gamma)
         fit = ModelFit(entry, 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
     else:

@@ -89,6 +89,8 @@ class FeatureMapSpec:
             raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {self.n_qubits!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if not self.labels:
             raise ValueError("feature map needs at least one Pauli label")
         for label in self.labels:

@@ -111,13 +111,13 @@ def train_weighted_svms(
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     for C in Cs:
-        if C <= 0:
-            raise ValueError(f"C must be positive, got {C}")
+        if not 0 < C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {C}")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match gram size {n}")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ValueError("weights must be nonnegative and finite")
 
     Cs = [float(C) for C in Cs]
     effective_classes = np.unique(y[w > 0])
@@ -282,15 +282,16 @@ def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> np.float64 |
     """sum_i dual_coefs[i] * k(x_i, x_new) + bias.
 
     Accepts a single row (k(x_i, x_new) per training sample i) or a 2-D
-    stack of rows, returning a numpy scalar or a vector accordingly.
+    stack of rows, returning a numpy scalar or a vector accordingly. A row is
+    summed in one order whatever the batch, so its decision keeps its bits.
     """
-    rows = np.asarray(kernel_row, dtype=float)
+    rows = np.ascontiguousarray(kernel_row, dtype=float)
     if rows.shape[-1] != model.dual_coefs.shape[0]:
         raise ValueError(
             f"kernel row length {rows.shape[-1]} does not match "
             f"training size {model.dual_coefs.shape[0]}"
         )
-    return rows @ model.dual_coefs + model.bias
+    return np.einsum("...i,i->...", rows, model.dual_coefs) + model.bias
 
 
 def predict(model: TrainedSVM, kernel_row: np.ndarray) -> np.int64 | np.ndarray:
@@ -319,10 +320,13 @@ def svm_to_json(model: TrainedSVM) -> dict:
 
 
 def svm_from_json(obj: dict) -> TrainedSVM:
-    return TrainedSVM(
+    model = TrainedSVM(
         dual_coefs=np.asarray(obj["dual_coefs"], dtype=float),
         bias=float(obj["bias"]),
         C=float(obj["C"]),
         converged=bool(obj["converged"]),
         degenerate=bool(obj["degenerate"]),
     )
+    if not np.array_equal(obj["support_indices"], model.support_indices):
+        raise ValueError(f"support_indices {obj['support_indices']} disagree with the nonzero dual_coefs")
+    return model

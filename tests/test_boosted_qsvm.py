@@ -14,6 +14,7 @@ from qsvm_boost.boosted_qsvm import (
     STOP_MAX_REACHED,
     STOP_PERFECT,
     STOP_WORSE_THAN_RANDOM,
+    best_cell,
     ensemble_from_json,
     ensemble_to_json,
     estimator_error,
@@ -29,7 +30,7 @@ from qsvm_boost.boosted_qsvm import (
     update_weights,
 )
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
-from qsvm_boost.kernels import GramCache
+from qsvm_boost.kernels import GramCache, GramMatrix
 from qsvm_boost.quantum_sim import FeatureMapSpec
 from qsvm_boost.svm_solver import TrainedSVM, predict
 from helpers import count_simulations, count_solver_calls
@@ -293,6 +294,21 @@ def test_grid_search_memo_misses_on_any_changed_part(monkeypatch, part):
     assert np.array_equal(result.model.dual_coefs, fresh.model.dual_coefs)
 
 
+def test_best_cell_first_of_tied_accuracies_wins():
+    # cell "a" scores 0.25 at both Cs, cells "b" and "c" score 0.75 at both: the first
+    # 0.75 in cells-outer, Cs-inner order wins, ahead of its later C and the later cell
+    y_val = np.array([1, 1, 1, 0])
+    cells = [(key, GramMatrix(np.zeros((4, 1)), "stub")) for key in ("a", "b", "c")]
+    low, high = constant_model(0), constant_model(1)
+    models = [low, low, high, high, high, high]
+    key, C, model, accuracy = best_cell(cells, (1.0, 10.0), models, y_val)
+    assert (key, C, accuracy) == ("b", 1.0, 0.75) and model is models[2]
+    key, C, model, _ = best_cell(cells, (1.0, 10.0), [low, high] + models[2:], y_val)
+    assert (key, C) == ("a", 10.0)
+    with pytest.raises(ValueError):  # one model per (cell, C)
+        best_cell(cells, (1.0, 10.0), models[:5], y_val)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(alphas=(0.0, 1.0))
@@ -427,6 +443,21 @@ def test_pruning_dominance_and_argmin():
     assert errors[ens.pruned_length - 1] <= errors[-1]
 
 
+def test_predict_labels_give_the_prefix_error_prune_chose():
+    split = small_split(kind="xor", n=90, seed=9, sizes=(36, 27, 27))
+    cache = GramCache()
+    ens = fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y, SMALL_GRID,
+                      max_rounds=3, cache=cache)
+    assert len(ens.rounds) >= 2
+    errors = []
+    for k in range(1, len(ens.rounds) + 1):
+        _, labels = predict_ensemble_batch(replace(ens, pruned_length=k), split.val.X, split.train.X, cache)
+        errors.append(float(np.mean(labels != split.val.y)))
+    assert ens.pruned_length == int(np.argmin(errors)) + 1
+    _, labels = predict_ensemble_batch(ens, split.val.X, split.train.X, cache)
+    assert float(np.mean(labels != split.val.y)) == min(errors)
+
+
 def test_prune_tie_goes_to_shortest():
     # constant voters: every prefix predicts all-ones, so all prefix errors
     # tie and the shortest prefix must win
@@ -481,6 +512,18 @@ def test_result_json_round_trip():
     assert loaded.feature_map == result.feature_map
     np.testing.assert_array_equal(loaded.model.dual_coefs, result.model.dual_coefs)
     assert loaded.model.bias == result.model.bias
+
+
+def test_result_from_json_rejects_non_finite_alpha():
+    # a corrupted bundle used to reload and score all-NaN states silently
+    split = small_split(seed=13)
+    grid = GridSpec(feature_maps=(("Z",),), alphas=(1.0,), Cs=(1.0,))
+    result = grid_search_best(split.train.X, split.train.y, initial_weights(len(split.train.y)),
+                              split.val.X, split.val.y, grid)
+    entry = json.loads(json.dumps(result_to_json(result)))
+    entry["feature_map"] = entry["feature_map"].replace("alpha=1.0", "alpha=nan")
+    with pytest.raises(ValueError, match="alpha must be finite, got nan"):
+        result_from_json(entry, split.train.X.shape[1])
 
 
 def test_fit_boosted_validation():

@@ -157,7 +157,8 @@ def test_experiment_bad_config_exits_1(tmp_path, monkeypatch):
                 {"dataset_params": {"moons": {"noise": 0.3}}}, {"dataset_params": {"blobs": {}}},
                 {"dataset_params": {"moons": {"noise_std": True}}}, {"families": "xor"},
                 {"families": 5}, {"baseline_kernels": 5}, {"split_sizes": 50}, {"families": [["xor"]]},
-                {"baseline_kernels": [["rbf"]]}, {"families": {"xor": 1}}):
+                {"baseline_kernels": [["rbf"]]}, {"families": {"xor": 1}},
+                {"alphas": [1.0, 1.0], "Cs": [10, 10.0]}, {"baseline_gammas": [0.1, 0.1]}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path)) == 1
     # a bad dataset parameter value fails at load, before the xor datasets run

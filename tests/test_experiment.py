@@ -493,6 +493,11 @@ def test_config_keeps_numpy_integer_counts():
     ({"families": [["xor"]]}, re.escape("families must be a list of names, got [['xor']]")),
     ({"baseline_kernels": [["rbf"]]}, re.escape("baseline_kernels must be a list of names, got [['rbf']]")),
     ({"families": {"xor": 1}}, re.escape("families must be a list of names, got {'xor': 1}")),
+    # a grid value list repeats no value, as the map menu repeats no map
+    ({"alphas": [1.0, 1.0]}, re.escape("alphas must not repeat a value, got [1.0, 1.0]")),
+    ({"Cs": [10, 1, 10.0]}, re.escape("Cs must not repeat a value, got [10, 1, 10.0]")),
+    ({"baseline_Cs": [0.1, 0.1]}, "baseline_Cs must not repeat a value"),
+    ({"baseline_gammas": np.array([1.0, 0.1, 1.0])}, "baseline_gammas must not repeat a value"),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):

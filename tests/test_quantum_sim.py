@@ -417,6 +417,13 @@ def test_parse_rejects_malformed():
             parse_feature_map(text, 2)
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_alpha(alpha):
+    # a NaN alpha used to load and simulate all-NaN states
+    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+        parse_feature_map(f"paulis=Z;reps=2;alpha={alpha};map=havlicek-default", 2)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FeatureMapSpec(2, ())

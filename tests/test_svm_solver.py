@@ -158,9 +158,13 @@ def test_single_row_matches_its_row_of_a_batch():
     for model in (train_weighted_svm(K, y, 5.0), train_weighted_svm(K, np.ones(15, dtype=int), 5.0)):
         values, labels = decision_function(model, K), predict(model, K)
         for i, row in enumerate(K):
-            # a row alone and a stack may sum in different BLAS orders, so values agree to rounding
-            assert decision_function(model, row) == pytest.approx(values[i], rel=1e-12, abs=1e-12)
+            assert decision_function(model, row) == values[i]
+            assert decision_function(model, K[i:i + 1])[0] == values[i]
+            np.testing.assert_array_equal(decision_function(model, K[:i + 1]), values[:i + 1])
             assert predict(model, row) == labels[i] and labels[i] in (0, 1)
+        # a column of the symmetric K is its row, read with a stride
+        np.testing.assert_array_equal(decision_function(model, np.asfortranarray(K)), values)
+        assert all(decision_function(model, K[:, i]) == values[i] for i in range(15))
 
 
 def test_predict_tie_goes_to_one():
@@ -183,6 +187,21 @@ def test_validation_errors():
         train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0, weights=np.zeros(2))
     with pytest.raises(ValueError):
         decision_function(train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0), np.zeros(3))
+
+
+@pytest.mark.parametrize("C, weights, message", [
+    (math.nan, None, "C must be positive and finite, got nan"),
+    (math.inf, [1.0, 1.0, 0.0, 1.0], "C must be positive and finite, got inf"),
+    (1.0, [1.0, math.nan, 1.0, 1.0], "weights must be nonnegative and finite"),
+    (1.0, [1.0, math.inf, 1.0, 1.0], "weights must be nonnegative and finite"),
+])
+def test_non_finite_C_or_weight_rejected(C, weights, message):
+    # a NaN C gave a "converged" fit with bias inf, a NaN weight left its sample out,
+    # and C = inf over a zero weight made that sample's box inf * 0 = NaN
+    with pytest.raises(ValueError, match=message):
+        train_weighted_svm(np.eye(4), np.array([0, 1, 0, 1]), C, weights)
+    with pytest.raises(ValueError, match=message):
+        train_weighted_svms([np.eye(4)], np.array([0, 1, 0, 1]), [1.0, C], weights)
 
 
 def test_non_convergence_flagged():
@@ -210,11 +229,20 @@ def test_json_round_trip_preserves_predictions():
     assert blob["support_indices"] and svm_to_json(svm_from_json(json.loads(json.dumps(blob)))) == blob
 
 
-@pytest.mark.parametrize("key", ["converged", "degenerate"])
+@pytest.mark.parametrize("key", ["converged", "degenerate", "support_indices"])
 def test_svm_from_json_fills_nothing_in(key):
     blob = svm_to_json(train_weighted_svm(np.eye(2), np.array([1, 0]), C=1.0))
     del blob[key]
     with pytest.raises(KeyError, match=key):
+        svm_from_json(blob)
+
+
+@pytest.mark.parametrize("indices", [[0, 1], [1, 0, 2], [0, 1, 2, 3], []])
+def test_svm_from_json_rejects_support_indices_off_the_coefficients(indices):
+    blob = svm_to_json(train_weighted_svm(np.eye(3), np.array([1, 0, 0]), C=1.0))
+    assert blob["support_indices"] == [0, 1, 2]
+    blob["support_indices"] = indices
+    with pytest.raises(ValueError, match="support_indices .* disagree with the nonzero dual_coefs"):
         svm_from_json(blob)
 
 
