@@ -1,7 +1,7 @@
 """Seeded generators for XOR, moons and circles data, with splitting and scaling.
 
 All generators use numpy's PCG64 generator with an explicit seed, so datasets
-reproduce bit-exactly. Features are min-max scaled to [0, pi] with the scaler
+reproduce bit-exactly. Features are min-max scaled to [0, pi] by a scaling
 fitted on the training split only; validation/test features may slightly
 exceed that range.
 """
@@ -44,25 +44,6 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class FeatureScaler:
-    """Per-feature affine map sending the fitted min/max range onto [0, pi]."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "FeatureScaler":
-        X = np.asarray(X, dtype=float)
-        return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        span = self.maxs - self.mins
-        scale = np.where(span > 0, math.pi / np.where(span > 0, span, 1.0), 0.0)
-        return (X - self.mins) * scale
-
-
-@dataclass(frozen=True)
 class SplitDataset:
     train: LabeledDataset
     val: LabeledDataset
@@ -88,54 +69,44 @@ def make_xor(n: int, margin: float = 0.0, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(X, y, kind="xor", seed=seed, params={"margin": margin})
 
 
-def make_moons(n: int, noise_std: float = 0.2, seed: int = 0) -> LabeledDataset:
-    """Two interleaving half-circles with additive Gaussian noise."""
+def _two_class(kind: str, n: int, noise_std: float, seed: int, params: dict, curves) -> LabeledDataset:
+    """``n // 2`` class-0 points on ``curves[0]`` and the rest on ``curves[1]``, plus Gaussian noise.
+
+    A curve maps a point count ``m`` to its ``(m, 2)`` noise-free points.
+    """
     if n < 4:
         raise ValueError("need at least 4 samples")
     if not 0 <= noise_std < math.inf:
         raise ValueError("noise_std must be nonnegative and finite")
-    n0 = n // 2
-    n1 = n - n0
-    t0 = np.linspace(0.0, math.pi, n0)
-    t1 = np.linspace(0.0, math.pi, n1)
-    X = np.concatenate(
-        [
-            np.column_stack([np.cos(t0), np.sin(t0)]),
-            np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)]),
-        ]
-    )
-    rng = np.random.default_rng(seed)
-    X = X + rng.normal(0.0, noise_std, size=X.shape)
-    y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    return LabeledDataset(X, y, kind="moons", seed=seed, params={"noise_std": noise_std})
+    counts = (n // 2, n - n // 2)
+    X = np.concatenate([curve(m) for curve, m in zip(curves, counts)])
+    X = X + np.random.default_rng(seed).normal(0.0, noise_std, size=X.shape)
+    return LabeledDataset(X, np.repeat([0, 1], counts), kind=kind, seed=seed, params=params)
+
+
+def make_moons(n: int, noise_std: float = 0.2, seed: int = 0) -> LabeledDataset:
+    """Two interleaving half-circles with additive Gaussian noise."""
+    def upper(m):
+        t = np.linspace(0.0, math.pi, m)
+        return np.column_stack([np.cos(t), np.sin(t)])
+
+    return _two_class("moons", n, noise_std, seed, {"noise_std": noise_std},
+                      (upper, lambda m: [1.0, 0.5] - upper(m)))
 
 
 def make_circles(
     n: int, factor: float = 0.5, noise_std: float = 0.1, seed: int = 0
 ) -> LabeledDataset:
     """Concentric circles: class 0 at radius 1, class 1 at radius ``factor``."""
-    if n < 4:
-        raise ValueError("need at least 4 samples")
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
-    if not 0 <= noise_std < math.inf:
-        raise ValueError("noise_std must be nonnegative and finite")
-    n0 = n // 2
-    n1 = n - n0
-    a0 = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
-    a1 = np.linspace(0.0, 2.0 * math.pi, n1, endpoint=False)
-    X = np.concatenate(
-        [
-            np.column_stack([np.cos(a0), np.sin(a0)]),
-            factor * np.column_stack([np.cos(a1), np.sin(a1)]),
-        ]
-    )
-    rng = np.random.default_rng(seed)
-    X = X + rng.normal(0.0, noise_std, size=X.shape)
-    y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    return LabeledDataset(
-        X, y, kind="circles", seed=seed, params={"factor": factor, "noise_std": noise_std}
-    )
+
+    def ring(m):
+        a = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        return np.column_stack([np.cos(a), np.sin(a)])
+
+    return _two_class("circles", n, noise_std, seed, {"factor": factor, "noise_std": noise_std},
+                      (ring, lambda m: factor * ring(m)))
 
 
 GENERATORS = {"xor": make_xor, "moons": make_moons, "circles": make_circles}
@@ -149,33 +120,30 @@ def split_and_scale(
     """Random disjoint train/val/test split plus min-max scaling to [0, pi].
 
     Reshuffles (bounded retries) until every split contains both classes.
-    The scaler is fitted on the training split only.
+    The scaling is fitted on the training split only: each feature's train
+    minimum maps to 0 and its train maximum to pi, and a constant feature maps to 0.
     """
-    n_train, n_val, n_test = sizes
+    if np.shape(sizes) != (3,):
+        raise ValueError(f"sizes must be three counts (train, val, test), got {sizes!r}")
     if min(sizes) < 1:
         raise ValueError("every split needs at least one sample")
-    if n_train + n_val + n_test > len(data):
+    if sum(sizes) > len(data):
         raise ValueError(f"split sizes {sizes} exceed dataset size {len(data)}")
     rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
-        perm = rng.permutation(len(data))
-        idx = {
-            "train": perm[:n_train],
-            "val": perm[n_train : n_train + n_val],
-            "test": perm[n_train + n_val : n_train + n_val + n_test],
-        }
-        if all(np.unique(data.y[ix]).size == 2 for ix in idx.values()):
+        idx = np.split(rng.permutation(len(data))[: sum(sizes)], np.cumsum(sizes[:2]))
+        if all(np.unique(data.y[ix]).size == 2 for ix in idx):
             break
     else:
         raise ValueError("could not produce splits containing both classes")
-    scaler = FeatureScaler.fit(data.X[idx["train"]])
-    parts = {
-        name: LabeledDataset(
-            scaler.transform(data.X[ix]), data.y[ix], data.kind, data.seed, dict(data.params)
-        )
-        for name, ix in idx.items()
-    }
-    return SplitDataset(train=parts["train"], val=parts["val"], test=parts["test"])
+    train_X = data.X[idx[0]]
+    mins = train_X.min(axis=0)
+    span = train_X.max(axis=0) - mins
+    scale = np.where(span > 0, math.pi / np.where(span > 0, span, 1.0), 0.0)
+    return SplitDataset(*(
+        LabeledDataset((data.X[ix] - mins) * scale, data.y[ix], data.kind, data.seed, dict(data.params))
+        for ix in idx
+    ))
 
 
 def dataset_to_csv(path, data: LabeledDataset | SplitDataset) -> None:

@@ -131,6 +131,8 @@ class ExperimentConfig:
                              f"got {self.baseline_kernels}")
         if not self.baseline_kernels:
             raise ValueError("baseline_kernels must not be empty")
+        if len(set(self.baseline_kernels)) < len(self.baseline_kernels):
+            raise ValueError(f"baseline_kernels must not repeat a name, got {list(self.baseline_kernels)}")
         if not self.baseline_Cs:
             raise ValueError("baseline_Cs must not be empty")
         if "rbf" in self.baseline_kernels and not self.baseline_gammas:

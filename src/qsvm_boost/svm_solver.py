@@ -14,9 +14,10 @@ SMO loops in lock-step: each step picks every row's pair with a few numpy
 calls over (rows, n) arrays, takes each row's two-variable step in Python
 floats, and adds the K-row updates of all rows at once. A finished row,
 converged or stuck, leaves the working arrays at the top of a pass; a stuck
-step leaves ``alpha`` and ``u`` of a finite Gram as they were, so every row
-takes exactly the steps, and gives exactly the bits, of a fit of its problem
-alone. ``train_weighted_svm`` is the same solver called with one problem.
+step leaves ``alpha`` and ``u`` as they were, so every row takes exactly the
+steps, and gives exactly the bits, of a fit of its problem alone. A Gram with
+a non-finite entry is refused. ``train_weighted_svm`` is the same solver
+called with one problem.
 """
 from __future__ import annotations
 
@@ -108,6 +109,9 @@ def train_weighted_svms(
             raise ValueError(f"labels shape {y.shape} does not match gram size {n}")
     if not Ks or len(Cs) == 0:
         return []
+    stack = np.stack(Ks)
+    if not np.isfinite(stack).all():
+        raise ValueError("training grams must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     for C in Cs:
@@ -133,7 +137,7 @@ def train_weighted_svms(
     t = 2.0 * np.asarray(y, dtype=float) - 1.0
     upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
     gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
-    alpha, u, converged = _smo_lockstep(np.stack(Ks), gram_of, t, upper, settings)
+    alpha, u, converged = _smo_lockstep(stack, gram_of, t, upper, settings)
     return [
         TrainedSVM(
             dual_coefs=alpha[r] * t,
@@ -207,8 +211,7 @@ def _smo_lockstep(
         best = values.take(flat)
         gap = best[:, 0] + best[:, 1]
         if stalled or not (gap > tol).all():
-            # a NaN gap with a pair on both sides steps on, as in a fit alone
-            ok = (gap <= tol) | ~candidates[:, 0].any(1) | ~candidates[:, 1].any(1)
+            ok = gap <= tol  # a side with no candidate gives gap -inf
             done = ok | (moved == 0.0) if stalled else ok
             if done.any():
                 live, alpha, u, box, k_base, ij, gap = finish(done, ok[done], ij, gap)
@@ -227,7 +230,7 @@ def _smo_lockstep(
         alpha.put(cell, new[:, :2])
         u += new[:, 2:3] * k_pair[:, 0]
         u += new[:, 3:4] * k_pair[:, 1]
-        moved = new[:, 3]  # delta_j t_j: 0.0 where a_j, and so alpha and u of a finite Gram, did not change
+        moved = new[:, 3]  # delta_j t_j: 0.0 where a_j, and so alpha and u, did not change
         stalled = not moved.all()
     else:
         finish(np.ones(live.size, dtype=bool), False)  # out of passes

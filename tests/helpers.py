@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from pathlib import Path
 
@@ -270,6 +271,57 @@ def reference_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
         for action, thetas in terms:
             psi = reference_rotate(psi, action, thetas)
     return psi
+
+
+def reference_moons(n: int, noise_std: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` of moons, each class built on its own and then noised."""
+    n0, n1 = n // 2, n - n // 2
+    t0 = np.linspace(0.0, math.pi, n0)
+    t1 = np.linspace(0.0, math.pi, n1)
+    X = np.concatenate([
+        np.column_stack([np.cos(t0), np.sin(t0)]),
+        np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)]),
+    ])
+    X = X + np.random.default_rng(seed).normal(0.0, noise_std, size=X.shape)
+    return X, np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
+
+
+def reference_circles(n: int, factor: float, noise_std: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` of circles, each class built on its own and then noised."""
+    n0, n1 = n // 2, n - n // 2
+    a0 = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
+    a1 = np.linspace(0.0, 2.0 * math.pi, n1, endpoint=False)
+    X = np.concatenate([
+        np.column_stack([np.cos(a0), np.sin(a0)]),
+        factor * np.column_stack([np.cos(a1), np.sin(a1)]),
+    ])
+    X = X + np.random.default_rng(seed).normal(0.0, noise_std, size=X.shape)
+    return X, np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
+
+
+def reference_scale(fit_X: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``X`` under the per-feature affine map sending ``fit_X``'s min/max range onto [0, pi];
+    a feature constant in ``fit_X`` maps to 0."""
+    mins, maxs = fit_X.min(axis=0), fit_X.max(axis=0)
+    span = maxs - mins
+    scale = np.where(span > 0, math.pi / np.where(span > 0, span, 1.0), 0.0)
+    return (X - mins) * scale
+
+
+def reference_split(X: np.ndarray, y: np.ndarray, sizes, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Train, val and test ``(X, y)``: slices of the first permutation, drawn with up to
+    100 retries, whose every part holds both classes, scaled on the train part."""
+    n_train, n_val, n_test = sizes
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        perm = rng.permutation(len(y))
+        idx = [perm[:n_train], perm[n_train:n_train + n_val],
+               perm[n_train + n_val:n_train + n_val + n_test]]
+        if all(np.unique(y[ix]).size == 2 for ix in idx):
+            break
+    else:
+        raise ValueError("could not produce splits containing both classes")
+    return [(reference_scale(X[idx[0]], X[ix]), y[ix]) for ix in idx]
 
 
 def count_solver_calls(monkeypatch) -> list:

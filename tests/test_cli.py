@@ -148,7 +148,7 @@ def test_experiment_bad_config_exits_1(tmp_path, monkeypatch):
     config_path.write_text(json.dumps({"reps": 0}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
     for bad in ({"feature_maps": [[]]}, {"feature_maps": ["ZZ", "Z"]}, {"split_sizes": [0, 50, 50]},
-                {"Cs": [1, "10"]}, {"dataset_params": []}):
+                {"Cs": [1, "10"]}, {"dataset_params": []}, {"baseline_kernels": ["rbf", "linear", "rbf"]}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path), "--output-dir",
                        str(tmp_path / "load_fails"), "--quiet") == 1

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qsvm_boost.datasets import (
-    FeatureScaler,
     LabeledDataset,
     SplitDataset,
     dataset_from_csv,
@@ -15,6 +14,13 @@ from qsvm_boost.datasets import (
     make_xor,
     split_and_scale,
 )
+from helpers import reference_circles, reference_moons, reference_scale, reference_split
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
 
 
 # --- xor ---
@@ -113,18 +119,49 @@ def test_split_scaling_to_pi():
     assert split.train.X.max(axis=0) == pytest.approx([math.pi, math.pi], abs=1e-15)
 
 
-def test_scaler_affine_map():
-    scaler = FeatureScaler(mins=np.array([0.0, 0.0]), maxs=np.array([2.0, 2.0]))
-    np.testing.assert_allclose(
-        scaler.transform(np.array([[1.0, 2.0]])), [[math.pi / 2, math.pi]], atol=1e-15
-    )
+def test_reference_scale_is_the_train_affine_map():
+    fit = np.array([[0.0, 5.0], [2.0, 5.0]])
+    np.testing.assert_allclose(reference_scale(fit, np.array([[1.0, 2.0], [2.0, 7.0]])),
+                               [[math.pi / 2, 0.0], [math.pi, 0.0]], atol=1e-15)
 
 
-def test_scaler_idempotence():
-    data = make_xor(100, seed=10)
-    split = split_and_scale(data, (40, 30, 30), seed=3)
-    refit = FeatureScaler.fit(split.train.X)
-    np.testing.assert_allclose(refit.transform(split.train.X), split.train.X, atol=1e-12)
+@pytest.mark.parametrize("seed", [0, 7, 20240911])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+@pytest.mark.parametrize("n", [9, 10, 150])
+def test_two_class_generators_keep_the_reference_bits(n, noise_std, seed):
+    cases = [(make_moons(n, noise_std, seed), reference_moons(n, noise_std, seed))]
+    cases += [(make_circles(n, factor, noise_std, seed), reference_circles(n, factor, noise_std, seed))
+              for factor in (0.3, 0.5)]
+    for data, (X, y) in cases:
+        assert_same_bits(data.X, X)
+        assert_same_bits(data.y, y)
+
+
+# feature 1 is constant, so every split maps it to 0
+_FLAT = LabeledDataset(np.column_stack([np.arange(40.0), np.full(40, 2.5)]), np.arange(40) % 2, "xor", 3)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("data, sizes", [
+    (make_moons(150, noise_std=0.3, seed=31), (50, 50, 50)),
+    (make_moons(150, noise_std=0.3, seed=31), (20, 30, 40)),
+    (make_circles(101, seed=4), (33, 33, 35)),
+    (make_circles(101, seed=4), (10, 5, 7)),
+    (make_xor(90, margin=0.1, seed=2), (30, 30, 30)),
+    (_FLAT, (20, 10, 10)),
+    (_FLAT, (5, 6, 7)),
+], ids=["moons-all", "moons-part", "circles-all", "circles-part", "xor", "flat-all", "flat-part"])
+def test_split_and_scale_keeps_the_reference_bits(data, sizes, seed):
+    split = split_and_scale(data, sizes, seed=seed)
+    parts = (split.train, split.val, split.test)
+    for part, (X, y) in zip(parts, reference_split(data.X, data.y, sizes, seed)):
+        assert_same_bits(part.X, X)
+        assert_same_bits(part.y, y)
+        assert (part.kind, part.seed, part.params) == (data.kind, data.seed, data.params)
+    # scaling the scaled train split again changes nothing
+    np.testing.assert_allclose(reference_scale(split.train.X, split.train.X), split.train.X, atol=1e-12)
+    if data is _FLAT:
+        assert all(np.all(part.X[:, 1] == 0.0) for part in parts)
 
 
 def test_split_determinism():
@@ -139,6 +176,9 @@ def test_split_size_guard():
     data = make_moons(100, seed=2)
     with pytest.raises(ValueError):
         split_and_scale(data, (50, 50, 50), seed=0)
+    for sizes in ((30, 30), (20, 20, 20, 20), 30, ((30, 30, 30),)):
+        with pytest.raises(ValueError, match="sizes must be three counts"):
+            split_and_scale(data, sizes)
 
 
 def test_split_gives_up_when_classes_cannot_cover():

@@ -498,6 +498,10 @@ def test_config_keeps_numpy_integer_counts():
     ({"Cs": [10, 1, 10.0]}, re.escape("Cs must not repeat a value, got [10, 1, 10.0]")),
     ({"baseline_Cs": [0.1, 0.1]}, "baseline_Cs must not repeat a value"),
     ({"baseline_gammas": np.array([1.0, 0.1, 1.0])}, "baseline_gammas must not repeat a value"),
+    # nor does the baseline kernel list repeat a name
+    ({"baseline_kernels": ["rbf", "linear", "rbf"]},
+     re.escape("baseline_kernels must not repeat a name, got ['rbf', 'linear', 'rbf']")),
+    ({"baseline_kernels": ["linear", "linear"]}, "baseline_kernels must not repeat a name"),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):

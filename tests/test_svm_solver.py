@@ -204,6 +204,20 @@ def test_non_finite_C_or_weight_rejected(C, weights, message):
         train_weighted_svms([np.eye(4)], np.array([0, 1, 0, 1]), [1.0, C], weights)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gram_rejected(bad):
+    # an inf pair gave a "converged" fit with bias 16.7, and a NaN pair a NaN bias
+    # that labelled every row 0
+    rng = np.random.default_rng(67)
+    K = random_psd_kernel(rng, 6)
+    K[1, 4] = K[4, 1] = bad
+    y = np.array([0, 1, 0, 1, 0, 1])
+    with pytest.raises(ValueError, match="training grams must be finite"):
+        train_weighted_svm(K, y, 10.0)
+    with pytest.raises(ValueError, match="training grams must be finite"):
+        train_weighted_svms([random_psd_kernel(rng, 6), K, np.eye(6)], y, [1.0, 10.0])
+
+
 def test_non_convergence_flagged():
     rng = np.random.default_rng(41)
     K = random_psd_kernel(rng, 30)
