@@ -262,8 +262,6 @@ def fit_boosted(
         raise ValueError("max_rounds must be at least 1")
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y_train = np.asarray(y_train)
-    if set(np.unique(y_train)) - {0, 1}:
-        raise ValueError("labels must be 0 or 1")
     cache = cache if cache is not None else GramCache()
 
     weights = initial_weights(len(y_train))

@@ -40,10 +40,7 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"{args.family} takes no {flags}")
     data = generator(args.n, seed=args.seed, **kwargs)
     if args.split:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        if len(sizes) != 3:
-            raise ValueError(f"--sizes needs three comma-separated counts, got {args.sizes!r}")
-        data = split_and_scale(data, sizes, seed=args.split_seed)
+        data = split_and_scale(data, tuple(int(s) for s in args.sizes.split(",")), seed=args.split_seed)
     dataset_to_csv(args.out, data)
     print(f"wrote {args.out}")
     return 0

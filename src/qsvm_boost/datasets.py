@@ -56,6 +56,8 @@ def make_xor(n: int, margin: float = 0.0, seed: int = 0) -> LabeledDataset:
         raise ValueError("need at least 4 samples")
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
+    if margin > 0 and n > 1e9 * (1.0 - margin + margin * math.log(margin)):  # P(draw kept) = 1 - m + m ln m
+        raise ValueError(f"margin {margin} keeps too few uniform draws: n={n} points need over 1e9")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
     total = 0

@@ -9,7 +9,6 @@ config reproduces its records byte-for-byte.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import os
 import time
@@ -84,11 +83,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("families", "baseline_kernels"):  # a bare string would read as its letters
-            object.__setattr__(self, name, checked_items(name, getattr(self, name), "a list of names",
-                                                         lambda v: isinstance(v, str)))
-        for name in ("datasets_per_family", "n_points", "max_rounds", "master_seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            names = checked_items(name, getattr(self, name), "a list of names", lambda v: isinstance(v, str))
+            if len(set(names)) < len(names):
+                raise ValueError(f"{name} must not repeat a name, got {list(names)}")
+            object.__setattr__(self, name, names)
+        for name, low in (("datasets_per_family", 1), ("n_points", 0), ("max_rounds", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= low):
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         sizes = checked_items("split_sizes", self.split_sizes, "integers", is_integer)
         object.__setattr__(self, "split_sizes", tuple(int(s) for s in sizes))
         object.__setattr__(self, "baseline_Cs", sorted_reals("baseline_Cs", self.baseline_Cs))
@@ -97,52 +99,34 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
         if not isinstance(self.dataset_params, dict):
             raise ValueError(f"dataset_params must be a dict by family, got {self.dataset_params!r}")
-        unknown = set(self.families) - set(GENERATORS)
+        unknown = (set(self.families) | set(self.dataset_params)) - set(GENERATORS)
         if unknown:
-            raise ValueError(f"unknown dataset families {sorted(unknown)}")
+            raise ValueError(f"unknown family {', '.join(repr(family) for family in sorted(unknown))}")
         if not self.families:
             raise ValueError("families must not be empty")
-        if self.datasets_per_family < 1:
-            raise ValueError("datasets_per_family must be at least 1")
-        if len(self.split_sizes) != 3 or sum(self.split_sizes) > self.n_points:
-            raise ValueError(f"split sizes {self.split_sizes} incompatible with n_points={self.n_points}")
-        if min(self.split_sizes) < 1:
-            raise ValueError(f"split sizes must be at least 1, got {self.split_sizes}")
         for family, params in self.dataset_params.items():
-            if family not in GENERATORS:
-                raise ValueError(f"dataset_params names unknown family {family!r}")
-            takes = set(inspect.signature(GENERATORS[family]).parameters) - {"n", "seed"}
-            if not isinstance(params, dict) or set(params) - takes:
-                raise ValueError(f"dataset_params for {family} must map a subset of "
-                                 f"{sorted(takes)} to values, got {params!r}")
+            if not isinstance(params, dict):
+                raise ValueError(f"dataset_params for {family} must be a dict of parameters, got {params!r}")
             for key, value in params.items():
-                if isinstance(value, bool):
+                if isinstance(value, bool):  # a generator would take it as 0 or 1
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         merged = DEFAULT_DATASET_PARAMS | self.dataset_params
-        object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
-        for f, family in enumerate(self.families):  # one dataset each, so a bad value fails at load
+        # each study family's dataset 0 on its own seeds, then one of each other family given a value
+        others = [g for g, p in merged.items() if g not in self.families and p != DEFAULT_DATASET_PARAMS[g]]
+        for f, family in enumerate([*self.families, *others]):
             try:
-                GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),
-                                   **self.dataset_params[family])
+                data = GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),
+                                          **merged[family])
+                if family in self.families:  # a family that never runs is never split
+                    split_and_scale(data, self.split_sizes, seed=derive_seed(self.master_seed, f, 0, 1))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"cannot generate {family} datasets: {exc}") from exc
-        if set(self.baseline_kernels) - set(_BASELINE_GRAMS):
-            raise ValueError(f"baseline kernels must be {'/'.join(_BASELINE_GRAMS)}, "
-                             f"got {self.baseline_kernels}")
-        if not self.baseline_kernels:
-            raise ValueError("baseline_kernels must not be empty")
-        if len(set(self.baseline_kernels)) < len(self.baseline_kernels):
-            raise ValueError(f"baseline_kernels must not repeat a name, got {list(self.baseline_kernels)}")
-        if not self.baseline_Cs:
-            raise ValueError("baseline_Cs must not be empty")
-        if "rbf" in self.baseline_kernels and not self.baseline_gammas:
-            raise ValueError("baseline_gammas must not be empty when rbf is a baseline kernel")
+        object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
+        _baseline_cells(self.baseline_kernels, self.baseline_Cs, self.baseline_gammas)
         if not all(0.1 <= c <= 100 for c in self.baseline_Cs):
             raise ValueError("baseline C values must lie in [0.1, 100]")
         if not all(0.0001 <= g <= 10 for g in self.baseline_gammas):
             raise ValueError("baseline gamma values must lie in [0.0001, 10]")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -174,6 +158,17 @@ def _accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.asarray(predictions) == np.asarray(truth)))
 
 
+def _baseline_cells(kernels, Cs, gammas) -> list[tuple[str, float | None]]:
+    """``(kernel, gamma)`` cells in tie-break order; a ValueError for an unknown kernel or an empty axis."""
+    for kernel in kernels:
+        if kernel not in _BASELINE_GRAMS:
+            raise ValueError(f"unknown baseline kernel {kernel!r}")
+    for axis, given in (("kernels", kernels), ("Cs", Cs), ("gammas", gammas if "rbf" in kernels else [None])):
+        if not len(given):
+            raise ValueError(f"baseline_{axis} must not be empty")
+    return [(k, g) for k in kernels for g in (sorted(gammas) if k == "rbf" else [None])]
+
+
 def classical_svm_baseline(
     split: SplitDataset,
     kernels: tuple[str, ...] = DEFAULT_BASELINE_KERNELS,
@@ -184,24 +179,17 @@ def classical_svm_baseline(
 
     The winner is picked by ``best_cell``, the quantum grid's rule: ties go
     to kernel menu order, then ascending gamma, then ascending C. The gamma
-    list is ignored for linear cells. A kernel name outside rbf and linear
-    raises ValueError. Each (kernel, gamma) cell builds its train and val
-    Grams once, uncached: no study reuses them.
+    list is ignored for linear cells. ``_baseline_cells`` refuses a kernel
+    outside rbf and linear, and an empty axis. Each (kernel, gamma) cell
+    builds its train and val Grams once, uncached: no study reuses them.
     """
     X_train, y_train = split.train.X, split.train.y
     cells, k_trains = [], []  # per (kernel, gamma): ((kernel, gamma), val x train Gram)
-    for kernel in kernels:
-        if kernel not in _BASELINE_GRAMS:
-            raise ValueError(f"unknown baseline kernel {kernel!r}")
-        gram = _BASELINE_GRAMS[kernel]
-        for gamma in sorted(gammas) if kernel == "rbf" else (None,):
-            params = {} if gamma is None else {"gamma": gamma}
-            k_trains.append(gram(X_train, **params))
-            cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
+    for kernel, gamma in _baseline_cells(kernels, Cs, gammas):
+        gram, params = _BASELINE_GRAMS[kernel], {} if gamma is None else {"gamma": gamma}
+        k_trains.append(gram(X_train, **params))
+        cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
     Cs = sorted(Cs)
-    if not cells or not Cs:
-        empty = "kernels" if not kernels else "Cs" if not Cs else "gammas"
-        raise ValueError(f"the baseline grid is empty: no {empty} given")
     models = [train_weighted_svm(k_train, y_train, C) for k_train in k_trains for C in Cs]
     (kernel, gamma), C, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
     return BaselineResult(model, kernel, gamma, C, val_accuracy)

@@ -148,7 +148,10 @@ def test_experiment_bad_config_exits_1(tmp_path, monkeypatch):
     config_path.write_text(json.dumps({"reps": 0}))
     assert run_cli("experiment", "--config", str(config_path)) == 1
     for bad in ({"feature_maps": [[]]}, {"feature_maps": ["ZZ", "Z"]}, {"split_sizes": [0, 50, 50]},
-                {"Cs": [1, "10"]}, {"dataset_params": []}, {"baseline_kernels": ["rbf", "linear", "rbf"]}):
+                {"Cs": [1, "10"]}, {"dataset_params": []}, {"baseline_kernels": ["rbf", "linear", "rbf"]},
+                {"split_sizes": [1, 50, 50]}, {"families": ["xor", "xor"]}, {"master_seed": -1},
+                {"families": ["xor"], "dataset_params": {"moons": {"noise_std": -1}}},
+                {"dataset_params": {"xor": {"margin": 0.999999}}}):
         config_path.write_text(json.dumps(bad))
         assert run_cli("experiment", "--config", str(config_path), "--output-dir",
                        str(tmp_path / "load_fails"), "--quiet") == 1

@@ -1,5 +1,6 @@
 """Generator, splitting, scaling and CSV round-trip tests."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_xor_determinism_and_guards():
         make_xor(50, margin=1.0)
     with pytest.raises(ValueError):
         make_xor(3)
+
+
+def test_xor_refuses_a_margin_that_keeps_too_few_draws():
+    # a uniform draw is kept with probability 1 - m + m ln m, about 5e-13 at m = 0.999999: 150
+    # points would need some 3e14 draws, so the generator refuses before it draws any
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"margin 0\.999999 keeps too few uniform draws: n=150"):
+        make_xor(150, margin=0.999999)
+    assert time.perf_counter() - start < 1.0
+    # a margin whose expected draws stay under 1e9 still runs (about 3e6 draws here)
+    data = make_xor(150, margin=0.99, seed=3)
+    assert len(data) == 150 and np.all(np.abs(data.X[:, 0] * data.X[:, 1]) >= 0.99)
 
 
 # --- moons ---

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvm_boost.boosted_qsvm import (
     STOP_PERFECT,
@@ -201,10 +203,11 @@ def test_baseline_linear_ignores_gamma():
     ((), (1.0,), (1.0,), "kernels"),
     (("rbf", "linear"), (), (1.0,), "Cs"),
     (("rbf",), (1.0,), (), "gammas"),
+    (("rbf", "linear"), (1.0,), (), "gammas"),  # rbf needs gammas also beside linear
 ])
 def test_baseline_rejects_empty_grid(kernels, Cs, gammas, empty):
     split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
-    with pytest.raises(ValueError, match=f"no {empty} given"):
+    with pytest.raises(ValueError, match=f"^baseline_{empty} must not be empty$"):
         classical_svm_baseline(split, kernels, Cs, gammas)
 
 
@@ -412,7 +415,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(split_sizes=(100, 100, 100), n_points=150)
     for sizes in ([0, 50, 50], [50, 0, 50], [50, 50, 0], [-1, 50, 50]):
-        with pytest.raises(ValueError, match="split sizes must be at least 1"):
+        with pytest.raises(ValueError, match="cannot generate xor datasets: every split needs at least one"):
             config_from_dict({"split_sizes": sizes})
 
 
@@ -443,6 +446,8 @@ def test_config_rejects_bad_reps():
     ({"split_sizes": [20.5, 20, 19]}, "split_sizes must be integers"),
     ({"split_sizes": [50, 50, False]}, "split_sizes must be integers"),
     ({"output_dir": 5}, "output_dir must be a path"),
+    # a seed is a non-negative integer, as numpy's SeedSequence takes it
+    ({"master_seed": -1}, "^master_seed must be an integer of at least 0, got -1$"),
 ])
 def test_config_rejects_non_integer_counts(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -502,6 +507,13 @@ def test_config_keeps_numpy_integer_counts():
     ({"baseline_kernels": ["rbf", "linear", "rbf"]},
      re.escape("baseline_kernels must not repeat a name, got ['rbf', 'linear', 'rbf']")),
     ({"baseline_kernels": ["linear", "linear"]}, "baseline_kernels must not repeat a name"),
+    # nor does the family list, which would run one family twice under two seeds
+    ({"families": ["xor", "xor"]}, re.escape("families must not repeat a name, got ['xor', 'xor']")),
+    # each study family's dataset 0 is split at load, so a split that cannot hold both classes fails
+    ({"split_sizes": [1, 50, 50]}, "cannot generate xor datasets: could not produce splits containing both"),
+    # and a family given in dataset_params is generated, also when it is not in families
+    ({"families": ["xor"], "dataset_params": {"moons": {"noise_std": -1}}},
+     "cannot generate moons datasets: noise_std must be nonnegative"),
 ])
 def test_config_rejects_nan(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -521,9 +533,11 @@ def test_config_rejects_empty_baseline_grid(obj, message):
 
 
 @pytest.mark.parametrize("params, message", [
-    ({"moons": {"noise": 0.3}}, "dataset_params for moons"),
-    ({"circles": {"factor": 0.5, "n": 10}}, "dataset_params for circles"),
-    ({"xor": {"seed": 1}}, "dataset_params for xor"),
+    # a key the generator does not take, and n or seed, which the study sets
+    ({"moons": {"noise": 0.3}}, "cannot generate moons datasets: .*unexpected keyword argument 'noise'"),
+    ({"circles": {"factor": 0.5, "n": 10}},
+     "cannot generate circles datasets: .*multiple values for argument 'n'"),
+    ({"xor": {"seed": 1}}, "cannot generate xor datasets: .*multiple values for keyword argument 'seed'"),
     ({"xor": [0.1]}, "dataset_params for xor"),
     ({"blobs": {}}, "unknown family 'blobs'"),
     ({"moons": {"noise_std": -1}}, "cannot generate moons datasets: noise_std must be nonnegative"),
@@ -535,11 +549,69 @@ def test_config_rejects_empty_baseline_grid(obj, message):
     ({"xor": {"margin": False}}, "dataset_params for xor: margin must be a number, got False"),
     ({"circles": {"factor": 0.5, "noise_std": True}},
      "dataset_params for circles: noise_std must be a number, got True"),
+    # a margin that keeps too few draws is refused at once, not drawn for
+    ({"xor": {"margin": 0.999999}}, "cannot generate xor datasets: margin 0.999999 keeps too few"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):
         config_from_dict({"dataset_params": params})
     config_from_dict({"dataset_params": {"moons": {"noise_std": 0.1}, "xor": {}}})
+
+
+# loader inputs from small ranges: a config whose every field is good, and at most one field
+# replaced by a draw that may be bad (negative or NaN numbers, bools, foreign keys, empty or
+# repeated lists, split sizes that do not fit)
+_FAMILIES = sorted(GENERATORS)
+_FAMILY_KEYS = {"xor": "margin", "moons": "noise_std", "circles": "factor"}
+_GOOD_INPUTS = st.fixed_dictionaries({
+    "n_points": st.integers(60, 200),
+    "split_sizes": st.lists(st.integers(2, 20), min_size=3, max_size=3),
+    "families": st.lists(st.sampled_from(_FAMILIES), min_size=1, unique=True),
+    "dataset_params": st.fixed_dictionaries({}, optional={
+        family: st.fixed_dictionaries({key: st.floats(0.05, 0.9)}) for family, key in _FAMILY_KEYS.items()}),
+    "master_seed": st.integers(0, 3),
+    "baseline_kernels": st.lists(st.sampled_from(["rbf", "linear"]), min_size=1, unique=True),
+    "baseline_Cs": st.lists(st.sampled_from([0.1, 1.0, 100.0]), min_size=1, unique=True),
+    "baseline_gammas": st.lists(st.sampled_from([0.001, 0.1, 10.0]), min_size=1, unique=True),
+})
+_VALUES = st.floats(-0.5, 0.9) | st.sampled_from([float("nan"), True])
+_FIELD_DRAWS = {
+    "n_points": st.integers(4, 59),
+    "split_sizes": st.lists(st.integers(0, 60), max_size=4),
+    "families": st.lists(st.sampled_from(_FAMILIES), max_size=4),
+    "dataset_params": st.fixed_dictionaries({}, optional={
+        family: st.fixed_dictionaries({key: _VALUES})
+        | st.dictionaries(st.sampled_from(["n", "seed", "noise"]), _VALUES, min_size=1)
+        for family, key in _FAMILY_KEYS.items()}),
+    "master_seed": st.integers(-1, 3),
+    "baseline_kernels": st.lists(st.sampled_from(["rbf", "linear"]), max_size=3),
+    "baseline_Cs": st.lists(st.sampled_from([0.1, 1.0, 100.0]), max_size=1),
+    "baseline_gammas": st.lists(st.sampled_from([0.001, 0.1, 10.0]), max_size=1),
+}
+_LOADER_INPUTS = st.tuples(_GOOD_INPUTS, st.none() | st.one_of(
+    st.tuples(st.just(name), draw) for name, draw in _FIELD_DRAWS.items())).map(
+    lambda drawn: drawn[0] if drawn[1] is None else {**drawn[0], drawn[1][0]: drawn[1][1]})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_LOADER_INPUTS)
+def test_a_loaded_config_can_generate_split_and_grid(obj):
+    # the loader refuses with a ValueError, or each study family's dataset 0 generates and splits,
+    # a dataset of each other family given a value generates, and every baseline kernel has a cell
+    try:
+        config = config_from_dict(obj)
+    except ValueError:
+        return
+    others = [family for family, params in config.dataset_params.items()
+              if family not in config.families and params != DEFAULT_DATASET_PARAMS[family]]
+    for f, family in enumerate([*config.families, *others]):
+        data = GENERATORS[family](config.n_points, seed=derive_seed(config.master_seed, f, 0, 0),
+                                  **config.dataset_params[family])
+        if family in config.families:
+            split_and_scale(data, config.split_sizes, seed=derive_seed(config.master_seed, f, 0, 1))
+    cells = [(kernel, gamma, C) for kernel in config.baseline_kernels
+             for gamma in (config.baseline_gammas if kernel == "rbf" else [None]) for C in config.baseline_Cs]
+    assert cells and {kernel for kernel, _, _ in cells} == set(config.baseline_kernels)
 
 
 def test_partial_dataset_params_keep_the_other_defaults():
