@@ -17,6 +17,10 @@ _SPLIT_RETRIES = 100
 _SPLIT_NAMES = ("train", "val", "test")
 
 
+class OneClassError(ValueError):
+    """Every label of a dataset is one class: a fault of the draw, not of the parameters."""
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Two-feature samples with binary labels."""
@@ -37,7 +41,7 @@ class LabeledDataset:
         if y.shape != (X.shape[0],):
             raise ValueError("labels must match sample count")
         if set(np.unique(y)) != {0, 1}:
-            raise ValueError("dataset must contain both classes")
+            raise OneClassError("dataset must contain both classes")
 
     def __len__(self) -> int:
         return len(self.y)

@@ -9,6 +9,7 @@ config reproduces its records byte-for-byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -33,7 +34,7 @@ from .boosted_qsvm import (
     result_to_json,
     sorted_reals,
 )
-from .datasets import GENERATORS, SplitDataset, dataset_to_csv, split_and_scale
+from .datasets import GENERATORS, OneClassError, SplitDataset, dataset_to_csv, split_and_scale
 from .kernels import GramCache, linear_gram, rbf_gram
 from .quantum_sim import is_integer
 from .svm_solver import (
@@ -111,22 +112,43 @@ class ExperimentConfig:
                 if isinstance(value, bool):  # a generator would take it as 0 or 1
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         merged = DEFAULT_DATASET_PARAMS | self.dataset_params
-        # each study family's dataset 0 on its own seeds, then one of each other family given a value
-        others = [g for g, p in merged.items() if g not in self.families and p != DEFAULT_DATASET_PARAMS[g]]
-        for f, family in enumerate([*self.families, *others]):
-            try:
-                data = GENERATORS[family](self.n_points, seed=derive_seed(self.master_seed, f, 0, 0),
-                                          **merged[family])
-                if family in self.families:  # a family that never runs is never split
-                    split_and_scale(data, self.split_sizes, seed=derive_seed(self.master_seed, f, 0, 1))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"cannot generate {family} datasets: {exc}") from exc
+        trial = (self.families, self.n_points, self.split_sizes,
+                 tuple((family, tuple(p.items())) for family, p in merged.items()), self.master_seed)
+        try:
+            hash(trial)
+        except TypeError:  # an unhashable parameter value is tried on every load
+            _try_datasets.__wrapped__(*trial)
+        else:
+            _try_datasets(*trial)
         object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
         _baseline_cells(self.baseline_kernels, self.baseline_Cs, self.baseline_gammas)
         if not all(0.1 <= c <= 100 for c in self.baseline_Cs):
             raise ValueError("baseline C values must lie in [0.1, 100]")
         if not all(0.0001 <= g <= 10 for g in self.baseline_gammas):
             raise ValueError("baseline gamma values must lie in [0.0001, 10]")
+
+
+@functools.lru_cache(maxsize=32)
+def _try_datasets(families, n_points, split_sizes, params, master_seed) -> None:
+    """Generate and split each study family's dataset 0 on the seeds ``run_experiment`` gives it,
+    then generate one dataset of each other family given a non-default value.
+
+    ``params`` holds each family's merged parameters as ``(family, items)`` pairs. A
+    generator's or the split's error is raised as ``cannot generate <family> datasets``;
+    a family the study never runs is not split, and a one-class draw of it is no fault of
+    its parameters. Memoized on its inputs, so a ``dataclasses.replace`` of a loaded
+    config does not try again; a refused config raises on every attempt.
+    """
+    merged = {family: dict(items) for family, items in params}
+    others = [g for g, p in merged.items() if g not in families and p != DEFAULT_DATASET_PARAMS[g]]
+    for f, family in enumerate([*families, *others]):
+        try:
+            data = GENERATORS[family](n_points, seed=derive_seed(master_seed, f, 0, 0), **merged[family])
+            if family in families:
+                split_and_scale(data, split_sizes, seed=derive_seed(master_seed, f, 0, 1))
+        except (ValueError, TypeError) as exc:
+            if family in families or not isinstance(exc, OneClassError):
+                raise ValueError(f"cannot generate {family} datasets: {exc}") from exc
 
 
 @dataclass(frozen=True)

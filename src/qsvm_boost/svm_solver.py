@@ -11,13 +11,21 @@ first-index tie-breaking, so training is deterministic.
 One solver fits every problem. ``train_weighted_svms`` takes the (Gram, C)
 problems of a grid search, which share labels and weights, and runs their
 SMO loops in lock-step: each step picks every row's pair with a few numpy
-calls over (rows, n) arrays, takes each row's two-variable step in Python
-floats, and adds the K-row updates of all rows at once. A finished row,
-converged or stuck, leaves the working arrays at the top of a pass; a stuck
-step leaves ``alpha`` and ``u`` as they were, so every row takes exactly the
-steps, and gives exactly the bits, of a fit of its problem alone. A Gram with
-a non-finite entry is refused. ``train_weighted_svm`` is the same solver
-called with one problem.
+calls over (rows, n) arrays, takes every row's two-variable step in one
+numpy ``_pair_steps`` over (rows,) arrays, and adds the K-row updates of all
+rows at once. A finished row, converged or stuck, leaves the working arrays
+at the top of a pass; a stuck step leaves ``alpha`` and ``u`` as they were.
+Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in a 1-D loop
+that starts from its ``alpha``, ``u``, last step and remaining passes and
+takes the scalar ``_pair_step``; ``train_weighted_svm``, the same solver
+called with one problem, runs only that loop.
+
+Every row takes exactly the steps, and gives exactly the bits (the sign of
+zero included), of a fit of its problem alone: both loops pick each pair by
+a first-index argmax over the same values, and ``_pair_steps`` repeats
+``_pair_step``'s float operations in order, with each ``max``/``min`` kept to
+Python's tie rule (``_max``, ``_min``). A Gram with a non-finite entry is
+refused.
 """
 from __future__ import annotations
 
@@ -29,6 +37,9 @@ import numpy as np
 from .kernels import GramMatrix
 
 _ETA_FLOOR = 1e-12
+# at most this many live rows finish one by one: a lock-step pass over a few rows costs
+# more than their 1-D passes (R sweep in BENCH_row_tail.json: 4 to 12 rows tie)
+_TAIL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,8 @@ def _smo_lockstep(
     last step left ``a_j`` unchanged (stuck) or after ``max_passes`` steps.
     Finished rows are copied out and dropped from the working arrays at the
     top of a pass where some row finishes; the Gram stack is never copied.
+    Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
+    ``_smo_row``, from its own ``alpha``, ``u``, last step and remaining passes.
 
     Returns the final ``alpha`` and ``u`` (u_k = sum_l alpha_l t_l K_lk) of
     every row, and whether it converged.
@@ -183,6 +196,7 @@ def _smo_lockstep(
     live = np.arange(rows)
     alpha, u, box = np.zeros((rows, n)), np.zeros((rows, n)), upper
     k_base = (gram_of * n)[:, None]
+    moved = np.ones(rows)  # no row has stuck before its first step
 
     def bases(count):
         r = np.arange(count)[:, None]
@@ -197,8 +211,8 @@ def _smo_lockstep(
         converged[live[done]] = ok
         return [a[~done] for a in (live, alpha, u, box, k_base, *step_arrays)]
 
-    stalled = False
-    for _ in range(settings.max_passes):
+    passes = 0
+    while live.size > _TAIL_ROWS and passes < settings.max_passes:
         below = alpha < box
         above = alpha > 0.0
         candidates = np.where(below_picks, below[:, None], above[:, None])
@@ -210,31 +224,64 @@ def _smo_lockstep(
         flat = ij + pair_base
         best = values.take(flat)
         gap = best[:, 0] + best[:, 1]
-        if stalled or not (gap > tol).all():
+        if not (gap > tol).all() or not moved.all():
             ok = gap <= tol  # a side with no candidate gives gap -inf
-            done = ok | (moved == 0.0) if stalled else ok
-            if done.any():
-                live, alpha, u, box, k_base, ij, gap = finish(done, ok[done], ij, gap)
-                if not live.size:
-                    break
-                row_base, pair_base = bases(live.size)
-                flat = ij + pair_base
+            done = ok | (moved == 0.0)
+            live, alpha, u, box, k_base, moved, ij, gap = finish(done, ok[done], moved, ij, gap)
+            if live.size <= _TAIL_ROWS:
+                break  # the tail takes this pass again, row by row
+            row_base, pair_base = bases(live.size)
+            flat = ij + pair_base
 
         cell = ij + row_base  # a_i, a_j in alpha; C w_i, C w_j in box
         k_pair = k_rows.take(ij + k_base, axis=0)  # (rows, 2, n): K[g, i] and K[g, j]
         # in k_pair, flat points at K_ii and K_jj, and flat[:, 1] - n at K_ij
-        new = np.array([_pair_step(*args) for args in zip(
-            gap.tolist(), alpha.take(cell).tolist(), box.take(cell).tolist(), t.take(ij).tolist(),
-            k_pair.take(flat).tolist(), k_pair.take(flat[:, 1] - n).tolist(),
-        )])
-        alpha.put(cell, new[:, :2])
-        u += new[:, 2:3] * k_pair[:, 0]
-        u += new[:, 3:4] * k_pair[:, 1]
-        moved = new[:, 3]  # delta_j t_j: 0.0 where a_j, and so alpha and u, did not change
-        stalled = not moved.all()
-    else:
-        finish(np.ones(live.size, dtype=bool), False)  # out of passes
+        ai, aj, ci, cj = _pair_steps(gap, alpha.take(cell), box.take(cell), t.take(ij),
+                                     k_pair.take(flat), k_pair.take(flat[:, 1] - n))
+        alpha.put(cell, np.stack([ai, aj], 1))
+        u += ci[:, None] * k_pair[:, 0]
+        u += cj[:, None] * k_pair[:, 1]
+        moved = cj  # delta_j t_j: 0.0 where a_j, and so alpha and u, did not change
+        passes += 1
+
+    alpha_out[live], u_out[live] = alpha, u
+    for r, row in enumerate(live.tolist()):
+        converged[row] = _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
+                                  moved.item(r), settings.max_passes - passes, tol, below_picks)
     return alpha_out, u_out, converged
+
+
+def _smo_row(K, t, box, alpha, u, moved, passes, tol, below_picks) -> bool:
+    """Finish one row alone: the lock-step pass on (n,) arrays, with the scalar step.
+
+    Updates ``alpha`` and ``u`` in place from where the batch left them and
+    runs at most ``passes`` more passes; ``moved`` is the row's last
+    ``delta_j t_j``. Returns whether the row converged.
+    """
+    values = np.empty((2, len(t)))  # as in the batch: neg_e over up candidates, -neg_e over low ones
+    # which entries are not (up, low) candidates; a step changes only columns i and j
+    off = np.where(below_picks, alpha >= box, alpha <= 0.0)
+    pos = (t > 0).tolist()
+    for _ in range(passes):
+        np.subtract(t, u, out=values[0])
+        np.negative(values[0], out=values[1])
+        np.copyto(values, -np.inf, where=off)
+        i, j = values.argmax(1).tolist()
+        gap = values.item(0, i) + values.item(1, j)
+        if gap <= tol:
+            return True
+        if moved == 0.0:
+            return False
+        upper_i, upper_j = box.item(i), box.item(j)
+        ai, aj, ci, moved = _pair_step(gap, (alpha.item(i), alpha.item(j)), (upper_i, upper_j),
+                                       (t.item(i), t.item(j)), (K.item(i, i), K.item(j, j)), K.item(i, j))
+        alpha[i], alpha[j] = ai, aj
+        for k, a, upper in ((i, ai, upper_i), (j, aj, upper_j)):
+            full, empty = a >= upper, a <= 0.0
+            off[0, k], off[1, k] = (full, empty) if pos[k] else (empty, full)
+        u += ci * K[i]
+        u += moved * K[j]
+    return False
 
 
 def _pair_step(gap, a, box, t, k_diag, k_ij):
@@ -261,6 +308,40 @@ def _pair_step(gap, a, box, t, k_diag, k_ij):
         aj_new = lo if tj > 0 else hi
     delta_j = aj_new - aj
     ai_new = min(upper_i, max(0.0, ai - ti * tj * delta_j))
+    return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
+
+
+def _max(first, x):
+    """Python's ``max(first, x)`` elementwise: ``first`` unless ``x`` is larger.
+
+    np.maximum returns its second argument on a tie, so it would give -0.0
+    where ``max(0.0, -0.0)`` gives 0.0.
+    """
+    return np.where(x > first, x, first)
+
+
+def _min(first, x):
+    """Python's ``min(first, x)`` elementwise: ``first`` unless ``x`` is smaller."""
+    return np.where(x < first, x, first)
+
+
+def _pair_steps(gap, a, box, t, k_diag, k_ij):
+    """``_pair_step`` on a batch of rows, bit for bit.
+
+    Every argument and each of the four results gains a leading rows axis. The
+    arithmetic is the scalar step's, operation for operation, and each branch
+    is an ``np.where``; a flat row divides by 1.0, and its quotient is dropped.
+    """
+    (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a.T, box.T, t.T, k_diag.T
+    same = ti == tj
+    lo = _max(0.0, np.where(same, ai + aj - upper_i, aj - ai))
+    hi = _min(upper_j, np.where(same, ai + aj, upper_i + aj - ai))
+    eta = k_ii + k_jj - 2.0 * k_ij
+    steep = eta > _ETA_FLOOR
+    aj_new = _min(hi, _max(lo, aj - tj * gap / np.where(steep, eta, 1.0)))
+    aj_new = np.where(steep, aj_new, np.where(tj > 0, lo, hi))
+    delta_j = aj_new - aj
+    ai_new = _min(upper_i, _max(0.0, ai - ti * tj * delta_j))
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 

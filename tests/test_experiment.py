@@ -3,12 +3,14 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsvm_boost import experiment
 from qsvm_boost.boosted_qsvm import (
     STOP_PERFECT,
     GridSpec,
@@ -17,7 +19,14 @@ from qsvm_boost.boosted_qsvm import (
     grid_search_best,
     initial_weights,
 )
-from qsvm_boost.datasets import GENERATORS, dataset_from_csv, make_moons, split_and_scale
+from qsvm_boost.datasets import (
+    GENERATORS,
+    OneClassError,
+    dataset_from_csv,
+    make_moons,
+    make_xor,
+    split_and_scale,
+)
 from qsvm_boost.experiment import (
     DEFAULT_DATASET_PARAMS,
     MODEL_BASELINE,
@@ -551,6 +560,8 @@ def test_config_rejects_empty_baseline_grid(obj, message):
      "dataset_params for circles: noise_std must be a number, got True"),
     # a margin that keeps too few draws is refused at once, not drawn for
     ({"xor": {"margin": 0.999999}}, "cannot generate xor datasets: margin 0.999999 keeps too few"),
+    # an unhashable value cannot key the trial's memo and is tried afresh
+    ({"xor": {"margin": [0.1]}}, "cannot generate xor datasets: '<=' not supported"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):
@@ -597,7 +608,8 @@ _LOADER_INPUTS = st.tuples(_GOOD_INPUTS, st.none() | st.one_of(
 @given(_LOADER_INPUTS)
 def test_a_loaded_config_can_generate_split_and_grid(obj):
     # the loader refuses with a ValueError, or each study family's dataset 0 generates and splits,
-    # a dataset of each other family given a value generates, and every baseline kernel has a cell
+    # a dataset of each other family given a value generates or comes out one class, and every
+    # baseline kernel has a cell
     try:
         config = config_from_dict(obj)
     except ValueError:
@@ -605,13 +617,53 @@ def test_a_loaded_config_can_generate_split_and_grid(obj):
     others = [family for family, params in config.dataset_params.items()
               if family not in config.families and params != DEFAULT_DATASET_PARAMS[family]]
     for f, family in enumerate([*config.families, *others]):
-        data = GENERATORS[family](config.n_points, seed=derive_seed(config.master_seed, f, 0, 0),
-                                  **config.dataset_params[family])
+        try:
+            data = GENERATORS[family](config.n_points, seed=derive_seed(config.master_seed, f, 0, 0),
+                                      **config.dataset_params[family])
+        except OneClassError:
+            assert family in others
+            continue
         if family in config.families:
             split_and_scale(data, config.split_sizes, seed=derive_seed(config.master_seed, f, 0, 1))
     cells = [(kernel, gamma, C) for kernel in config.baseline_kernels
              for gamma in (config.baseline_gammas if kernel == "rbf" else [None]) for C in config.baseline_Cs]
     assert cells and {kernel for kernel, _, _ in cells} == set(config.baseline_kernels)
+
+
+@pytest.mark.parametrize("master_seed", [175, 210])
+def test_a_one_class_draw_of_a_family_that_never_runs_is_no_fault(master_seed):
+    # at n = 8 this xor draw comes out one class; the study runs only moons
+    obj = {"families": ["moons"], "n_points": 8, "split_sizes": [2, 2, 2],
+           "dataset_params": {"xor": {"margin": 0.1}}, "master_seed": master_seed}
+    with pytest.raises(OneClassError):
+        make_xor(8, margin=0.1, seed=derive_seed(master_seed, 1, 0, 0))
+    assert config_from_dict(obj).dataset_params["xor"] == {"margin": 0.1}
+    # a value the generator refuses is still refused for a family that never runs
+    with pytest.raises(ValueError, match=r"^cannot generate xor datasets: margin must lie in \[0, 1\), got 2$"):
+        config_from_dict({**obj, "dataset_params": {"xor": {"margin": 2}}})
+
+
+def test_replace_does_not_try_the_datasets_again(monkeypatch):
+    config = config_from_dict({"families": ["moons", "circles"], "dataset_params": {"xor": {"margin": 0.2}},
+                               "master_seed": 31})
+    calls = []
+
+    def counting(family, generate):
+        def wrapped(*args, **kwargs):
+            calls.append(family)
+            return generate(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(experiment, "GENERATORS", {f: counting(f, g) for f, g in GENERATORS.items()})
+    assert replace(config, output_dir="elsewhere").output_dir == "elsewhere"
+    assert calls == []
+    replace(config, master_seed=32)  # new trial inputs: tried again
+    assert calls == ["moons", "circles", "xor"]
+    # a refused config is not remembered: it raises, and tries, on every attempt
+    for attempt in (1, 2):
+        with pytest.raises(ValueError, match="cannot generate xor datasets: margin must lie in"):
+            replace(config, dataset_params={"xor": {"margin": 1.5}})
+        assert calls.count("xor") == 1 + attempt
 
 
 def test_partial_dataset_params_keep_the_other_defaults():

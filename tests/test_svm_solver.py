@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qsvm_boost import svm_solver
 from qsvm_boost.boosted_qsvm import GridSpec, initial_weights, update_weights
 from qsvm_boost.datasets import make_moons, split_and_scale
 from qsvm_boost.kernels import gram_matrix, rbf_gram
@@ -286,7 +289,9 @@ def exit_reason(model, gram, labels, C, weights, settings) -> str:
     return "stuck" if np.array_equal(shorter.dual_coefs, model.dual_coefs) else "max_passes"
 
 
-@pytest.mark.parametrize("max_passes", [300, DEFAULT_SETTINGS.max_passes])
+# at 300 passes every row that leaves by the budget leaves the batch; at 3000 boosted rows
+# leave the lone-row loop by every exit (test_every_exit_is_taken_in_the_batch_and_alone)
+@pytest.mark.parametrize("max_passes", [300, 3000, DEFAULT_SETTINGS.max_passes])
 @pytest.mark.parametrize("weighting", ["unit", "boosted"])
 def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes):
     grams, labels, Cs = moons_grid
@@ -332,3 +337,78 @@ def test_batch_shares_checks_and_degenerate_shortcut():
         train_weighted_svms([grams[0], np.eye(5)], labels, [1.0])
     with pytest.raises(ValueError, match="C must be positive"):
         train_weighted_svms(grams, labels, [1.0, 0.0])
+
+
+def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
+    # a row leaves the lock-step batch, or the lone-row loop once few rows are live, by
+    # converging (kkt), by a step that left a_j where it was (stuck) or by its budget
+    grams, labels, Cs = moons_grid
+    pair_step, smo_row = svm_solver._pair_step, svm_solver._smo_row
+    steps, alone = [0], []
+
+    def counted_step(*args):
+        steps[0] += 1
+        return pair_step(*args)
+
+    def recorded_row(K, t, box, alpha, u, moved, passes, *rest):
+        steps[0] = 0
+        ok = smo_row(K, t, box, alpha, u, moved, passes, *rest)
+        alone.append("kkt" if ok else "batch budget" if passes == 0
+                     else "max_passes" if steps[0] == passes else "stuck")
+        return ok
+
+    monkeypatch.setattr(svm_solver, "_pair_step", counted_step)
+    monkeypatch.setattr(svm_solver, "_smo_row", recorded_row)
+    misclassified = np.random.default_rng(0).random(len(labels)) < 0.3
+    boosted = update_weights(initial_weights(len(labels)), misclassified, math.log(3.0))
+    in_batch, in_loop = set(), set()
+    for weights, max_passes in [(None, 300), (boosted, 300), (boosted, 3000)]:
+        alone.clear()
+        models = train_weighted_svms(grams, labels, Cs, weights, replace(DEFAULT_SETTINGS, max_passes=max_passes))
+        converged = sum(model.converged for model in models)
+        # a row still live when the batch spends its budget reaches the loop with no pass left
+        budget = alone.count("batch budget")
+        in_loop |= set(alone) - {"batch budget"}
+        in_batch |= {reason for reason, count in [
+            ("kkt", converged - alone.count("kkt")),
+            ("stuck", len(models) - converged - budget - alone.count("stuck") - alone.count("max_passes")),
+            ("max_passes", budget),
+        ] if count > 0}
+    assert in_batch == in_loop == {"kkt", "stuck", "max_passes"}
+
+
+# the scalar step's inputs, drawn from few values so that its max and min calls tie, with
+# +-0.0 among them: Python's max and min keep their first argument on a tie, np.maximum and
+# np.minimum their second, and on a signed zero the two differ
+_STEP_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 4.0)
+_KERNEL_VALUES = st.sampled_from([0.0, 1e-12, 5e-13, 2e-12, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+_STEP_ROWS = st.lists(st.tuples(
+    st.sampled_from([1e-3, 0.5, 1.0, 2.0]) | st.floats(1e-3, 8.0),  # gap
+    st.tuples(_STEP_VALUES, _STEP_VALUES),  # a_i, a_j
+    st.tuples(_STEP_VALUES, _STEP_VALUES),  # C w_i, C w_j
+    st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+    st.tuples(_KERNEL_VALUES, _KERNEL_VALUES),  # K_ii, K_jj
+    _KERNEL_VALUES,  # K_ij
+), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_STEP_ROWS)
+@example([
+    (1.0, (0.0, -0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0), 0.0),  # lo = max(0.0, -0.0)
+    (1.0, (0.0, -0.0), (-0.0, 0.0), (1.0, -1.0), (1.0, 1.0), 0.0),  # hi = min(0.0, -0.0)
+    (1.0, (-0.0, -0.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), 0.0),  # hi = a_i + a_j = -0.0
+    (2.0, (0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0), 0.0),  # a_j clipped at hi
+    (1.0, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0), 0.0),  # zero-weight boxes
+    (1.0, (0.5, 0.5), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), 1.0),  # eta == 0
+    (1.0, (0.5, 0.5), (1.0, 1.0), (-1.0, 1.0), (1e-12, 0.0), 0.0),  # eta == the floor
+    (1.0, (0.5, 0.5), (1.0, 1.0), (1.0, -1.0), (0.0, 0.0), 1.0),  # eta < 0
+])
+def test_pair_steps_match_the_scalar_step_bit_for_bit(rows):
+    # a flat row must not divide by its eta: a RuntimeWarning fails the test
+    gap, a, box, t, k_diag, k_ij = (np.array(column, dtype=float) for column in zip(*rows))
+    batch = svm_solver._pair_steps(gap, a, box, t, k_diag, k_ij)
+    scalar = np.array([svm_solver._pair_step(*row) for row in rows]).T
+    for got, want in zip(batch, scalar):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
