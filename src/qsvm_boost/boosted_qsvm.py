@@ -258,8 +258,8 @@ def fit_boosted(
     feature maps or reaching max_rounds also stops.
     """
     grid = grid if grid is not None else GridSpec()
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    if not (is_integer(max_rounds) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be a positive integer, got {max_rounds!r}")
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y_train = np.asarray(y_train)
     cache = cache if cache is not None else GramCache()

@@ -8,37 +8,36 @@ box bound C*w_i, the sample-weight semantics of the classical SVC this
 mirrors. Working-set selection is the maximal violating pair with
 first-index tie-breaking, so training is deterministic.
 
-One solver fits every problem. ``train_weighted_svms`` takes the (Gram, C)
-problems of a grid search, which share labels and weights, and runs their
-SMO loops in lock-step: each step picks every row's pair with a few numpy
-calls over (rows, n) arrays, takes every row's two-variable step in one
-numpy ``_pair_steps`` over (rows,) arrays, and adds the K-row updates of all
-rows at once. A finished row, converged or stuck, leaves the working arrays
-at the top of a pass; a stuck step leaves ``alpha`` and ``u`` as they were.
-Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in a 1-D loop
-that starts from its ``alpha``, ``u``, last step and remaining passes and
-takes the scalar ``_pair_step``; ``train_weighted_svm``, the same solver
-called with one problem, runs only that loop.
+One solver fits every problem. ``train_weighted_svms`` runs the (Gram, C)
+problems of a grid search, which share labels and weights, in lock-step:
+each pass picks every row's pair in ``_pick`` (masks from two comparisons,
+-inf written off them into one two-sided buffer, one argmax), takes every
+row's step in ``_pair_steps`` over (rows,) arrays and adds all K-row updates
+at once. A finished row, converged or stuck, leaves at the top of a pass.
+Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
+``_smo_row`` with the scalar ``_pair_step``; ``train_weighted_svm`` runs
+only that loop.
 
 Every row takes exactly the steps, and gives exactly the bits (the sign of
-zero included), of a fit of its problem alone: both loops pick each pair by
-a first-index argmax over the same values, and ``_pair_steps`` repeats
-``_pair_step``'s float operations in order, with each ``max``/``min`` kept to
-Python's tie rule (``_max``, ``_min``). A Gram with a non-finite entry is
-refused.
+zero included), of a fit of its problem alone: every pick is a first-index
+argmax over the same values, and ``_pair_steps`` repeats ``_pair_step``'s
+float operations in order, its clips keeping Python's ``max``/``min`` tie
+rule. A Gram with a non-finite entry is refused.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import GramMatrix
+from .quantum_sim import is_integer
 
 _ETA_FLOOR = 1e-12
 # at most this many live rows finish one by one: a lock-step pass over a few rows costs
-# more than their 1-D passes (R sweep in BENCH_row_tail.json: 4 to 12 rows tie)
+# more than their 1-D passes (replay sweep in BENCH_lean_pass.json: 6 to 10 tie, 2 and 16 lose)
 _TAIL_ROWS = 8
 
 
@@ -48,10 +47,10 @@ class SolverSettings:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0:
-            raise ValueError("kkt_tolerance must be positive")
-        if self.max_passes <= 0:
-            raise ValueError("max_passes must be positive")
+        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
+            raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance!r}")
+        if not (is_integer(self.max_passes) and self.max_passes > 0):
+            raise ValueError(f"max_passes must be a positive integer, got {self.max_passes!r}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -140,148 +139,149 @@ def train_weighted_svms(
         raise ValueError("no training samples with positive weight")
     if effective_classes.size == 1:
         sole = float(2 * int(effective_classes[0]) - 1)
-        return [
-            TrainedSVM(np.zeros(n), sole, C, degenerate=True)
-            for _ in Ks for C in Cs
-        ]
+        return [TrainedSVM(np.zeros(n), sole, C, degenerate=True) for _ in Ks for C in Cs]
 
     t = 2.0 * np.asarray(y, dtype=float) - 1.0
     upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
     gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
     alpha, u, converged = _smo_lockstep(stack, gram_of, t, upper, settings)
-    return [
-        TrainedSVM(
-            dual_coefs=alpha[r] * t,
-            bias=_bias(t, alpha[r], u[r], upper[r]),
-            C=Cs[r % len(Cs)],
-            converged=bool(converged[r]),
-        )
-        for r in range(len(gram_of))
-    ]
+    return [TrainedSVM(alpha[r] * t, _bias(t, alpha[r], u[r], upper[r]), Cs[r % len(Cs)], bool(converged[r]))
+            for r in range(len(gram_of))]
 
 
-def _smo_lockstep(
-    stack: np.ndarray,
-    gram_of: np.ndarray,
-    t: np.ndarray,
-    upper: np.ndarray,
-    settings: SolverSettings,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _smo_lockstep(stack, gram_of, t, upper, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
 
-    Every row starts at step 0 and picks its pair by first-index argmax over
-    its up candidates and argmin over its low ones. A row stops when it has
-    no violating pair or its gap is within tolerance (converged), when its
-    last step left ``a_j`` unchanged (stuck) or after ``max_passes`` steps.
-    Finished rows are copied out and dropped from the working arrays at the
-    top of a pass where some row finishes; the Gram stack is never copied.
-    Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
-    ``_smo_row``, from its own ``alpha``, ``u``, last step and remaining passes.
-
-    Returns the final ``alpha`` and ``u`` (u_k = sum_l alpha_l t_l K_lk) of
-    every row, and whether it converged.
+    A row stops when it has no violating pair or its gap is within tolerance
+    (converged), when its last step left ``a_j`` unchanged (stuck) or after
+    ``max_passes`` steps. Finished rows leave the working arrays at the top of
+    a pass; the Gram stack is never copied. Once at most ``_TAIL_ROWS`` rows
+    are live, each finishes alone in ``_smo_row`` from its own ``alpha``,
+    ``u``, last step and remaining passes. Returns every row's final ``alpha``
+    and ``u`` (u_k = sum_l alpha_l t_l K_lk), and whether it converged.
     """
     n_grams, n, _ = stack.shape
     rows = len(gram_of)
     alpha_out, u_out = np.zeros((rows, n)), np.zeros((rows, n))
     converged = np.zeros(rows, dtype=bool)
     k_rows = stack.reshape(n_grams * n, n)  # row g*n + i is K[g, i]
-    pos = t > 0
-    # up candidates take alpha < upper where t > 0 and alpha > 0 where t < 0; low ones the reverse
-    below_picks = np.stack([pos, ~pos])
-    up_low_sign = np.array([[1.0], [-1.0]])
     tol = settings.kkt_tolerance
 
     # working set: one entry per unfinished row
     live = np.arange(rows)
     alpha, u, box = np.zeros((rows, n)), np.zeros((rows, n)), upper
-    k_base = (gram_of * n)[:, None]
+    k_base = gram_of * n
     moved = np.ones(rows)  # no row has stuck before its first step
+    # every row's labels and the pick's buffers, of which m live rows use the first m rows
+    t_rows, neg_rows = np.tile(t, (rows, 1)), np.tile(t < 0, (rows, 1))
+    value_buf, off_buf = np.empty(2 * rows * n), np.empty(2 * rows * n, dtype=bool)
 
-    def bases(count):
-        r = np.arange(count)[:, None]
-        return r * n, r * (2 * n) + np.array([0, n])
-
-    row_base, pair_base = bases(rows)
+    def scratch(m):
+        return (t_rows[:m], neg_rows[:m], value_buf[:2 * m * n].reshape(2, m, n),
+                off_buf[:2 * m * n].reshape(2, m, n), np.arange(0, 2 * m * n, n).reshape(2, m))
 
     def finish(done, ok, *step_arrays):
         """Copy the finished rows out; the rest of every working and per-step array."""
         alpha_out[live[done]] = alpha[done]
         u_out[live[done]] = u[done]
         converged[live[done]] = ok
-        return [a[~done] for a in (live, alpha, u, box, k_base, *step_arrays)]
+        keep = ~done
+        return [a[keep] for a in (live, alpha, u, box, k_base)] + [a[..., keep] for a in step_arrays]
 
+    t_m, neg_m, values, off, base = scratch(rows)
     passes = 0
     while live.size > _TAIL_ROWS and passes < settings.max_passes:
-        below = alpha < box
-        above = alpha > 0.0
-        candidates = np.where(below_picks, below[:, None], above[:, None])
-        # [:, 0] is neg_e over up candidates, [:, 1] is -neg_e over low candidates, so one
-        # first-index argmax gives i = argmax up and j = argmin low, and
-        # gap = neg_e[i] - neg_e[j] = best[:, 0] + best[:, 1] exactly
-        values = np.where(candidates, (t - u)[:, None] * up_low_sign, -np.inf)
-        ij = values.argmax(2)
-        flat = ij + pair_base
-        best = values.take(flat)
-        gap = best[:, 0] + best[:, 1]
+        ij, gap = _pick(t_m, neg_m, alpha, u, box, values, off, base)
         if not (gap > tol).all() or not moved.all():
             ok = gap <= tol  # a side with no candidate gives gap -inf
             done = ok | (moved == 0.0)
             live, alpha, u, box, k_base, moved, ij, gap = finish(done, ok[done], moved, ij, gap)
             if live.size <= _TAIL_ROWS:
                 break  # the tail takes this pass again, row by row
-            row_base, pair_base = bases(live.size)
-            flat = ij + pair_base
+            t_m, neg_m, values, off, base = scratch(live.size)
 
-        cell = ij + row_base  # a_i, a_j in alpha; C w_i, C w_j in box
-        k_pair = k_rows.take(ij + k_base, axis=0)  # (rows, 2, n): K[g, i] and K[g, j]
-        # in k_pair, flat points at K_ii and K_jj, and flat[:, 1] - n at K_ij
+        # (2, m) flat indices: a_i, a_j in alpha and C w_i, C w_j in box; in k_pair, K_ii and
+        # K_jj, with K_ij at cell[1]
+        cell, flat = ij + base[0], ij + base
+        k_pair = k_rows.take(ij + k_base, axis=0)  # (2, m, n): K[g, i] and K[g, j]
         ai, aj, ci, cj = _pair_steps(gap, alpha.take(cell), box.take(cell), t.take(ij),
-                                     k_pair.take(flat), k_pair.take(flat[:, 1] - n))
-        alpha.put(cell, np.stack([ai, aj], 1))
-        u += ci[:, None] * k_pair[:, 0]
-        u += cj[:, None] * k_pair[:, 1]
+                                     k_pair.take(flat), k_pair.take(cell[1]))
+        alpha.put(cell[0], ai)
+        alpha.put(cell[1], aj)
+        u += ci[:, None] * k_pair[0]
+        u += cj[:, None] * k_pair[1]
         moved = cj  # delta_j t_j: 0.0 where a_j, and so alpha and u, did not change
         passes += 1
 
     alpha_out[live], u_out[live] = alpha, u
     for r, row in enumerate(live.tolist()):
         converged[row] = _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
-                                  moved.item(r), settings.max_passes - passes, tol, below_picks)
+                                  moved.item(r), settings.max_passes - passes, tol)
     return alpha_out, u_out, converged
 
 
-def _smo_row(K, t, box, alpha, u, moved, passes, tol, below_picks) -> bool:
+def _pick(t, neg, alpha, u, box, values, off, base):
+    """Every row's maximal violating pair: ``ij`` (2, rows), i over up and j over low, and the gap.
+
+    ``t`` and ``neg`` (``t < 0``) are the labels tiled to (rows, n); ``values``
+    and ``off`` are contiguous (2, rows, n) scratch with (2, rows) flat row
+    offsets ``base``. An up candidate has alpha < C w where t > 0 and alpha > 0
+    where t < 0, a low one the reverse; ``off`` marks the rest. ``values`` is
+    neg_e = t - u on the up side and -neg_e on the low side, -inf off the
+    candidates, so one first-index argmax gives i = argmax up, j = argmin low
+    and gap = neg_e[i] - neg_e[j] exactly; a side with no candidate gives -inf.
+    """
+    full, empty = off
+    np.greater_equal(alpha, box, out=full)
+    np.less_equal(alpha, 0.0, out=empty)
+    flip = full ^ empty
+    flip &= neg
+    off ^= flip  # where t < 0, up is off when empty and low when full
+    np.subtract(t, u, out=values[0])
+    np.negative(values[0], out=values[1])
+    np.copyto(values, -np.inf, where=off)
+    ij = values.argmax(-1)
+    best = values.take(ij + base)
+    return ij, best[0] + best[1]
+
+
+def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> bool:
     """Finish one row alone: the lock-step pass on (n,) arrays, with the scalar step.
 
     Updates ``alpha`` and ``u`` in place from where the batch left them and
     runs at most ``passes`` more passes; ``moved`` is the row's last
     ``delta_j t_j``. Returns whether the row converged.
+
+    ``sides`` stacks t on the up candidates (-inf elsewhere), u, and t on the
+    low ones (+inf elsewhere), so ``sides[:2] - sides[1:]`` is ``_pick``'s
+    values in one subtraction: u - t is -neg_e but for the sign of an exact
+    zero, which moves neither j nor the gap's bits. A step changes sides at i, j.
     """
-    values = np.empty((2, len(t)))  # as in the batch: neg_e over up candidates, -neg_e over low ones
-    # which entries are not (up, low) candidates; a step changes only columns i and j
-    off = np.where(below_picks, alpha >= box, alpha <= 0.0)
-    pos = (t > 0).tolist()
+    n = len(t)
+    values, off = np.empty((2, n)), np.empty((2, n), dtype=bool)
+    _pick(t, t < 0, alpha, u, box, values, off, np.array([0, n]))
+    sides = np.stack([np.where(off[0], -np.inf, t), u, np.where(off[1], np.inf, t)])
+    ends, starts, row_u = sides[:2], sides[1:], sides[1]
+    a, upper, labels, k_diag = alpha.tolist(), box.tolist(), t.tolist(), K.diagonal().tolist()
+    k_rows = list(K)
+    converged = False
     for _ in range(passes):
-        np.subtract(t, u, out=values[0])
-        np.negative(values[0], out=values[1])
-        np.copyto(values, -np.inf, where=off)
+        np.subtract(ends, starts, out=values)
         i, j = values.argmax(1).tolist()
         gap = values.item(0, i) + values.item(1, j)
-        if gap <= tol:
-            return True
-        if moved == 0.0:
-            return False
-        upper_i, upper_j = box.item(i), box.item(j)
-        ai, aj, ci, moved = _pair_step(gap, (alpha.item(i), alpha.item(j)), (upper_i, upper_j),
-                                       (t.item(i), t.item(j)), (K.item(i, i), K.item(j, j)), K.item(i, j))
-        alpha[i], alpha[j] = ai, aj
-        for k, a, upper in ((i, ai, upper_i), (j, aj, upper_j)):
-            full, empty = a >= upper, a <= 0.0
-            off[0, k], off[1, k] = (full, empty) if pos[k] else (empty, full)
-        u += ci * K[i]
-        u += moved * K[j]
-    return False
+        if gap <= tol or moved == 0.0:
+            converged = gap <= tol
+            break
+        a[i], a[j], ci, moved = _pair_step(gap, (a[i], a[j]), (upper[i], upper[j]), (labels[i], labels[j]),
+                                           (k_diag[i], k_diag[j]), K.item(i, j))
+        for k in (i, j):
+            full, empty = a[k] >= upper[k], a[k] <= 0.0
+            up_off, low_off = (full, empty) if labels[k] > 0 else (empty, full)
+            sides[0, k], sides[2, k] = -np.inf if up_off else labels[k], np.inf if low_off else labels[k]
+        row_u += ci * k_rows[i]
+        row_u += moved * k_rows[j]
+    alpha[:], u[:] = a, row_u
+    return converged
 
 
 def _pair_step(gap, a, box, t, k_diag, k_ij):
@@ -311,37 +311,30 @@ def _pair_step(gap, a, box, t, k_diag, k_ij):
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 
-def _max(first, x):
-    """Python's ``max(first, x)`` elementwise: ``first`` unless ``x`` is larger.
-
-    np.maximum returns its second argument on a tie, so it would give -0.0
-    where ``max(0.0, -0.0)`` gives 0.0.
-    """
-    return np.where(x > first, x, first)
-
-
-def _min(first, x):
-    """Python's ``min(first, x)`` elementwise: ``first`` unless ``x`` is smaller."""
-    return np.where(x < first, x, first)
-
-
 def _pair_steps(gap, a, box, t, k_diag, k_ij):
     """``_pair_step`` on a batch of rows, bit for bit.
 
-    Every argument and each of the four results gains a leading rows axis. The
-    arithmetic is the scalar step's, operation for operation, and each branch
-    is an ``np.where``; a flat row divides by 1.0, and its quotient is dropped.
+    ``a``, ``box``, ``t`` and ``k_diag`` are (2, rows), the rest and each of
+    the four results (rows,). The arithmetic is the scalar step's, operation
+    for operation, each branch an ``np.where``. Python's ``max(first, x)``
+    keeps ``first`` unless ``x`` is larger, and ``np.maximum(x, first)``
+    returns its second argument on a tie, so the two agree on a signed zero
+    (``min`` likewise). Flat rows, if any, divide by 1.0 and drop the quotient.
     """
-    (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a.T, box.T, t.T, k_diag.T
-    same = ti == tj
-    lo = _max(0.0, np.where(same, ai + aj - upper_i, aj - ai))
-    hi = _min(upper_j, np.where(same, ai + aj, upper_i + aj - ai))
+    (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a, box, t, k_diag
+    both, same = ai + aj, ti == tj
+    lo = np.maximum(np.where(same, both - upper_i, aj - ai), 0.0)
+    hi = np.minimum(np.where(same, both, upper_i + aj - ai), upper_j)
     eta = k_ii + k_jj - 2.0 * k_ij
-    steep = eta > _ETA_FLOOR
-    aj_new = _min(hi, _max(lo, aj - tj * gap / np.where(steep, eta, 1.0)))
-    aj_new = np.where(steep, aj_new, np.where(tj > 0, lo, hi))
+    flat = eta <= _ETA_FLOOR
+    some_flat = flat.any()
+    if some_flat:
+        eta = np.where(flat, 1.0, eta)
+    aj_new = np.minimum(np.maximum(aj - tj * gap / eta, lo), hi)
+    if some_flat:
+        aj_new = np.where(flat, np.where(tj > 0, lo, hi), aj_new)
     delta_j = aj_new - aj
-    ai_new = _min(upper_i, _max(0.0, ai - ti * tj * delta_j))
+    ai_new = np.minimum(np.maximum(ai - ti * tj * delta_j, 0.0), upper_i)
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 

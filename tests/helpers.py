@@ -119,6 +119,22 @@ def brute_force_qp(K: np.ndarray, labels: np.ndarray, upper: np.ndarray,
 ETA_FLOOR = 1e-12
 
 
+def reference_pick(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.ndarray) -> tuple:
+    """The oracle's maximal violating pair (i, j, gap) of one state, first index on ties.
+
+    i maximizes neg_e = t - u over the up candidates and j minimizes it over
+    the low ones; gap = neg_e[i] - neg_e[j] is -inf when a side has no candidate.
+    """
+    neg_e = t - u
+    up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
+    low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
+    up_vals = np.where(up_mask, neg_e, -np.inf)
+    low_vals = np.where(low_mask, neg_e, np.inf)
+    i = int(np.argmax(up_vals))
+    j = int(np.argmin(low_vals))
+    return i, j, up_vals[i] - low_vals[j]
+
+
 def reference_smo(
     gram: GramMatrix | np.ndarray,
     labels: np.ndarray,
@@ -164,18 +180,8 @@ def reference_smo(
     converged = False
 
     for _ in range(settings.max_passes):
-        neg_e = t - u
-        up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
-        low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
-        if not up_mask.any() or not low_mask.any():
-            converged = True
-            break
-        up_vals = np.where(up_mask, neg_e, -np.inf)
-        low_vals = np.where(low_mask, neg_e, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        gap = up_vals[i] - low_vals[j]
-        if gap <= tol:
+        i, j, gap = reference_pick(t, alpha, u, upper)
+        if gap <= tol:  # a side with no candidate gives gap -inf
             converged = True
             break
 

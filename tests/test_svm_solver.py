@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsvm_boost import svm_solver
+from qsvm_boost import boosted_qsvm, experiment, svm_solver
 from qsvm_boost.boosted_qsvm import GridSpec, initial_weights, update_weights
 from qsvm_boost.datasets import make_moons, split_and_scale
-from qsvm_boost.kernels import gram_matrix, rbf_gram
+from qsvm_boost.kernels import GramCache, gram_matrix, rbf_gram
 from qsvm_boost.svm_solver import (
     DEFAULT_SETTINGS,
     SolverSettings,
@@ -23,7 +23,7 @@ from qsvm_boost.svm_solver import (
     train_weighted_svm,
     train_weighted_svms,
 )
-from helpers import brute_force_qp, random_psd_kernel, reference_smo
+from helpers import brute_force_qp, random_psd_kernel, reference_pick, reference_smo
 
 TIGHT = SolverSettings(kkt_tolerance=1e-8, max_passes=200_000)
 
@@ -190,6 +190,15 @@ def test_validation_errors():
         train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0, weights=np.zeros(2))
     with pytest.raises(ValueError):
         decision_function(train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0), np.zeros(3))
+    # a float max_passes failed in range() with a TypeError and True ran one pass; a NaN
+    # tolerance never converged and an infinite one "converged" at alpha = 0
+    for bad in (2.5, True, 0, -3):
+        with pytest.raises(ValueError, match="max_passes must be a positive integer"):
+            SolverSettings(max_passes=bad)
+    for bad in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="kkt_tolerance must be positive and finite"):
+            SolverSettings(kkt_tolerance=bad)
+    assert SolverSettings(max_passes=np.int64(5)).max_passes == 5
 
 
 @pytest.mark.parametrize("C, weights, message", [
@@ -320,6 +329,36 @@ def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes):
         assert reasons == {"kkt", "stuck", "max_passes"}
 
 
+def test_batch_matches_scalar_oracle_on_boosting_weights(monkeypatch):
+    # the default study's first moons dataset boosts its boxes to tens of thousands, where
+    # rows run longest alone; every third row of every round, offset by the round, is checked
+    config = experiment.ExperimentConfig()
+    family = config.families.index("moons")
+    data = make_moons(config.n_points, seed=experiment.derive_seed(config.master_seed, family, 0, 0),
+                      **config.dataset_params["moons"])
+    split = split_and_scale(data, config.split_sizes,
+                            seed=experiment.derive_seed(config.master_seed, family, 0, 1))
+    calls, batched = [], boosted_qsvm.train_weighted_svms
+
+    def recorded(grams, labels, Cs, weights):
+        models = batched(grams, labels, Cs, weights)
+        calls.append((grams, labels, Cs, weights, models))
+        return models
+
+    monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", recorded)
+    boosted_qsvm.fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y,
+                             config.grid, config.max_rounds, GramCache())
+    assert len(calls) == 7 and max(Cs[-1] * weights.max() for _, _, Cs, weights, _ in calls) > 4e4
+    for k, (grams, labels, Cs, weights, models) in enumerate(calls):
+        for r in range(k % 3, len(models), 3):
+            expected = reference_smo(grams[r // len(Cs)], labels, Cs[r % len(Cs)], weights)
+            got = models[r]
+            np.testing.assert_array_equal(got.dual_coefs, expected.dual_coefs)
+            np.testing.assert_array_equal(np.signbit(got.dual_coefs), np.signbit(expected.dual_coefs))
+            assert got.bias == expected.bias and np.signbit(got.bias) == np.signbit(expected.bias)
+            assert got.converged == expected.converged
+
+
 def test_batch_shares_checks_and_degenerate_shortcut():
     rng = np.random.default_rng(3)
     grams = [random_psd_kernel(rng, 6) for _ in range(2)]
@@ -406,9 +445,46 @@ _STEP_ROWS = st.lists(st.tuples(
 ])
 def test_pair_steps_match_the_scalar_step_bit_for_bit(rows):
     # a flat row must not divide by its eta: a RuntimeWarning fails the test
-    gap, a, box, t, k_diag, k_ij = (np.array(column, dtype=float) for column in zip(*rows))
+    # a, box, t and k_diag go in as (2, rows)
+    gap, a, box, t, k_diag, k_ij = (np.array(column, dtype=float).T for column in zip(*rows))
     batch = svm_solver._pair_steps(gap, a, box, t, k_diag, k_ij)
     scalar = np.array([svm_solver._pair_step(*row) for row in rows]).T
     for got, want in zip(batch, scalar):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def _pick_states(draw):
+    """(t, alpha, u, box) of a few rows: alpha exactly 0, at its box or inside, zero boxes and +-0 in u."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = st.lists(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),  # C w: zero weights are common
+        st.sampled_from(["zero", "box", "inside"]),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0),  # u: t - u ties and zeros
+    ), min_size=n, max_size=n), min_size=rows, max_size=rows)
+    drawn = draw(cells)
+    box, where, u = (np.array([[cell[k] for cell in row] for row in drawn]) for k in range(3))
+    alpha = np.where(where == "zero", 0.0, np.where(where == "box", box, box / 2))
+    t = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    return t, alpha, u, box
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_pick_states())
+@example((np.array([1.0, -1.0, 1.0]), np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]),  # no up candidate;
+          np.array([[1.0, -0.0, 0.0], [0.0, -0.0, 1.0]]), np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 0.0]])))  # none at all
+@example((np.array([-1.0, -1.0]), np.array([[0.0, 0.0]]), np.array([[0.0, -0.0]]), np.array([[1.0, 1.0]])))  # no up
+@example((np.array([1.0, 1.0, -1.0]), np.array([[0.0, 0.5, 1.0]]), np.array([[1.0, 1.0, -1.0]]),
+          np.array([[1.0, 1.0, 1.0]])))  # neg_e ties at +0.0 on both sides
+def test_pick_matches_the_oracle_masks_bit_for_bit(state):
+    t, alpha, u, box = state
+    rows, n = alpha.shape
+    values, off = np.empty((2, rows, n)), np.empty((2, rows, n), dtype=bool)
+    ij, gap = svm_solver._pick(np.tile(t, (rows, 1)), np.tile(t < 0, (rows, 1)), alpha, u, box,
+                               values, off, np.arange(0, 2 * rows * n, n).reshape(2, rows))
+    for r in range(rows):
+        i, j, want = reference_pick(t, alpha[r], u[r], box[r])
+        assert (ij[0, r], ij[1, r]) == (i, j)
+        assert gap[r] == want
+        assert np.signbit(gap[r]) == np.signbit(want)
