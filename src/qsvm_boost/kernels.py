@@ -2,8 +2,8 @@
 
 The fidelity kernel is k(x, y) = |<phi(x)|phi(y)>|^2, the squared overlap of
 the encoded statevectors, taken pairwise. Each row set is simulated once per
-feature map: :class:`GramCache` keeps train-side states for later Grams on
-those rows. Every kernel's Gram, fidelity, rbf or linear, goes
+Gram pair: :class:`GramCache` hands its last train-side states to the next
+Gram on those rows. Every kernel's Gram, fidelity, rbf or linear, goes
 through one assembly that mirrors a self Gram's upper triangle and stamps
 the kernel's id. :class:`GramCache` memoizes fidelity Grams and grid
 searches; the classical baseline's Grams are built per use.
@@ -87,15 +87,13 @@ class GramCache:
     asks for one twice, so each is built per use.
 
     A fidelity miss keeps the states of its train side (X_a of a self Gram,
-    X_b of a cross Gram), read-only and outside ``len``, per (feature map,
-    rows digest). A self Gram that simulates its rows keeps only theirs, so a
-    grid search holds one entry (0.2 MB for 50 rows at 8 qubits) and a k-round
-    ensemble scoring batch after batch holds k.
+    X_b of a cross Gram), read-only and outside ``len``, for the next Gram on
+    those rows: one entry, about 0.2 MB for 50 rows at 8 qubits.
     """
 
     def __init__(self):
         self._store: dict[tuple, object] = {}
-        self._states: dict[tuple, np.ndarray] = {}  # (feature map, rows digest) -> states
+        self._states: tuple = ((), None)  # ((feature map, rows digest), states)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -117,13 +115,10 @@ class GramCache:
         return self._get(key, lambda: self._build(spec, X_a, X_b, (key[0], key[2] or key[1])))
 
     def _build(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b, states_key: tuple) -> GramMatrix:
-        states = self._states.get(states_key)
-        if states is None:
-            if X_b is None:
-                self._states.clear()
-            states = self._states[states_key] = feature_map_states(spec, X_a if X_b is None else X_b)
-            states.flags.writeable = False
-        return gram_matrix(spec, X_a, X_b, states_b=states)
+        if self._states[0] != states_key:
+            self._states = (states_key, feature_map_states(spec, X_a if X_b is None else X_b))
+            self._states[1].flags.writeable = False
+        return gram_matrix(spec, X_a, X_b, states_b=self._states[1])
 
 
 def export_gram_csv(gram: GramMatrix, path) -> None:

@@ -22,7 +22,7 @@ Every row takes exactly the steps, and gives exactly the bits (the sign of
 zero included), of a fit of its problem alone: every pick is a first-index
 argmax over the same values, and ``_pair_steps`` repeats ``_pair_step``'s
 float operations in order, its clips keeping Python's ``max``/``min`` tie
-rule. A Gram with a non-finite entry is refused.
+rule (``_max``, ``_min``). A Gram with a non-finite entry is refused.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .quantum_sim import is_integer
 
 _ETA_FLOOR = 1e-12
 # at most this many live rows finish one by one: a lock-step pass over a few rows costs
-# more than their 1-D passes (replay sweep in BENCH_lean_pass.json: 6 to 10 tie, 2 and 16 lose)
+# more than their 1-D passes (replay sweep in BENCH_lean_pass.json: 4 to 16 tie, 2 loses)
 _TAIL_ROWS = 8
 
 
@@ -311,30 +311,37 @@ def _pair_step(gap, a, box, t, k_diag, k_ij):
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 
+def _max(first, x):
+    """Python's ``max(first, x)`` elementwise: ``first`` unless ``x`` is larger, so 0.0 over -0.0."""
+    return np.where(x > first, x, first)
+
+
+def _min(first, x):
+    """Python's ``min(first, x)`` elementwise: ``first`` unless ``x`` is smaller."""
+    return np.where(x < first, x, first)
+
+
 def _pair_steps(gap, a, box, t, k_diag, k_ij):
     """``_pair_step`` on a batch of rows, bit for bit.
 
-    ``a``, ``box``, ``t`` and ``k_diag`` are (2, rows), the rest and each of
-    the four results (rows,). The arithmetic is the scalar step's, operation
-    for operation, each branch an ``np.where``. Python's ``max(first, x)``
-    keeps ``first`` unless ``x`` is larger, and ``np.maximum(x, first)``
-    returns its second argument on a tie, so the two agree on a signed zero
-    (``min`` likewise). Flat rows, if any, divide by 1.0 and drop the quotient.
+    ``a``, ``box``, ``t`` and ``k_diag`` are (2, rows), the rest and the four
+    results (rows,): the scalar step's operations in order, each branch an
+    ``np.where``, each clip ``_max``/``_min``, a flat row's quotient dropped.
     """
     (ai, aj), (upper_i, upper_j), (ti, tj), (k_ii, k_jj) = a, box, t, k_diag
     both, same = ai + aj, ti == tj
-    lo = np.maximum(np.where(same, both - upper_i, aj - ai), 0.0)
-    hi = np.minimum(np.where(same, both, upper_i + aj - ai), upper_j)
+    lo = _max(0.0, np.where(same, both - upper_i, aj - ai))
+    hi = _min(upper_j, np.where(same, both, upper_i + aj - ai))
     eta = k_ii + k_jj - 2.0 * k_ij
     flat = eta <= _ETA_FLOOR
     some_flat = flat.any()
     if some_flat:
         eta = np.where(flat, 1.0, eta)
-    aj_new = np.minimum(np.maximum(aj - tj * gap / eta, lo), hi)
+    aj_new = _min(hi, _max(lo, aj - tj * gap / eta))
     if some_flat:
         aj_new = np.where(flat, np.where(tj > 0, lo, hi), aj_new)
     delta_j = aj_new - aj
-    ai_new = np.minimum(np.maximum(ai - ti * tj * delta_j, 0.0), upper_i)
+    ai_new = _min(upper_i, _max(0.0, ai - ti * tj * delta_j))
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 

@@ -151,28 +151,6 @@ def test_predict_ensemble_respects_pruning():
     assert score == 1.0 and label == 1  # round 2 ignored
 
 
-def test_multi_round_ensemble_simulates_train_rows_once_per_cache(monkeypatch):
-    # every round keeps its train states in the cache, so later batches simulate only their own rows
-    rng = np.random.default_rng(5)
-    X_train = rng.uniform(0.0, math.pi, size=(30, 2))
-    rounds = tuple(
-        replace(stub_round(0, alpha_m), feature_map=FeatureMapSpec(2, labels),
-                model=TrainedSVM(rng.standard_normal(30), 0.1, 1.0))
-        for labels, alpha_m in [(("Z",), LN3), (("Z", "ZZ"), 1.0), (("X", "XX"), 0.5)]
-    )
-    ensemble = BoostedEnsemble(rounds, 3, STOP_MAX_REACHED)
-    batches = rng.uniform(0.0, math.pi, size=(3, 100, 2))
-    expected = [predict_ensemble_batch(ensemble, X, X_train, GramCache()) for X in batches]
-    calls = count_simulations(monkeypatch)
-    cache = GramCache()
-    for X, (scores, labels) in zip(batches, expected):
-        got_scores, got_labels = predict_ensemble_batch(ensemble, X, X_train, cache)
-        np.testing.assert_array_equal(got_scores, scores)
-        np.testing.assert_array_equal(got_labels, labels)
-    on_train = [spec.canonical() for spec, rows, _ in calls if np.array_equal(rows, X_train)]
-    assert len(calls) == 12 and on_train == [rnd.feature_map.canonical() for rnd in rounds]
-
-
 # --- grid search ---
 
 def test_grid_search_singleton():
