@@ -9,13 +9,16 @@ for the subset S of qubits the term acts on.
 The batched simulator works on the float64 view of its (m, 2^n) complex
 states, real and imaginary parts interleaved. The Hadamard layer H^{(x)n} is
 two real matmuls: H^{(x)(n-h)} on the high half of the amplitude index and
-H^{(x)h} on the low half, h = n // 2. A rotation is exact real arithmetic:
-i*P moves every amplitude and multiplies it by +-1 or +-i, so on the float
-view it is one column gather and a +-1 sign, memoized per Pauli string, and
-the rotation does the floating-point operations of the complex product into
-a buffer that a repetition's rotations reuse. At one and two qubits the
-states are bit-for-bit those of a qubit-by-qubit Hadamard layer; above that
-they agree to round-off.
+H^{(x)h} on the low half, h = n // 2. At one and two qubits every term is
+its own rotation in exact real arithmetic: i*P moves every amplitude and
+multiplies it by +-1 or +-i, so on the float view it is one column gather and
+a +-1 sign, memoized per Pauli string, written into a reused buffer. Those
+states keep the bits of a qubit-by-qubit circuit, which the study's 2-D
+datasets' records rest on. Above two qubits, a run of labels with one non-I
+letter L commutes, so it is one diagonal phase exp(i * Theta @ B) in L's
+eigenbasis (Theta: each row's term angles, B: the terms' +-1 eigenvalues),
+equal to the per-term rotations up to round-off. Either way a row's bits do
+not depend on the other rows of its batch.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -230,23 +233,69 @@ def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, tuple, tuple]:
+    """A spec's term supports, term groups and steps, built once per (n_qubits, labels, reps).
+
+    A group is ("rotate", gathers, terms), applied term by term, or ("phase",
+    B, terms), one product with exp(i * sum_t theta_t B[t]), where B[t, k] =
+    (-1)^popcount(k & mask_t) is term t's eigenvalue on basis state k; its
+    terms are a slice of the spec's. A step is ("hadamard", None),
+    ("diagonal", vector) or (group kind, group index).
+    """
+    terms = FeatureMapSpec(n_qubits, labels).terms()
+    k = np.arange(1 << n_qubits)
+    s_gate, s_dagger = _frozen(*np.array([[1, 1j, -1, -1j], [1, -1j, -1, 1j]])[:, np.bitwise_count(k) % 4])
+    hadamard = ("hadamard", None)
+    basis = {"X": ((hadamard,), (hadamard,)),
+             "Y": ((("diagonal", s_dagger), hadamard), (hadamard, ("diagonal", s_gate)))}
+    # a run of terms with one non-I letter commutes; "" keeps each term's own rotation
+    keys = [used.pop() if n_qubits > 2 and len(used) == 1 else ""
+            for used in (set(letters) - {"I"} for letters, _ in terms)]
+    groups, repetition = [], [hadamard]
+    for key, run in itertools.groupby(range(len(terms)), key=keys.__getitem__):
+        run = list(run)
+        masks = np.array([sum(1 << q for q in terms[t][1]) for t in run])
+        operand = (_frozen(1.0 - 2.0 * (np.bitwise_count(k & masks[:, None]) & 1))[0] if key
+                   else tuple(_rotation_gather(terms[t][0]) for t in run))
+        groups.append(("phase" if key else "rotate", operand, slice(run[0], run[-1] + 1)))
+        before, after = basis.get(key, ((), ()))
+        repetition += [*before, (groups[-1][0], len(groups) - 1), *after]
+    steps = []
+    for step in repetition * reps:
+        if steps and step[0] == steps[-1][0] == "hadamard":  # H H = I
+            steps.pop()
+        else:
+            steps.append(step)
+    return tuple(support for _, support in terms), tuple(groups), tuple(steps)
+
+
 def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """Encoded statevectors for each sample row, as an (m, 2^n) array."""
+    """Encoded statevectors for each sample row, as an (m, 2^n) array, by :func:`_circuit`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.n_qubits:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
-    terms = []
-    for letters, subset in spec.terms():
-        thetas = spec.alpha * havlicek_data_map(subset, X)
-        terms.append((_rotation_gather(letters), np.cos(thetas)[:, None], np.sin(thetas)[:, None]))
+    supports, groups, steps = _circuit(spec.n_qubits, spec.labels, spec.reps)
+    angles = np.empty((len(supports), len(X)))
+    for t, support in enumerate(supports):
+        angles[t] = havlicek_data_map(support, X)
+    angles *= spec.alpha
+    # one factor per group serves every repetition; einsum, unlike BLAS, sums every row alike
+    factors = [np.exp(1j * np.einsum("tm,tk->mk", angles[terms], op)) if kind == "phase"
+               else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0
-    for _ in range(spec.reps):
-        v = _hadamard_all_batch(psi).view(np.float64)
-        spare = np.empty_like(v)
-        for gather, cos, sin in terms:
-            v, spare = _rotate_batch(v, gather, cos, sin, spare), v
-        psi = v.view(complex)
+    for kind, operand in steps:
+        if kind == "hadamard":
+            psi = _hadamard_all_batch(psi)
+        elif kind == "rotate":
+            v = psi.view(np.float64)
+            spare = np.empty_like(v)
+            for gather, cos, sin in zip(groups[operand][1], *factors[operand]):
+                v, spare = _rotate_batch(v, gather, cos[:, None], sin[:, None], spare), v
+            psi = v.view(complex)
+        else:
+            psi = psi * (operand if kind == "diagonal" else factors[operand])
     return psi
 
 

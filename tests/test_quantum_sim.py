@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsvm_boost import kernels
+from qsvm_boost import kernels, quantum_sim
 from qsvm_boost.boosted_qsvm import GridSpec
 from qsvm_boost.kernels import gram_matrix
 from qsvm_boost.quantum_sim import (
     _HADAMARD,
+    MAX_ORACLE_QUBITS,
+    MAX_QUBITS,
     FeatureMapSpec,
     _hadamard_all_batch,
     _kron_chain,
@@ -25,6 +29,8 @@ from qsvm_boost.quantum_sim import (
     parse_feature_map,
 )
 from helpers import (
+    PAIR_LABELS,
+    SINGLE_LABELS,
     phase_align,
     random_feature_map_spec,
     random_statevector,
@@ -312,6 +318,103 @@ def test_grams_match_oracle_path_above_two_qubits(n_qubits, monkeypatch):
         np.testing.assert_allclose(
             cross_gram, gram_matrix(spec, X_val, X_train).values, rtol=0, atol=1e-13
         )
+
+
+# --- one phase per same-letter run above two qubits ---
+
+STATE_TOL = 1e-12  # elementwise, chosen before the merged phases were measured
+MIXED_LABELS = tuple(label for label in PAIR_LABELS if len(set(label)) == 2)
+IDENTITY_LABELS = ("IZ", "XI", "IY")
+
+
+def count_rotations(monkeypatch) -> list:
+    """Record every per-term rotation feature_map_states makes from now on."""
+    calls = []
+    rotate = quantum_sim._rotate_batch
+
+    def counting(*args):
+        calls.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(quantum_sim, "_rotate_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_qubits, rows", [(3, 10), (5, 10), (8, 6), (MAX_QUBITS, 2)])
+def test_states_match_oracle_path_above_two_qubits(n_qubits, rows):
+    # at 12 qubits the 66 ZZ terms give the largest phase sums
+    X = np.random.default_rng(60 + n_qubits).uniform(0, math.pi, size=(rows, n_qubits))
+    menus = list(GridSpec().feature_maps)
+    if n_qubits < MAX_QUBITS:
+        menus += [(label,) for label in MIXED_LABELS + IDENTITY_LABELS] + [("Z", "XX", "ZZ")]
+    for labels in menus:
+        for reps in (1, 2, 3):
+            spec = FeatureMapSpec(n_qubits, labels, reps=reps, alpha=2.0)
+            np.testing.assert_allclose(
+                feature_map_states(spec, X), reference_states(spec, X), rtol=0, atol=STATE_TOL,
+                err_msg=spec.canonical(),
+            )
+
+
+@pytest.mark.parametrize("n_qubits", [3, 8])
+def test_same_letter_runs_make_no_rotation_and_mixed_labels_one_per_term(n_qubits, monkeypatch):
+    calls = count_rotations(monkeypatch)
+    X = np.random.default_rng(70).uniform(0, math.pi, size=(4, n_qubits))
+    for labels in (*GridSpec().feature_maps, IDENTITY_LABELS, ("Z", "XX", "ZZ")):
+        feature_map_states(FeatureMapSpec(n_qubits, labels, reps=3), X)
+    assert calls == []
+    for label in MIXED_LABELS:
+        for reps in (1, 3):
+            calls.clear()
+            feature_map_states(FeatureMapSpec(n_qubits, ("Z", label, "X"), reps=reps), X)
+            assert len(calls) == reps * math.comb(n_qubits, 2), (label, reps)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_every_term_rotates_up_to_two_qubits(n_qubits, monkeypatch):
+    calls = count_rotations(monkeypatch)
+    X = np.random.default_rng(71).uniform(0, math.pi, size=(4, n_qubits))
+    for spec in default_grid_specs(n_qubits):
+        calls.clear()
+        feature_map_states(spec, X)
+        assert len(calls) == spec.reps * len(spec.terms())
+
+
+@pytest.mark.parametrize("n_qubits", [3, 5, 8])
+def test_a_row_keeps_its_bits_in_any_batch(n_qubits):
+    X = np.random.default_rng(72).uniform(0, math.pi, size=(7, n_qubits))
+    for labels in (*GridSpec().feature_maps, ("Z", "XZ")):
+        spec = FeatureMapSpec(n_qubits, labels, reps=2, alpha=1.5)
+        batch = feature_map_states(spec, X)
+        np.testing.assert_array_equal(batch[2:5], feature_map_states(spec, X[2:5]))
+        for row, x in zip(batch, X):
+            np.testing.assert_array_equal(row, feature_map_states(spec, x[None])[0])
+
+
+_ORACLE_LABELS = SINGLE_LABELS + PAIR_LABELS + IDENTITY_LABELS
+
+
+@st.composite
+def _oracle_cases(draw):
+    n_qubits = draw(st.integers(3, MAX_ORACLE_QUBITS))
+    spec = FeatureMapSpec(
+        n_qubits,
+        tuple(draw(st.lists(st.sampled_from(_ORACLE_LABELS), min_size=1, max_size=3))),
+        reps=draw(st.integers(1, 3)),
+        alpha=draw(st.floats(0.0, 2.0, exclude_min=True)),
+    )
+    x = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n_qubits, max_size=n_qubits))
+    return spec, np.array(x)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_oracle_cases())
+def test_states_match_the_dense_oracle_above_two_qubits(case):
+    # no phase alignment: the merged phases must carry the oracle's global phase too
+    spec, x = case
+    np.testing.assert_allclose(
+        feature_map_states(spec, x[None])[0], dense_unitary_oracle(spec, x)[:, 0], rtol=0, atol=1e-10
+    )
 
 
 # --- dense oracle ---
