@@ -16,7 +16,6 @@ from .kernels import (
     rbf_gram,
 )
 from .svm_solver import (
-    SolverSettings,
     TrainedSVM,
     decision_function,
     dual_objective,

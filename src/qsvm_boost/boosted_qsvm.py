@@ -194,7 +194,7 @@ def grid_search_best(
 
     Ties go to the earlier cell in (menu order, ascending alpha, ascending C),
     by ``best_cell``'s rule. Every cell's SVM is fitted in one batched solver
-    call with the default settings.
+    call.
 
     The result is memoized in ``cache`` on (grid, excluded maps) and the
     content of the train and validation data, labels and weights. A search

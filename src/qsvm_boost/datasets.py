@@ -33,14 +33,17 @@ class LabeledDataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=int)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        y = np.asarray(self.y)
         if X.ndim != 2 or X.shape[1] != 2:
             raise ValueError(f"expected (n, 2) features, got {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must match sample count")
-        if set(np.unique(y)) != {0, 1}:
+        bad = ~np.isin(y, (0, 1))
+        if bad.any():
+            raise ValueError(f"labels must be 0 or 1, got {np.unique(y[bad]).tolist()}")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y.astype(int))
+        if np.unique(self.y).size != 2:
             raise OneClassError("dataset must contain both classes")
 
     def __len__(self) -> int:
@@ -210,6 +213,8 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
         parts = {}
         for name in _SPLIT_NAMES:
             mask = np.array([r[3] == name for r in rows])
+            if not mask.any():
+                raise ValueError(f"no {name} rows in {path}")
             parts[name] = LabeledDataset(X[mask], y[mask], kind, seed, params)
         return SplitDataset(parts["train"], parts["val"], parts["test"])
     return LabeledDataset(X, y, kind, seed, params)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields
@@ -108,18 +109,13 @@ class ExperimentConfig:
         for family, params in self.dataset_params.items():
             if not isinstance(params, dict):
                 raise ValueError(f"dataset_params for {family} must be a dict of parameters, got {params!r}")
-            for key, value in params.items():
-                if isinstance(value, bool):  # a generator would take it as 0 or 1
+            for key, value in params.items():  # a generator would take a bool as 0 or 1
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         merged = DEFAULT_DATASET_PARAMS | self.dataset_params
         trial = (self.families, self.n_points, self.split_sizes,
                  tuple((family, tuple(p.items())) for family, p in merged.items()), self.master_seed)
-        try:
-            hash(trial)
-        except TypeError:  # an unhashable parameter value is tried on every load
-            _try_datasets.__wrapped__(*trial)
-        else:
-            _try_datasets(*trial)
+        _try_datasets(*trial)
         object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
         _baseline_cells(self.baseline_kernels, self.baseline_Cs, self.baseline_gammas)
         if not all(0.1 <= c <= 100 for c in self.baseline_Cs):

@@ -47,11 +47,19 @@ def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = 
     return _assemble(np.abs(states_a @ states_b.conj().T) ** 2, X_b, spec.canonical())
 
 
-def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+def _operands(X_a: np.ndarray, X_b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Both sample sets of a classical Gram as 2-D float arrays, X_a twice for a self Gram."""
     X_a = np.atleast_2d(np.asarray(X_a, dtype=float))
     X_b2 = X_a if X_b is None else np.atleast_2d(np.asarray(X_b, dtype=float))
+    if not (np.isfinite(X_a).all() and np.isfinite(X_b2).all()):
+        raise ValueError("samples must be finite")
+    return X_a, X_b2
+
+
+def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    X_a, X_b2 = _operands(X_a, X_b)
     sq = (
         np.sum(X_a**2, axis=1)[:, None]
         + np.sum(X_b2**2, axis=1)[None, :]
@@ -61,8 +69,7 @@ def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) ->
 
 
 def linear_gram(X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
-    X_a = np.atleast_2d(np.asarray(X_a, dtype=float))
-    X_b2 = X_a if X_b is None else np.atleast_2d(np.asarray(X_b, dtype=float))
+    X_a, X_b2 = _operands(X_a, X_b)
     return _assemble(X_a @ X_b2.T, X_b, "linear")
 
 

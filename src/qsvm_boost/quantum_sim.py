@@ -92,6 +92,9 @@ class FeatureMapSpec:
             raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {self.n_qubits!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))  # one canonical text per value
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if not self.labels:
@@ -275,6 +278,8 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.n_qubits:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
+    if not np.isfinite(X).all():
+        raise ValueError("samples must be finite")
     supports, groups, steps = _circuit(spec.n_qubits, spec.labels, spec.reps)
     angles = np.empty((len(supports), len(X)))
     for t, support in enumerate(supports):

@@ -26,34 +26,19 @@ rule (``_max``, ``_min``). A Gram with a non-finite entry is refused.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import GramMatrix
-from .quantum_sim import is_integer
 
+_KKT_TOLERANCE = 1e-3  # a fit converges once its maximal KKT violation is within this,
+_MAX_PASSES = 10_000  # or gives up after this many passes; both are read at each call
 _ETA_FLOOR = 1e-12
 # at most this many live rows finish one by one: a lock-step pass over a few rows costs
 # more than their 1-D passes (replay sweep in BENCH_lean_pass.json: 4 to 16 tie, 2 loses)
 _TAIL_ROWS = 8
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    kkt_tolerance: float = 1e-3
-    max_passes: int = 10_000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
-            raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance!r}")
-        if not (is_integer(self.max_passes) and self.max_passes > 0):
-            raise ValueError(f"max_passes must be a positive integer, got {self.max_passes!r}")
-
-
-DEFAULT_SETTINGS = SolverSettings()
 
 LABEL_CONVENTION = "y{0,1}<->t{-1,+1}:t=2y-1"
 
@@ -91,10 +76,9 @@ def train_weighted_svm(
     labels: np.ndarray,
     C: float,
     weights: np.ndarray | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> TrainedSVM:
     """Fit the weighted SVM dual on a precomputed train x train kernel."""
-    return train_weighted_svms([gram], labels, [C], weights, settings)[0]
+    return train_weighted_svms([gram], labels, [C], weights)[0]
 
 
 def train_weighted_svms(
@@ -102,7 +86,6 @@ def train_weighted_svms(
     labels: np.ndarray,
     Cs: Sequence[float],
     weights: np.ndarray | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> list[TrainedSVM]:
     """Fit every (gram, C) pair on shared labels and weights, in lock-step.
 
@@ -144,20 +127,20 @@ def train_weighted_svms(
     t = 2.0 * np.asarray(y, dtype=float) - 1.0
     upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
     gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
-    alpha, u, converged = _smo_lockstep(stack, gram_of, t, upper, settings)
+    alpha, u, converged = _smo_lockstep(stack, gram_of, t, upper)
     return [TrainedSVM(alpha[r] * t, _bias(t, alpha[r], u[r], upper[r]), Cs[r % len(Cs)], bool(converged[r]))
             for r in range(len(gram_of))]
 
 
-def _smo_lockstep(stack, gram_of, t, upper, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
 
-    A row stops when it has no violating pair or its gap is within tolerance
-    (converged), when its last step left ``a_j`` unchanged (stuck) or after
-    ``max_passes`` steps. Finished rows leave the working arrays at the top of
-    a pass; the Gram stack is never copied. Once at most ``_TAIL_ROWS`` rows
-    are live, each finishes alone in ``_smo_row`` from its own ``alpha``,
-    ``u``, last step and remaining passes. Returns every row's final ``alpha``
+    A row stops when it has no violating pair or its gap is within
+    ``_KKT_TOLERANCE`` (converged), when its last step left ``a_j`` unchanged
+    (stuck) or after ``_MAX_PASSES`` steps. Finished rows leave the working
+    arrays at the top of a pass; the Gram stack is never copied. Once at most
+    ``_TAIL_ROWS`` rows are live, each finishes alone in ``_smo_row`` from its
+    own ``alpha``, ``u``, last step and remaining passes. Returns every row's final ``alpha``
     and ``u`` (u_k = sum_l alpha_l t_l K_lk), and whether it converged.
     """
     n_grams, n, _ = stack.shape
@@ -165,7 +148,7 @@ def _smo_lockstep(stack, gram_of, t, upper, settings) -> tuple[np.ndarray, np.nd
     alpha_out, u_out = np.zeros((rows, n)), np.zeros((rows, n))
     converged = np.zeros(rows, dtype=bool)
     k_rows = stack.reshape(n_grams * n, n)  # row g*n + i is K[g, i]
-    tol = settings.kkt_tolerance
+    tol, max_passes = _KKT_TOLERANCE, _MAX_PASSES
 
     # working set: one entry per unfinished row
     live = np.arange(rows)
@@ -190,7 +173,7 @@ def _smo_lockstep(stack, gram_of, t, upper, settings) -> tuple[np.ndarray, np.nd
 
     t_m, neg_m, values, off, base = scratch(rows)
     passes = 0
-    while live.size > _TAIL_ROWS and passes < settings.max_passes:
+    while live.size > _TAIL_ROWS and passes < max_passes:
         ij, gap = _pick(t_m, neg_m, alpha, u, box, values, off, base)
         if not (gap > tol).all() or not moved.all():
             ok = gap <= tol  # a side with no candidate gives gap -inf
@@ -216,7 +199,7 @@ def _smo_lockstep(stack, gram_of, t, upper, settings) -> tuple[np.ndarray, np.nd
     alpha_out[live], u_out[live] = alpha, u
     for r, row in enumerate(live.tolist()):
         converged[row] = _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
-                                  moved.item(r), settings.max_passes - passes, tol)
+                                  moved.item(r), max_passes - passes, tol)
     return alpha_out, u_out, converged
 
 

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from qsvm_boost import boosted_qsvm, kernels
+from qsvm_boost import boosted_qsvm, kernels, svm_solver
 from qsvm_boost.kernels import GramMatrix
 from qsvm_boost.quantum_sim import _HADAMARD, FeatureMapSpec, _pauli_action, havlicek_data_map
-from qsvm_boost.svm_solver import DEFAULT_SETTINGS, SolverSettings, TrainedSVM
+from qsvm_boost.svm_solver import TrainedSVM
 
 SINGLE_LABELS = ("X", "Y", "Z")
 PAIR_LABELS = ("XX", "YY", "ZZ", "XZ", "ZX", "XY", "YZ")
@@ -140,9 +140,14 @@ def reference_smo(
     labels: np.ndarray,
     C: float,
     weights: np.ndarray | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    tol: float | None = None,
+    max_passes: int | None = None,
 ) -> TrainedSVM:
-    """The scalar SMO loop, one problem at a time: the oracle for the batched solver."""
+    """The scalar SMO loop, one problem at a time: the oracle for the batched solver.
+
+    ``tol`` and ``max_passes`` default to the solver's constants as they are at the call.
+    """
     K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     n = K.shape[0]
     if K.shape[1] != n:
@@ -176,10 +181,11 @@ def reference_smo(
     upper = C * w
     alpha = np.zeros(n)
     u = np.zeros(n)  # u_k = sum_l alpha_l t_l K_lk
-    tol = settings.kkt_tolerance
+    tol = svm_solver._KKT_TOLERANCE if tol is None else tol
+    max_passes = svm_solver._MAX_PASSES if max_passes is None else max_passes
     converged = False
 
-    for _ in range(settings.max_passes):
+    for _ in range(max_passes):
         i, j, gap = reference_pick(t, alpha, u, upper)
         if gap <= tol:  # a side with no candidate gives gap -inf
             converged = True

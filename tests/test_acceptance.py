@@ -31,10 +31,8 @@ from qsvm_boost.experiment import (
 )
 from qsvm_boost.kernels import GramCache, gram_matrix
 from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle, feature_map_states
-from qsvm_boost.svm_solver import SolverSettings, dual_objective, predict, train_weighted_svm
+from qsvm_boost.svm_solver import dual_objective, predict, train_weighted_svm
 from helpers import brute_force_qp, phase_align, random_feature_map_spec, random_psd_kernel
-
-TIGHT = SolverSettings(kkt_tolerance=1e-8, max_passes=200_000)
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +75,7 @@ def test_criterion_2_kernel_validity():
           "alpha=0 gives the all-ones Gram")
 
 
-def test_criterion_3_svm_oracle_equivalence():
+def test_criterion_3_svm_oracle_equivalence(tight_solver):
     rng = np.random.default_rng(4242)
     checked = 0
     for n in range(2, 7):
@@ -88,7 +86,7 @@ def test_criterion_3_svm_oracle_equivalence():
             K = random_psd_kernel(rng, n)
             C = float(rng.uniform(0.5, 60.0))
             weights = rng.uniform(0.1, 3.0, size=n)
-            model = train_weighted_svm(K, labels, C, weights, settings=TIGHT)
+            model = train_weighted_svm(K, labels, C, weights)
             alphas = np.abs(model.dual_coefs)
             upper = C * weights
             t = 2.0 * labels - 1.0

@@ -144,6 +144,14 @@ def test_predict_ensemble_log_weights():
     assert score == 0.5 and label == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_predict_ensemble_refuses_a_non_finite_point(bad):
+    # such a point scored 0.0 and took label 0, with only a RuntimeWarning
+    ens = BoostedEnsemble((stub_round(1, 1.0),), 1, STOP_MAX_REACHED)
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        predict_ensemble_batch(ens, np.array([[0.5, 1.0], [bad, 1.0]]), np.array([[0.2, 0.3]]))
+
+
 def test_predict_ensemble_respects_pruning():
     rounds = (stub_round(1, 1.0), stub_round(0, 5.0))
     ens = BoostedEnsemble(rounds, 1, STOP_MAX_REACHED)

@@ -92,6 +92,20 @@ def test_fit_malformed_csv_exits_1(tmp_path):
                    "--out", str(tmp_path / "m.json")) == 1
 
 
+def test_fit_refuses_a_label_other_than_0_or_1(tmp_path, capsys):
+    # a label of 2 exited 1 with the one-class message
+    data_csv = tmp_path / "split.csv"
+    run_cli("generate", "--family", "moons", "--n", "30", "--split", "--sizes", "10,10,10",
+            "--out", str(data_csv))
+    lines = data_csv.read_text().splitlines()
+    x1, x2, _, split = lines[-1].split(",")
+    data_csv.write_text("\n".join(lines[:-1] + [f"{x1},{x2},2,{split}"]) + "\n")
+    capsys.readouterr()
+    assert run_cli("fit", "--data", str(data_csv), "--model", "svm_baseline",
+                   "--out", str(tmp_path / "m.json")) == 1
+    assert capsys.readouterr().err == "error: labels must be 0 or 1, got [2]\n"
+
+
 def write_small_config(tmp_path):
     config = {
         "families": ["circles"],

@@ -7,6 +7,7 @@ import pytest
 
 from qsvm_boost.datasets import (
     LabeledDataset,
+    OneClassError,
     SplitDataset,
     dataset_from_csv,
     dataset_to_csv,
@@ -108,8 +109,18 @@ def test_noise_std_must_be_nonnegative_and_finite(generator, noise_std):
 def test_dataset_invariants():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), "xor", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OneClassError, match="both classes"):
         LabeledDataset(np.zeros((4, 2)), np.array([1, 1, 1, 1]), "xor", 0)
+    assert LabeledDataset(np.zeros((4, 2)), [0.0, 1.0, 1.0, 0.0], "xor", 0).y.tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("y, bad", [([0, 2, 1, 1], r"\[2\]"), ([0, 1, 1, -1], r"\[-1\]"),
+                                    ([0.5, 1, 0, 1], r"\[0.5\]"), ([3, 1, 0, 3.5], r"\[3.0, 3.5\]")])
+def test_labels_other_than_0_or_1_are_refused_by_name(y, bad):
+    # such labels raised OneClassError, which the config loader may forgive, and 0.5 read as 0
+    with pytest.raises(ValueError, match=f"^labels must be 0 or 1, got {bad}$") as refused:
+        LabeledDataset(np.zeros((4, 2)), y, "xor", 0)
+    assert refused.type is ValueError
 
 
 # --- split and scale ---
@@ -243,6 +254,17 @@ def test_csv_rejects_malformed_rows(tmp_path):
         dataset_from_csv(path)
     path.write_text("# kind=xor seed=0 params={}\nx1,x2,y\n0.1,0.2\n")
     with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+        dataset_from_csv(path)
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_csv_refuses_a_split_with_no_rows(tmp_path, split):
+    # an empty split was refused as a one-class dataset
+    path = tmp_path / "split.csv"
+    dataset_to_csv(path, split_and_scale(make_moons(30, seed=8), (10, 10, 10), seed=1))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.endswith("," + split)) + "\n")
+    with pytest.raises(ValueError, match=f"^no {split} rows in "):
         dataset_from_csv(path)
 
 

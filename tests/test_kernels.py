@@ -108,8 +108,20 @@ def test_rbf_kernel_values():
 
 
 def test_rbf_kernel_gamma_guard():
-    with pytest.raises(ValueError):
-        rbf_gram([[0.0]], [[1.0]], gamma=0.0)
+    # a NaN gamma gave an all-NaN Gram and an infinite one a NaN diagonal
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            rbf_gram([[0.0], [2.0]], [[1.0]], gamma=gamma)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_classical_grams_refuse_non_finite_samples(kernel, bad):
+    gram = {"rbf": lambda *rows: rbf_gram(*rows, gamma=0.5), "linear": linear_gram}[kernel]
+    good, poisoned = np.array([[0.5, 1.0], [2.0, 0.1]]), np.array([[0.5, 1.0], [bad, 0.1]])
+    for rows in [(poisoned,), (poisoned, good), (good, poisoned)]:
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            gram(*rows)
 
 
 def test_linear_kernel_values():

@@ -527,6 +527,36 @@ def test_parse_rejects_non_finite_alpha(alpha):
         parse_feature_map(f"paulis=Z;reps=2;alpha={alpha};map=havlicek-default", 2)
 
 
+@pytest.mark.parametrize("alpha, text", [(1.5, "1.5"), (np.float64(1.5), "1.5"), (2, "2.0"), (np.int64(2), "2.0")],
+                         ids=["float", "numpy-float", "int", "numpy-int"])
+def test_alpha_is_a_float_whose_text_parses_back(alpha, text):
+    # a numpy alpha wrote np.float64(1.5) into the canonical text, and 2 and 2.0 made two cache keys
+    spec = FeatureMapSpec(2, ("Z", "ZZ"), alpha=alpha)
+    assert type(spec.alpha) is float and spec.alpha == alpha
+    assert spec.canonical() == f"paulis=Z,ZZ;reps=2;alpha={text};map=havlicek-default"
+    assert parse_feature_map(spec.canonical(), 2) == spec
+    assert parse_feature_map(spec.canonical(), 2).canonical() == spec.canonical()
+    cache, X = kernels.GramCache(), np.array([[0.3, 1.1], [2.0, 0.4]])
+    assert cache.fidelity(spec, X) is cache.fidelity(FeatureMapSpec(2, ("Z", "ZZ"), alpha=float(alpha)), X)
+    assert len(cache) == 1
+
+
+@pytest.mark.parametrize("alpha", [True, np.bool_(False), "1.5", None, 1j])
+def test_alpha_must_be_a_real_number(alpha):
+    with pytest.raises(ValueError, match="alpha must be a real number"):
+        FeatureMapSpec(2, ("Z",), alpha=alpha)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_states_refuse_a_non_finite_sample(bad):
+    # a NaN or inf row simulated with a RuntimeWarning, which fails a test, so the refusal comes first
+    X = np.array([[0.5, 1.0], [2.0, bad]])
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        feature_map_states(FeatureMapSpec(2, ("Z", "ZZ")), X)
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        gram_matrix(FeatureMapSpec(2, ("Z", "ZZ")), X[:1], X)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FeatureMapSpec(2, ())

@@ -1,7 +1,6 @@
 """SMO solver tests: analytic cases, KKT feasibility, QP-oracle and scalar-oracle equivalence."""
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from qsvm_boost.boosted_qsvm import GridSpec, initial_weights, update_weights
 from qsvm_boost.datasets import make_moons, split_and_scale
 from qsvm_boost.kernels import GramCache, gram_matrix, rbf_gram
 from qsvm_boost.svm_solver import (
-    DEFAULT_SETTINGS,
-    SolverSettings,
     decision_function,
     dual_objective,
     predict,
@@ -25,7 +22,7 @@ from qsvm_boost.svm_solver import (
 )
 from helpers import brute_force_qp, random_psd_kernel, reference_pick, reference_smo
 
-TIGHT = SolverSettings(kkt_tolerance=1e-8, max_passes=200_000)
+DEFAULT_PASSES = svm_solver._MAX_PASSES
 
 
 def assert_feasible(model, labels, C, weights=None, tol=1e-9):
@@ -70,18 +67,18 @@ def test_zero_weight_class_is_degenerate():
     assert predict(model, K[0]) == 1
 
 
-def test_xor_pattern_matches_qp_oracle():
+def test_xor_pattern_matches_qp_oracle(tight_solver):
     pts = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     y = np.array([1, 0, 0, 1])
     K = rbf_gram(pts, gamma=1.0).values
-    model = train_weighted_svm(K, y, C=10.0, settings=TIGHT)
+    model = train_weighted_svm(K, y, C=10.0)
     smo_obj = dual_objective(K, y, np.abs(model.dual_coefs))
     oracle_obj, _ = brute_force_qp(K, y, upper=10.0 * np.ones(4))
     assert abs(smo_obj - oracle_obj) <= 1e-6 * max(1.0, abs(oracle_obj))
     np.testing.assert_array_equal(predict(model, K), y)
 
 
-def test_oracle_equivalence_randomized():
+def test_oracle_equivalence_randomized(tight_solver):
     rng = np.random.default_rng(99)
     for trial in range(60):
         n = int(rng.integers(2, 7))
@@ -91,7 +88,7 @@ def test_oracle_equivalence_randomized():
         K = random_psd_kernel(rng, n)
         C = float(rng.uniform(0.5, 50))
         weights = rng.uniform(0.2, 3.0, size=n)
-        model = train_weighted_svm(K, labels, C, weights, settings=TIGHT)
+        model = train_weighted_svm(K, labels, C, weights)
         assert model.converged
         assert_feasible(model, labels, C, weights)
         smo_obj = dual_objective(K, labels, np.abs(model.dual_coefs))
@@ -101,7 +98,7 @@ def test_oracle_equivalence_randomized():
         )
 
 
-def test_weight_scaling_semantics():
+def test_weight_scaling_semantics(tight_solver):
     rng = np.random.default_rng(123)
     n = 12
     K = random_psd_kernel(rng, n)
@@ -109,14 +106,14 @@ def test_weight_scaling_semantics():
     y[:2] = [0, 1]
     w = rng.uniform(0.1, 2.0, size=n)
     C = 7.0
-    a = train_weighted_svm(K, y, C, w, settings=TIGHT)
-    b = train_weighted_svm(K, y, 1.0, C * w, settings=TIGHT)
+    a = train_weighted_svm(K, y, C, w)
+    b = train_weighted_svm(K, y, 1.0, C * w)
     np.testing.assert_array_equal(a.dual_coefs, b.dual_coefs)
     assert a.bias == b.bias
     np.testing.assert_array_equal(a.support_indices, b.support_indices)
 
 
-def test_zero_weight_samples_never_support_vectors():
+def test_zero_weight_samples_never_support_vectors(tight_solver):
     rng = np.random.default_rng(7)
     n = 10
     K = random_psd_kernel(rng, n)
@@ -125,7 +122,7 @@ def test_zero_weight_samples_never_support_vectors():
     w = rng.uniform(0.5, 2.0, size=n)
     w[3] = w[6] = 0.0
     y[3], y[6] = 0, 1  # keep both classes among weighted samples
-    model = train_weighted_svm(K, y, 10.0, w, settings=TIGHT)
+    model = train_weighted_svm(K, y, 10.0, w)
     assert 3 not in model.support_indices and 6 not in model.support_indices
     assert model.dual_coefs[3] == 0 and model.dual_coefs[6] == 0
 
@@ -190,15 +187,6 @@ def test_validation_errors():
         train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0, weights=np.zeros(2))
     with pytest.raises(ValueError):
         decision_function(train_weighted_svm(np.eye(2), np.array([0, 1]), C=1.0), np.zeros(3))
-    # a float max_passes failed in range() with a TypeError and True ran one pass; a NaN
-    # tolerance never converged and an infinite one "converged" at alpha = 0
-    for bad in (2.5, True, 0, -3):
-        with pytest.raises(ValueError, match="max_passes must be a positive integer"):
-            SolverSettings(max_passes=bad)
-    for bad in (math.nan, math.inf, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="kkt_tolerance must be positive and finite"):
-            SolverSettings(kkt_tolerance=bad)
-    assert SolverSettings(max_passes=np.int64(5)).max_passes == 5
 
 
 @pytest.mark.parametrize("C, weights, message", [
@@ -230,12 +218,14 @@ def test_non_finite_gram_rejected(bad):
         train_weighted_svms([random_psd_kernel(rng, 6), K, np.eye(6)], y, [1.0, 10.0])
 
 
-def test_non_convergence_flagged():
+def test_non_convergence_flagged(monkeypatch):
+    monkeypatch.setattr(svm_solver, "_KKT_TOLERANCE", 1e-12)
+    monkeypatch.setattr(svm_solver, "_MAX_PASSES", 3)
     rng = np.random.default_rng(41)
     K = random_psd_kernel(rng, 30)
     y = rng.integers(0, 2, size=30)
     y[:2] = [0, 1]
-    model = train_weighted_svm(K, y, 100.0, settings=SolverSettings(kkt_tolerance=1e-12, max_passes=3))
+    model = train_weighted_svm(K, y, 100.0)
     assert not model.converged  # best iterate still returned
     assert model.dual_coefs.shape == (30,)
 
@@ -285,7 +275,7 @@ def moons_grid():
     return grams, split.train.y, grid.Cs
 
 
-def exit_reason(model, gram, labels, C, weights, settings) -> str:
+def exit_reason(model, gram, labels, C, weights) -> str:
     """kkt, stuck or max_passes, told apart by one oracle run a step shorter.
 
     A step that neither converges nor sticks moves a_j, so the shorter run
@@ -293,38 +283,37 @@ def exit_reason(model, gram, labels, C, weights, settings) -> str:
     """
     if model.converged:
         return "kkt"
-    shorter = reference_smo(gram, labels, C, weights,
-                            replace(settings, max_passes=settings.max_passes - 1))
+    shorter = reference_smo(gram, labels, C, weights, max_passes=svm_solver._MAX_PASSES - 1)
     return "stuck" if np.array_equal(shorter.dual_coefs, model.dual_coefs) else "max_passes"
 
 
 # at 300 passes every row that leaves by the budget leaves the batch; at 3000 boosted rows
 # leave the lone-row loop by every exit (test_every_exit_is_taken_in_the_batch_and_alone)
-@pytest.mark.parametrize("max_passes", [300, 3000, DEFAULT_SETTINGS.max_passes])
+@pytest.mark.parametrize("max_passes", [300, 3000, DEFAULT_PASSES])
 @pytest.mark.parametrize("weighting", ["unit", "boosted"])
-def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes):
+def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes, monkeypatch):
     grams, labels, Cs = moons_grid
     weights = None
     if weighting == "boosted":
         misclassified = np.random.default_rng(0).random(len(labels)) < 0.3
         weights = update_weights(initial_weights(len(labels)), misclassified, math.log(3.0))
-    settings = replace(DEFAULT_SETTINGS, max_passes=max_passes)
-    batch = train_weighted_svms(grams, labels, Cs, weights, settings)
+    monkeypatch.setattr(svm_solver, "_MAX_PASSES", max_passes)
+    batch = train_weighted_svms(grams, labels, Cs, weights)
     cells = [(gram, C) for gram in grams for C in Cs]
     t = 2.0 * labels - 1.0
     assert len(batch) == len(cells) == 108
     reasons = set()
     for model, (gram, C) in zip(batch, cells):
-        expected = reference_smo(gram, labels, C, weights, settings)
+        expected = reference_smo(gram, labels, C, weights)
         np.testing.assert_array_equal(model.dual_coefs, expected.dual_coefs)
         np.testing.assert_array_equal(np.signbit(model.dual_coefs), np.signbit(expected.dual_coefs))
         assert model.bias == expected.bias and np.signbit(model.bias) == np.signbit(expected.bias)
         assert model.converged == expected.converged
         np.testing.assert_array_equal(model.support_indices, np.flatnonzero(expected.dual_coefs * t > 0))
         assert model.C == expected.C == C and not model.degenerate
-        if max_passes < DEFAULT_SETTINGS.max_passes:
-            reasons.add(exit_reason(expected, gram, labels, C, weights, settings))
-    if max_passes < DEFAULT_SETTINGS.max_passes:
+        if max_passes < DEFAULT_PASSES:
+            reasons.add(exit_reason(expected, gram, labels, C, weights))
+    if max_passes < DEFAULT_PASSES:
         # rows leave the batch on different steps: stuck ones early, capped ones at the budget
         assert reasons == {"kkt", "stuck", "max_passes"}
 
@@ -403,7 +392,8 @@ def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
     in_batch, in_loop = set(), set()
     for weights, max_passes in [(None, 300), (boosted, 300), (boosted, 3000)]:
         alone.clear()
-        models = train_weighted_svms(grams, labels, Cs, weights, replace(DEFAULT_SETTINGS, max_passes=max_passes))
+        monkeypatch.setattr(svm_solver, "_MAX_PASSES", max_passes)
+        models = train_weighted_svms(grams, labels, Cs, weights)
         converged = sum(model.converged for model in models)
         # a row still live when the batch spends its budget reaches the loop with no pass left
         budget = alone.count("batch budget")
