@@ -11,13 +11,12 @@ are a weighted majority vote over the pruned rounds.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import GramCache
-from .quantum_sim import FeatureMapSpec, check_label, is_integer, parse_feature_map
+from .quantum_sim import FeatureMapSpec, check_label, is_integer, is_real, parse_feature_map
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -63,8 +62,7 @@ def checked_items(name: str, values, kind: str, check) -> tuple:
 
 def sorted_reals(name: str, values) -> tuple[float, ...]:
     """``values``, a list of distinct real, non-bool numbers, as an ascending float tuple."""
-    reals = checked_items(name, values, "a list of real numbers",
-                          lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+    reals = checked_items(name, values, "a list of real numbers", is_real)
     ordered = tuple(sorted(float(v) for v in reals))
     if any(a == b for a, b in zip(ordered, ordered[1:])):
         raise ValueError(f"{name} must not repeat a value, got {values!r}")

@@ -172,6 +172,15 @@ def dataset_to_csv(path, data: LabeledDataset | SplitDataset) -> None:
                 fh.write(f"{float(x1)!r},{float(x2)!r},{int(label)}{suffix}\n")
 
 
+def _parsed(convert, text: str, name: str, path, lineno: int):
+    """``convert(text)`` for ``int`` or ``float``, or a ValueError naming the field, file and line."""
+    try:
+        return convert(text)
+    except ValueError:
+        noun = "an integer" if convert is int else "a number"
+        raise ValueError(f"{path} line {lineno}: {name} {text!r} is not {noun}") from None
+
+
 def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
     """Read a dataset written by :func:`dataset_to_csv`."""
     kind, seed, params = "unknown", 0, {}
@@ -188,7 +197,7 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
                     if key == "kind":
                         kind = value
                     elif key == "seed":
-                        seed = int(value)
+                        seed = _parsed(int, value, "seed", path, lineno)
                     elif key == "params":
                         params = json.loads(value)
                 continue
@@ -202,8 +211,8 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
             if has_split and parts[3] not in _SPLIT_NAMES:
                 raise ValueError(f"{path} line {lineno}: unknown split {parts[3]!r}")
             rows.append(
-                (float(parts[0]), float(parts[1]), int(parts[2]),
-                 parts[3] if has_split else None)
+                (_parsed(float, parts[0], "x1", path, lineno), _parsed(float, parts[1], "x2", path, lineno),
+                 _parsed(int, parts[2], "label", path, lineno), parts[3] if has_split else None)
             )
     if not rows:
         raise ValueError(f"no data rows in {path}")

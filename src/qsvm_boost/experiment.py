@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields
@@ -37,7 +36,7 @@ from .boosted_qsvm import (
 )
 from .datasets import GENERATORS, OneClassError, SplitDataset, dataset_to_csv, split_and_scale
 from .kernels import GramCache, linear_gram, rbf_gram
-from .quantum_sim import is_integer
+from .quantum_sim import is_integer, is_real
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -110,7 +109,7 @@ class ExperimentConfig:
             if not isinstance(params, dict):
                 raise ValueError(f"dataset_params for {family} must be a dict of parameters, got {params!r}")
             for key, value in params.items():  # a generator would take a bool as 0 or 1
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                if not is_real(value):
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         merged = DEFAULT_DATASET_PARAMS | self.dataset_params
         trial = (self.families, self.n_points, self.split_sizes,

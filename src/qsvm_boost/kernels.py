@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_sim import FeatureMapSpec, feature_map_states
+from .quantum_sim import FeatureMapSpec, feature_map_states, is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +57,9 @@ def _operands(X_a: np.ndarray, X_b: np.ndarray | None) -> tuple[np.ndarray, np.n
 
 
 def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
+    if not is_real(gamma):
+        raise ValueError(f"gamma must be a real number, got {gamma!r}")
+    gamma = float(gamma)  # one canonical id per value
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     X_a, X_b2 = _operands(X_a, X_b)

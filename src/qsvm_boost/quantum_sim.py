@@ -15,10 +15,16 @@ multiplies it by +-1 or +-i, so on the float view it is one column gather and
 a +-1 sign, memoized per Pauli string, written into a reused buffer. Those
 states keep the bits of a qubit-by-qubit circuit, which the study's 2-D
 datasets' records rest on. Above two qubits, a run of labels with one non-I
-letter L commutes, so it is one diagonal phase exp(i * Theta @ B) in L's
-eigenbasis (Theta: each row's term angles, B: the terms' +-1 eigenvalues),
-equal to the per-term rotations up to round-off. Either way a row's bits do
-not depend on the other rows of its batch.
+letter L commutes, so it is one diagonal phase exp(i * sum_t theta_t B[t]) in
+L's eigenbasis (theta_t: a row's term angles, B[t]: term t's +-1
+eigenvalues), equal to the per-term rotations up to round-off. Every term
+acts on at most two qubits, so with the amplitude index split into its low
+h and high n - h bits, B[t] is a low-half table times a high-half table, and
+the phase is built from half-register exponentials: one for the terms inside
+the low half, one for those inside the high half, and one per high qubit q
+for the cross terms on q, applied as itself or its conjugate by q's bit.
+That is (n - h + 1) * 2^h + 2^(n-h) complex exponentials per row instead of
+2^n. Either way a row's bits do not depend on the other rows of its batch.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -64,6 +70,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; a bool or a complex number is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def havlicek_data_map(subset: tuple[int, ...], X: np.ndarray) -> np.ndarray:
     """phi_S for every row of X: x_i for S = (i,), (pi - x_i)(pi - x_j) for S = (i, j)."""
     if len(subset) == 1:
@@ -92,7 +103,7 @@ class FeatureMapSpec:
             raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {self.n_qubits!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
             raise ValueError("reps must be a positive integer")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+        if not is_real(self.alpha):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))  # one canonical text per value
         if not math.isfinite(self.alpha):
@@ -236,15 +247,49 @@ def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
     return out
 
 
+def _parity(masks: np.ndarray, bits: int) -> np.ndarray:
+    """(-1)^popcount(k & mask) for each mask (rows) and each k < 2^bits (columns)."""
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << bits) & masks[:, None]) & 1)
+
+
+def _half_tables(masks: np.ndarray, n_qubits: int) -> tuple:
+    """A phase run's operand (b_lo, b_hi, lo, hi, cross) for its terms' qubit masks.
+
+    With h = n // 2 and amplitude index k = k_hi * 2^h + k_lo, term t's
+    eigenvalue is b_lo[t, k_lo] * b_hi[t, k_hi]. lo and hi index the terms
+    inside the low and the high half; cross[j] indexes the terms on one low
+    qubit and high qubit h + j, whose b_hi is bit j's sign.
+    """
+    h = n_qubits // 2
+    low, high = masks & ((1 << h) - 1), masks >> h
+    b_lo, b_hi, lo, hi = _frozen(_parity(low, h), _parity(high, n_qubits - h),
+                                 np.flatnonzero(high == 0), np.flatnonzero(low == 0))
+    cross = _frozen(*(np.flatnonzero((high == 1 << j) & (low != 0)) for j in range(n_qubits - h)))
+    return b_lo, b_hi, lo, hi, cross
+
+
+def _phase_factor(theta: np.ndarray, b_lo, b_hi, lo, hi, cross) -> np.ndarray:
+    """exp(i * sum_t theta_t B[t]) for each row of theta (terms x rows), as (rows, 2^n),
+    from the :func:`_half_tables` of its terms."""
+    def exp_sum(table, idx):  # einsum, unlike BLAS, sums every row alike
+        return np.exp(1j * np.einsum("tm,tk->mk", theta[idx], table[idx]))
+
+    factor = exp_sum(b_lo, lo)[:, None]  # (rows, 2^(high qubits so far), 2^h)
+    for idx in cross:  # each doubling puts the next high qubit's bit on top: + then -
+        e = exp_sum(b_lo, idx)[:, None] if len(idx) else 1.0
+        factor = np.concatenate([factor * e, factor * np.conj(e)], axis=1)
+    factor *= exp_sum(b_hi, hi)[:, :, None]
+    return factor.reshape(-1, b_lo.shape[1] * b_hi.shape[1])
+
+
 @functools.lru_cache(maxsize=None)
 def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, tuple, tuple]:
     """A spec's term supports, term groups and steps, built once per (n_qubits, labels, reps).
 
     A group is ("rotate", gathers, terms), applied term by term, or ("phase",
-    B, terms), one product with exp(i * sum_t theta_t B[t]), where B[t, k] =
-    (-1)^popcount(k & mask_t) is term t's eigenvalue on basis state k; its
-    terms are a slice of the spec's. A step is ("hadamard", None),
-    ("diagonal", vector) or (group kind, group index).
+    halves, terms), one product with the :func:`_phase_factor` of its
+    :func:`_half_tables` ``halves``; its terms are a slice of the spec's. A
+    step is ("hadamard", None), ("diagonal", vector) or (group kind, group index).
     """
     terms = FeatureMapSpec(n_qubits, labels).terms()
     k = np.arange(1 << n_qubits)
@@ -259,7 +304,7 @@ def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, 
     for key, run in itertools.groupby(range(len(terms)), key=keys.__getitem__):
         run = list(run)
         masks = np.array([sum(1 << q for q in terms[t][1]) for t in run])
-        operand = (_frozen(1.0 - 2.0 * (np.bitwise_count(k & masks[:, None]) & 1))[0] if key
+        operand = (_half_tables(masks, n_qubits) if key
                    else tuple(_rotation_gather(terms[t][0]) for t in run))
         groups.append(("phase" if key else "rotate", operand, slice(run[0], run[-1] + 1)))
         before, after = basis.get(key, ((), ()))
@@ -285,8 +330,8 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     for t, support in enumerate(supports):
         angles[t] = havlicek_data_map(support, X)
     angles *= spec.alpha
-    # one factor per group serves every repetition; einsum, unlike BLAS, sums every row alike
-    factors = [np.exp(1j * np.einsum("tm,tk->mk", angles[terms], op)) if kind == "phase"
+    # one factor per group serves every repetition
+    factors = [_phase_factor(angles[terms], *op) if kind == "phase"
                else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
     psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
     psi[:, 0] = 1.0

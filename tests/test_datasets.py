@@ -1,5 +1,6 @@
 """Generator, splitting, scaling and CSV round-trip tests."""
 import math
+import re
 import time
 
 import numpy as np
@@ -254,6 +255,30 @@ def test_csv_rejects_malformed_rows(tmp_path):
         dataset_from_csv(path)
     path.write_text("# kind=xor seed=0 params={}\nx1,x2,y\n0.1,0.2\n")
     with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+        dataset_from_csv(path)
+
+
+@pytest.mark.parametrize("column, text, message", [
+    (2, "1.0", "label '1.0' is not an integer"),
+    (0, "abc", "x1 'abc' is not a number"),
+    (1, "", "x2 '' is not a number"),
+])
+def test_csv_names_the_line_of_a_field_it_cannot_read(tmp_path, column, text, message):
+    # int() and float() refused these with their own text and no location
+    path = tmp_path / "plain.csv"
+    dataset_to_csv(path, make_circles(10, seed=5))
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = text
+    path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 4: {message}')}$"):
+        dataset_from_csv(path)
+
+
+def test_csv_names_the_line_of_a_header_seed_it_cannot_read(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("# kind=xor seed=1.5 params={}\nx1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 1: seed')} '1.5' is not an integer$"):
         dataset_from_csv(path)
 
 

@@ -114,6 +114,25 @@ def test_rbf_kernel_gamma_guard():
             rbf_gram([[0.0], [2.0]], [[1.0]], gamma=gamma)
 
 
+@pytest.mark.parametrize("gamma", [True, np.bool_(False), "0.5", None, 1j])
+def test_rbf_gamma_must_be_a_real_number(gamma):
+    # gamma=True was taken as 1 and named the Gram rbf;gamma=True
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        rbf_gram([[0.0], [2.0]], [[1.0]], gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma, text", [(np.float64(0.5), "0.5"), (np.float32(0.5), "0.5"),
+                                         (2, "2.0"), (np.int64(2), "2.0")])
+def test_rbf_gamma_is_stored_as_a_float(tmp_path, gamma, text):
+    # np.float64(0.5) wrote "# spec=rbf;gamma=np.float64(0.5)" into an exported Gram
+    X = [[0.0], [0.4], [1.0]]
+    gram = rbf_gram(X, gamma=gamma)
+    assert gram.spec_id == f"rbf;gamma={text}"
+    np.testing.assert_array_equal(gram.values, rbf_gram(X, gamma=float(text)).values)
+    export_gram_csv(gram, tmp_path / "rbf.csv")
+    assert (tmp_path / "rbf.csv").read_text().splitlines()[0] == f"# spec=rbf;gamma={text}"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kernel", ["rbf", "linear"])
 def test_classical_grams_refuse_non_finite_samples(kernel, bad):

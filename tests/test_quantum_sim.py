@@ -391,6 +391,49 @@ def test_a_row_keeps_its_bits_in_any_batch(n_qubits):
             np.testing.assert_array_equal(row, feature_map_states(spec, x[None])[0])
 
 
+# --- half-register phase factors ---
+
+def full_register_phase(theta: np.ndarray, masks: np.ndarray, n_qubits: int) -> np.ndarray:
+    """exp(i * Theta @ B) over the whole register, B[t, k] = (-1)^popcount(k & mask_t)."""
+    B = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n_qubits) & masks[:, None]) & 1)
+    return np.exp(1j * theta.T @ B)
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4, 5, 8, MAX_QUBITS])
+def test_phase_factor_matches_the_full_register_exponential(n_qubits):
+    # at 3 qubits the high half holds pair terms and the low half none
+    X = np.random.default_rng(74 + n_qubits).uniform(0, math.pi, size=(6, n_qubits))
+    menus = [("Z",), ("ZZ",), ("Z", "ZZ"), ("X", "XX"), ("Y", "YY"), ("IZ",), ("IX", "XX"), ("ZI", "Z", "IZ")]
+    for labels in menus:
+        supports, groups, _ = quantum_sim._circuit(n_qubits, labels, 1)
+        angles = 2.0 * np.array([havlicek_data_map(support, X) for support in supports])
+        (op, terms), = [(op, terms) for kind, op, terms in groups if kind == "phase"]
+        theta = angles[terms]
+        masks = np.array([sum(1 << q for q in support) for support in supports[terms]])
+        factor = quantum_sim._phase_factor(theta, *op)
+        error = np.abs(factor - full_register_phase(theta, masks, n_qubits))
+        # two orders of summing T terms differ by up to T * eps * sum_t |theta_t| (first order), plus
+        # an ulp per unit factor; from 8 qubits on, the sums reach hundreds of radians and the BLAS
+        # reference alone is up to 4.6e-13 from the exactly summed phase, so 1e-13 holds only below
+        summed = np.finfo(float).eps * (n_qubits + len(masks) * np.abs(theta).sum(axis=0))[:, None]
+        assert (error <= (1e-13 if n_qubits < 8 else summed)).all(), (labels, error.max())
+        np.testing.assert_allclose(np.abs(factor), 1.0, rtol=0, atol=1e-13, err_msg=str(labels))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 8, MAX_QUBITS])
+def test_an_empty_batch_gives_empty_states_and_grams(n_qubits):
+    rows = np.random.default_rng(75).uniform(0, math.pi, size=(3, n_qubits))
+    empty = np.empty((0, n_qubits))
+    for labels in GridSpec().feature_maps:
+        if max(map(len, labels)) > n_qubits:
+            continue
+        spec = FeatureMapSpec(n_qubits, labels)
+        assert feature_map_states(spec, empty).shape == (0, 1 << n_qubits)
+        assert gram_matrix(spec, empty).values.shape == (0, 0)
+        assert gram_matrix(spec, empty, rows).values.shape == (0, 3)
+        assert gram_matrix(spec, rows, empty).values.shape == (3, 0)
+
+
 _ORACLE_LABELS = SINGLE_LABELS + PAIR_LABELS + IDENTITY_LABELS
 
 
