@@ -44,7 +44,8 @@ def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = 
     if states_b is None:
         states_b = feature_map_states(spec, X_a if X_b is None else X_b)
     states_a = states_b if X_b is None else feature_map_states(spec, X_a)
-    return _assemble(np.abs(states_a @ states_b.conj().T) ** 2, X_b, spec.canonical())
+    values = np.abs(states_a @ states_b.conj().T)
+    return _assemble(np.square(values, out=values), X_b, spec.canonical())
 
 
 def _operands(X_a: np.ndarray, X_b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +81,7 @@ def _digest(X: np.ndarray) -> str:
     X = np.ascontiguousarray(X)
     h = hashlib.sha1()
     h.update(str(X.shape).encode())
-    h.update(str(X.dtype).encode())
+    h.update(X.dtype.str.encode())
     h.update(X.tobytes())
     return h.hexdigest()
 

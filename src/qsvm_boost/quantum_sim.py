@@ -7,24 +7,28 @@ by ``reps`` repetitions of [Hadamard layer, then one Pauli rotation
 for the subset S of qubits the term acts on.
 
 The batched simulator works on the float64 view of its (m, 2^n) complex
-states, real and imaginary parts interleaved. The Hadamard layer H^{(x)n} is
-two real matmuls: H^{(x)(n-h)} on the high half of the amplitude index and
-H^{(x)h} on the low half, h = n // 2. At one and two qubits every term is
-its own rotation in exact real arithmetic: i*P moves every amplitude and
-multiplies it by +-1 or +-i, so on the float view it is one column gather and
-a +-1 sign, memoized per Pauli string, written into a reused buffer. Those
-states keep the bits of a qubit-by-qubit circuit, which the study's 2-D
-datasets' records rest on. Above two qubits, a run of labels with one non-I
-letter L commutes, so it is one diagonal phase exp(i * sum_t theta_t B[t]) in
-L's eigenbasis (theta_t: a row's term angles, B[t]: term t's +-1
-eigenvalues), equal to the per-term rotations up to round-off. Every term
-acts on at most two qubits, so with the amplitude index split into its low
-h and high n - h bits, B[t] is a low-half table times a high-half table, and
-the phase is built from half-register exponentials: one for the terms inside
-the low half, one for those inside the high half, and one per high qubit q
-for the cross terms on q, applied as itself or its conjugate by q's bit.
-That is (n - h + 1) * 2^h + 2^(n-h) complex exponentials per row instead of
-2^n. Either way a row's bits do not depend on the other rows of its batch.
+states, real and imaginary parts interleaved. A circuit that opens with a
+Hadamard layer starts every row from one shared row H|0...0>. The Hadamard
+layer H^{(x)n} is two real matmuls per row: H^{(x)(n-h)} on the high half of
+the amplitude index and H^{(x)h} on the low half, h = n // 2; one GEMM
+across rows would let a row's bits depend on its batch. At one and two
+qubits every term is its own rotation in exact real arithmetic: i*P moves
+every amplitude and multiplies it by +-1 or +-i, so on the float view it is
+one gather of float parts and a +-1 sign, memoized per Pauli string. A run
+of rotations works rows last, on one (2^(n+1), m) transpose, so each
+operation runs along the batch, in the same order. Those states keep the
+bits of a qubit-by-qubit circuit, which the study's 2-D datasets' records
+rest on. Above two qubits, a run of labels with one non-I letter L commutes,
+so it is one diagonal phase exp(i * sum_t theta_t B[t]) in L's eigenbasis
+(theta_t: a row's term angles, B[t]: term t's +-1 eigenvalues), equal to the
+per-term rotations up to round-off. Every term acts on at most two qubits,
+so with the amplitude index split into its low h and high n - h bits, B[t]
+is a low-half table times a high-half table, and the phase is built from
+half-register exponentials: one for the terms inside the low half, one for
+those inside the high half, and one per high qubit q for the cross terms on
+q, applied as itself or its conjugate by q's bit. That is (n - h + 1) * 2^h
++ 2^(n-h) complex exponentials per row instead of 2^n. Either way a row's
+bits do not depend on the other rows of its batch.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -218,9 +222,10 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _rotation_gather(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """Column index and sign with (i P psi) = sign * v[:, index] on the float64 view v of psi.
+    """Part index and (parts, 1) sign with (i P psi) = sign * v[part] on the rows-last float64
+    view v of psi, one row per float part.
 
-    v interleaves real and imaginary parts. Every phase c of i*P is +-1 or
+    The parts interleave real and imaginary. Every phase c of i*P is +-1 or
     +-i, and c * (a + ib) is (c a, c b) for real c and (-d b, d a) for
     c = i d, so each output part is one input part times +-1: the exact
     arithmetic of the complex product.
@@ -228,18 +233,18 @@ def _rotation_gather(letters: str) -> tuple[np.ndarray, np.ndarray]:
     index, phase = _pauli_action(letters)
     c = 1j * phase
     swap = c.imag != 0
-    column = np.stack([2 * index + swap, 2 * index + ~swap], axis=1).ravel()
-    sign = np.stack([c.real - c.imag, c.real + c.imag], axis=1).ravel()
-    return _frozen(column, sign)
+    part = np.stack([2 * index + swap, 2 * index + ~swap], axis=1).ravel()
+    sign = np.stack([c.real - c.imag, c.real + c.imag], axis=1).reshape(-1, 1)
+    return _frozen(part, sign)
 
 
 def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
                   cos: np.ndarray, sin: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(i*theta*P)|psi> = cos(theta)|psi> + sin(theta) iP|psi> per row, since P^2 = I,
-    on the float64 view ``v`` with iP as its :func:`_rotation_gather`; cos and sin are (m, 1).
-    Written into and returned as ``out``, a buffer of v's shape that is not v."""
-    column, sign = gather
-    turned = np.take(v, column, axis=1)
+    on the rows-last float64 view ``v`` (2^(n+1), rows) with iP as its :func:`_rotation_gather`;
+    cos and sin are (rows,). Written into and returned as ``out``, a buffer of v's shape, not v."""
+    part, sign = gather
+    turned = v[part]
     turned *= sign
     turned *= sin
     np.multiply(cos, v, out=out)
@@ -318,6 +323,26 @@ def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, 
     return tuple(support for _, support in terms), tuple(groups), tuple(steps)
 
 
+@functools.lru_cache(maxsize=None)
+def _data_map_index(n_qubits: int, labels: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """Term indices and qubits of a spec's single-qubit terms, then term indices and
+    (2, pairs) qubits of its pair terms: :func:`havlicek_data_map` for every term at once."""
+    supports = [support for _, support in FeatureMapSpec(n_qubits, labels).terms()]
+    ones, pairs = ([t for t, s in enumerate(supports) if len(s) == k] for k in (1, 2))
+    one_qubits = [supports[t][0] for t in ones]
+    pair_qubits = np.array([supports[t] for t in pairs], dtype=int).reshape(len(pairs), 2).T
+    return _frozen(np.array(ones, dtype=int), np.array(one_qubits, dtype=int),
+                   np.array(pairs, dtype=int), pair_qubits)
+
+
+@functools.lru_cache(maxsize=None)
+def _start_rows(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """|0...0> and H|0...0> as frozen (1, 2^n) rows, the latter by :func:`_hadamard_all_batch`."""
+    zero = np.zeros((1, 1 << n_qubits), dtype=complex)
+    zero[0, 0] = 1.0
+    return _frozen(zero, _hadamard_all_batch(zero))
+
+
 def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     """Encoded statevectors for each sample row, as an (m, 2^n) array, by :func:`_circuit`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -326,24 +351,27 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("samples must be finite")
     supports, groups, steps = _circuit(spec.n_qubits, spec.labels, spec.reps)
+    ones, one_qubits, pairs, pair_qubits = _data_map_index(spec.n_qubits, spec.labels)
     angles = np.empty((len(supports), len(X)))
-    for t, support in enumerate(supports):
-        angles[t] = havlicek_data_map(support, X)
+    angles[ones] = X.T[one_qubits]
+    shifted = math.pi - X.T[pair_qubits]
+    angles[pairs] = shifted[0] * shifted[1]
     angles *= spec.alpha
     # one factor per group serves every repetition
     factors = [_phase_factor(angles[terms], *op) if kind == "phase"
                else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
-    psi = np.zeros((X.shape[0], 1 << spec.n_qubits), dtype=complex)
-    psi[:, 0] = 1.0
-    for kind, operand in steps:
+    start_h = steps[0][0] == "hadamard"  # every row starts from one shared row
+    psi = np.repeat(_start_rows(spec.n_qubits)[start_h], len(X), axis=0)
+    for kind, operand in steps[start_h:]:
         if kind == "hadamard":
             psi = _hadamard_all_batch(psi)
-        elif kind == "rotate":
-            v = psi.view(np.float64)
+        elif kind == "rotate":  # rows last: each term's operations run along the batch
+            rows = psi.view(np.float64)
+            v = np.ascontiguousarray(rows.T)
             spare = np.empty_like(v)
             for gather, cos, sin in zip(groups[operand][1], *factors[operand]):
-                v, spare = _rotate_batch(v, gather, cos[:, None], sin[:, None], spare), v
-            psi = v.view(complex)
+                v, spare = _rotate_batch(v, gather, cos, sin, spare), v
+            rows[...] = v.T
         else:
             psi = psi * (operand if kind == "diagonal" else factors[operand])
     return psi

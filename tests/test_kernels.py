@@ -95,6 +95,19 @@ def test_gram_cross_matches_entries():
             assert abs(g[i, j] - fidelity(spec, X_a[i], X_b[j])) < 1e-12
 
 
+@pytest.mark.parametrize("low, high", [(0.0, math.pi), (-1.0, 1.0), (0.0, 2 * math.pi), (-3.0, 3.0)])
+def test_y_yy_at_alpha_is_zz_at_twice_alpha_only_at_two_reps(low, high):
+    # on two qubits the default menu's (ZZ, 1.0) and (Y,YY, 0.5) are one kernel, and so
+    # are (ZZ, 2.0) and (Y,YY, 1.0); measured within 2.4e-15, pinned at 1e-12
+    X = np.random.default_rng(80).uniform(low, high, size=(30, 2))
+    for alpha in (0.5, 1.0, 0.37):
+        gap = {reps: np.abs(gram_matrix(FeatureMapSpec(2, ("Y", "YY"), reps, alpha), X).values
+                            - gram_matrix(FeatureMapSpec(2, ("ZZ",), reps, 2 * alpha), X).values).max()
+               for reps in (1, 2, 3)}
+        assert gap[2] <= 1e-12, (alpha, gap)
+        assert gap[1] > 0.5 and gap[3] > 0.5, (alpha, gap)
+
+
 def test_rbf_kernel_values():
     def rbf(x, y, gamma):
         return float(rbf_gram([x], [y], gamma=gamma).values[0, 0])

@@ -46,10 +46,11 @@ def random_batch(rng, n_qubits, rows=4):
 
 
 def rotate(psi, letters, thetas):
-    thetas = np.asarray(thetas, dtype=float)[:, None]
-    v = np.ascontiguousarray(psi).view(np.float64)
-    out = np.empty_like(v)
-    return _rotate_batch(v, _rotation_gather(letters), np.cos(thetas), np.sin(thetas), out).view(complex)
+    """One rotation of every row, through the rows-last layout _rotate_batch works in."""
+    thetas = np.asarray(thetas, dtype=float)
+    v = np.ascontiguousarray(np.ascontiguousarray(psi).view(np.float64).T)
+    out = _rotate_batch(v, _rotation_gather(letters), np.cos(thetas), np.sin(thetas), np.empty_like(v))
+    return np.ascontiguousarray(out.T).view(complex)
 
 
 def pauli_strings(n):
@@ -380,12 +381,16 @@ def test_every_term_rotates_up_to_two_qubits(n_qubits, monkeypatch):
         assert len(calls) == spec.reps * len(spec.terms())
 
 
-@pytest.mark.parametrize("n_qubits", [3, 5, 8])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, 8])
 def test_a_row_keeps_its_bits_in_any_batch(n_qubits):
-    X = np.random.default_rng(72).uniform(0, math.pi, size=(7, n_qubits))
+    # batches of 1, 3, 7 and 500 rows; the first 7 rows are those of a 7-row draw
+    X = np.random.default_rng(72).uniform(0, math.pi, size=(500, n_qubits))
     for labels in (*GridSpec().feature_maps, ("Z", "XZ")):
+        if max(map(len, labels)) > n_qubits:
+            continue
         spec = FeatureMapSpec(n_qubits, labels, reps=2, alpha=1.5)
-        batch = feature_map_states(spec, X)
+        batch = feature_map_states(spec, X[:7])
+        np.testing.assert_array_equal(batch, feature_map_states(spec, X)[:7])
         np.testing.assert_array_equal(batch[2:5], feature_map_states(spec, X[2:5]))
         for row, x in zip(batch, X):
             np.testing.assert_array_equal(row, feature_map_states(spec, x[None])[0])
