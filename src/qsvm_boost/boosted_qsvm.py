@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import GramCache
-from .quantum_sim import FeatureMapSpec, check_label, is_integer, is_real, parse_feature_map
+from .quantum_sim import FeatureMapSpec, is_integer, is_real, parse_feature_map
 from .svm_solver import (
     TrainedSVM,
     predict,
@@ -96,15 +96,12 @@ class GridSpec:
         object.__setattr__(self, "Cs", sorted_reals("Cs", self.Cs))
         if not self.feature_maps or not self.alphas or not self.Cs:
             raise ValueError("grid lists must be non-empty")
-        for fm in self.feature_maps:
-            for label in fm:
-                check_label(label)
+        for fm in self.feature_maps:  # the spec's label and reps rules; alphas are checked below
+            FeatureMapSpec(2, fm, self.reps)
         if not all(0 < a <= 2 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 2], got {self.alphas}")
         if not all(1 <= c <= 100 for c in self.Cs):
             raise ValueError(f"Cs must lie in [1, 100], got {self.Cs}")
-        if not (is_integer(self.reps) and self.reps >= 1):
-            raise ValueError("reps must be a positive integer")
         ids = [menu_id(fm) for fm in self.feature_maps]
         if len(set(ids)) != len(ids):
             raise ValueError("feature-map menu contains duplicates")

@@ -173,12 +173,17 @@ def dataset_to_csv(path, data: LabeledDataset | SplitDataset) -> None:
 
 
 def _parsed(convert, text: str, name: str, path, lineno: int):
-    """``convert(text)`` for ``int`` or ``float``, or a ValueError naming the field, file and line."""
+    """``convert(text)`` for ``int``, ``float`` or ``json.loads`` (a JSON object only), or a
+    ValueError naming the field, file and line."""
+    kind, noun = {int: (int, "an integer"), float: (float, "a number"),
+                  json.loads: (dict, "a JSON object")}[convert]
     try:
-        return convert(text)
-    except ValueError:
-        noun = "an integer" if convert is int else "a number"
-        raise ValueError(f"{path} line {lineno}: {name} {text!r} is not {noun}") from None
+        value = convert(text)
+    except ValueError:  # json.JSONDecodeError is one
+        value = None
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} line {lineno}: {name} {text!r} is not {noun}")
+    return value
 
 
 def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
@@ -199,7 +204,7 @@ def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
                     elif key == "seed":
                         seed = _parsed(int, value, "seed", path, lineno)
                     elif key == "params":
-                        params = json.loads(value)
+                        params = _parsed(json.loads, value, "params", path, lineno)
                 continue
             if has_split is None:
                 has_split = "split" in line.split(",")

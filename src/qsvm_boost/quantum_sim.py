@@ -8,7 +8,7 @@ for the subset S of qubits the term acts on.
 
 The batched simulator works on the float64 view of its (m, 2^n) complex
 states, real and imaginary parts interleaved. A circuit that opens with a
-Hadamard layer starts every row from one shared row H|0...0>. The Hadamard
+Hadamard layer starts all rows from one H|0...0> row in its plan. The Hadamard
 layer H^{(x)n} is two real matmuls per row: H^{(x)(n-h)} on the high half of
 the amplitude index and H^{(x)h} on the low half, h = n // 2; one GEMM
 across rows would let a row's bits depend on its batch. At one and two
@@ -144,16 +144,21 @@ class FeatureMapSpec:
 
 
 def parse_feature_map(text: str, n_qubits: int) -> FeatureMapSpec:
-    """Parse the canonical text form back into a spec."""
-    fields: dict[str, str] = {}
+    """Parse the canonical text form back into a spec; every field appears once."""
+    known, fields = ("paulis", "reps", "alpha", "map"), {}
     for part in text.strip().split(";"):
         if not part:
             continue
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"malformed feature-map field {part!r}")
-        fields[key.strip()] = value.strip()
-    for key in ("paulis", "reps", "alpha", "map"):
+        if key not in known:
+            raise ValueError(f"unknown feature-map field {key!r} in {text!r}")
+        if key in fields:
+            raise ValueError(f"repeated feature-map field {key!r} in {text!r}")
+        fields[key] = value.strip()
+    for key in known:
         if key not in fields:
             raise ValueError(f"feature-map text missing {key}= field: {text!r}")
     if fields["map"] != DATA_MAP:
@@ -220,7 +225,6 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     return k ^ xmask, phase
 
 
-@functools.lru_cache(maxsize=None)
 def _rotation_gather(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """Part index and (parts, 1) sign with (i P psi) = sign * v[part] on the rows-last float64
     view v of psi, one row per float part.
@@ -288,13 +292,15 @@ def _phase_factor(theta: np.ndarray, b_lo, b_hi, lo, hi, cross) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, tuple, tuple]:
-    """A spec's term supports, term groups and steps, built once per (n_qubits, labels, reps).
+def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple:
+    """A spec's plan (data_map, start, groups, steps), built once per (n_qubits, labels, reps).
 
-    A group is ("rotate", gathers, terms), applied term by term, or ("phase",
-    halves, terms), one product with the :func:`_phase_factor` of its
-    :func:`_half_tables` ``halves``; its terms are a slice of the spec's. A
-    step is ("hadamard", None), ("diagonal", vector) or (group kind, group index).
+    data_map: the single-qubit terms and their qubits, then the pair terms and their (2, pairs)
+    qubits. start: the (1, 2^n) row H|0...0> in place of an opening Hadamard layer, else |0...0>.
+    A group is ("rotate", gathers, terms), applied term by term, or ("phase", halves, terms),
+    one product with the :func:`_phase_factor` of its :func:`_half_tables` ``halves``; its terms
+    are a slice of the spec's. A step is ("hadamard", None), ("diagonal", vector) or (group kind,
+    group index).
     """
     terms = FeatureMapSpec(n_qubits, labels).terms()
     k = np.arange(1 << n_qubits)
@@ -320,27 +326,15 @@ def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple[tuple, 
             steps.pop()
         else:
             steps.append(step)
-    return tuple(support for _, support in terms), tuple(groups), tuple(steps)
-
-
-@functools.lru_cache(maxsize=None)
-def _data_map_index(n_qubits: int, labels: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Term indices and qubits of a spec's single-qubit terms, then term indices and
-    (2, pairs) qubits of its pair terms: :func:`havlicek_data_map` for every term at once."""
-    supports = [support for _, support in FeatureMapSpec(n_qubits, labels).terms()]
-    ones, pairs = ([t for t, s in enumerate(supports) if len(s) == k] for k in (1, 2))
-    one_qubits = [supports[t][0] for t in ones]
-    pair_qubits = np.array([supports[t] for t in pairs], dtype=int).reshape(len(pairs), 2).T
-    return _frozen(np.array(ones, dtype=int), np.array(one_qubits, dtype=int),
-                   np.array(pairs, dtype=int), pair_qubits)
-
-
-@functools.lru_cache(maxsize=None)
-def _start_rows(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """|0...0> and H|0...0> as frozen (1, 2^n) rows, the latter by :func:`_hadamard_all_batch`."""
-    zero = np.zeros((1, 1 << n_qubits), dtype=complex)
-    zero[0, 0] = 1.0
-    return _frozen(zero, _hadamard_all_batch(zero))
+    ones, pairs = ([t for t, (_, s) in enumerate(terms) if len(s) == size] for size in (1, 2))
+    one_qubits = [terms[t][1][0] for t in ones]
+    pair_qubits = np.array([terms[t][1] for t in pairs], dtype=int).reshape(-1, 2).T
+    data_map = _frozen(np.array(ones, dtype=int), np.array(one_qubits, dtype=int),
+                       np.array(pairs, dtype=int), pair_qubits)
+    start = np.eye(1, 1 << n_qubits, dtype=complex)  # |0...0>
+    if steps[0][0] == "hadamard":  # every row starts from one shared row
+        start, steps = _hadamard_all_batch(start), steps[1:]
+    return data_map, *_frozen(start), tuple(groups), tuple(steps)
 
 
 def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
@@ -350,9 +344,9 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"samples have {X.shape[1]} features, spec needs {spec.n_qubits}")
     if not np.isfinite(X).all():
         raise ValueError("samples must be finite")
-    supports, groups, steps = _circuit(spec.n_qubits, spec.labels, spec.reps)
-    ones, one_qubits, pairs, pair_qubits = _data_map_index(spec.n_qubits, spec.labels)
-    angles = np.empty((len(supports), len(X)))
+    (ones, one_qubits, pairs, pair_qubits), start, groups, steps = _circuit(
+        spec.n_qubits, spec.labels, spec.reps)
+    angles = np.empty((len(ones) + len(pairs), len(X)))
     angles[ones] = X.T[one_qubits]
     shifted = math.pi - X.T[pair_qubits]
     angles[pairs] = shifted[0] * shifted[1]
@@ -360,9 +354,8 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     # one factor per group serves every repetition
     factors = [_phase_factor(angles[terms], *op) if kind == "phase"
                else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
-    start_h = steps[0][0] == "hadamard"  # every row starts from one shared row
-    psi = np.repeat(_start_rows(spec.n_qubits)[start_h], len(X), axis=0)
-    for kind, operand in steps[start_h:]:
+    psi = np.repeat(start, len(X), axis=0)
+    for kind, operand in steps:
         if kind == "hadamard":
             psi = _hadamard_all_batch(psi)
         elif kind == "rotate":  # rows last: each term's operations run along the batch

@@ -282,6 +282,16 @@ def test_csv_names_the_line_of_a_header_seed_it_cannot_read(tmp_path):
         dataset_from_csv(path)
 
 
+@pytest.mark.parametrize("params", ["{margin: 0.0}", "[1, 2]"])
+def test_csv_names_the_line_of_header_params_it_cannot_read(tmp_path, params):
+    # bad JSON raised a bare JSONDecodeError, and a JSON list loaded as the dataset's params
+    path = tmp_path / "plain.csv"
+    path.write_text(f"# kind=xor seed=1 params={params}\nx1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n")
+    message = f"{path} line 1: params {params!r} is not a JSON object"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataset_from_csv(path)
+
+
 @pytest.mark.parametrize("split", ["train", "val", "test"])
 def test_csv_refuses_a_split_with_no_rows(tmp_path, split):
     # an empty split was refused as a one-class dataset

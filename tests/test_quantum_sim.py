@@ -93,6 +93,18 @@ def test_zero_state_size_guard():
     assert FeatureMapSpec(np.int64(2), ("Z",)).terms() == [("ZI", (0,)), ("IZ", (1,))]
 
 
+@pytest.mark.parametrize("n_qubits, labels, hadamard_led", [(2, ("Z", "ZZ"), True), (8, ("Z",), True),
+                                                             (3, ("X", "XX"), False)])
+def test_the_plan_starts_from_h_on_zero_in_place_of_an_opening_hadamard_layer(n_qubits, labels, hadamard_led):
+    # above two qubits an opening X run's own H cancels the first Hadamard layer
+    _, start, _, steps = quantum_sim._circuit(n_qubits, labels, 2)
+    zero = np.zeros((1, 1 << n_qubits), dtype=complex)
+    zero[0, 0] = 1.0
+    np.testing.assert_array_equal(start, _hadamard_all_batch(zero) if hadamard_led else zero)
+    assert steps[0][0] != "hadamard"
+    assert not start.flags.writeable
+
+
 # --- menu labels and the index-mask action ---
 
 def test_pauli_string_validation():
@@ -410,7 +422,8 @@ def test_phase_factor_matches_the_full_register_exponential(n_qubits):
     X = np.random.default_rng(74 + n_qubits).uniform(0, math.pi, size=(6, n_qubits))
     menus = [("Z",), ("ZZ",), ("Z", "ZZ"), ("X", "XX"), ("Y", "YY"), ("IZ",), ("IX", "XX"), ("ZI", "Z", "IZ")]
     for labels in menus:
-        supports, groups, _ = quantum_sim._circuit(n_qubits, labels, 1)
+        supports = [support for _, support in FeatureMapSpec(n_qubits, labels).terms()]
+        _, _, groups, _ = quantum_sim._circuit(n_qubits, labels, 1)
         angles = 2.0 * np.array([havlicek_data_map(support, X) for support in supports])
         (op, terms), = [(op, terms) for kind, op, terms in groups if kind == "phase"]
         theta = angles[terms]
@@ -566,6 +579,11 @@ def test_parse_rejects_malformed():
                       ("paulis=Z;reps=2;alpha=1.0", "map")):
         with pytest.raises(ValueError, match=f"missing {key}= field"):
             parse_feature_map(text, 2)
+    # bundles store this text, so an unknown field or a second value for one is refused, not dropped
+    with pytest.raises(ValueError, match="unknown feature-map field 'foo'"):
+        parse_feature_map("paulis=Z;reps=2;alpha=1.0;map=havlicek-default;foo=1", 2)
+    with pytest.raises(ValueError, match="repeated feature-map field 'paulis'"):
+        parse_feature_map("paulis=Z;paulis=ZZ;reps=2;alpha=1.0;map=havlicek-default", 2)
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
