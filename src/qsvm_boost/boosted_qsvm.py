@@ -23,6 +23,7 @@ from .svm_solver import (
     svm_from_json,
     svm_to_json,
     train_weighted_svms,
+    written_back,
 )
 
 DEFAULT_FEATURE_MAP_MENU = (
@@ -44,6 +45,7 @@ STOP_PERFECT = "perfect"
 STOP_WORSE_THAN_RANDOM = "worse_than_random"
 STOP_MAX_REACHED = "max_reached"
 STOP_MAPS_EXHAUSTED = "maps_exhausted"
+STOP_REASONS = (STOP_PERFECT, STOP_WORSE_THAN_RANDOM, STOP_MAX_REACHED, STOP_MAPS_EXHAUSTED)
 
 
 def menu_id(labels: tuple[str, ...]) -> str:
@@ -86,18 +88,15 @@ class GridSpec:
     reps: int = 2
 
     def __post_init__(self):
-        # the menu and each map must be lists: a bare string would read as its letters
-        menu = self.feature_maps
-        for entry in (menu, *menu) if isinstance(menu, (list, tuple)) else (menu,):
-            if not isinstance(entry, (list, tuple)) or not entry:
-                raise ValueError(f"feature_maps needs non-empty lists of Pauli labels, got {entry!r}")
+        if not isinstance(self.feature_maps, (list, tuple)) or not self.feature_maps:  # a string reads as its letters
+            raise ValueError(f"feature_maps needs non-empty lists of Pauli labels, got {self.feature_maps!r}")
+        for fm in self.feature_maps:  # the spec's label and reps rules; alphas are checked below
+            FeatureMapSpec(2, fm, self.reps)
         object.__setattr__(self, "feature_maps", tuple(tuple(fm) for fm in self.feature_maps))
         object.__setattr__(self, "alphas", sorted_reals("alphas", self.alphas))
         object.__setattr__(self, "Cs", sorted_reals("Cs", self.Cs))
-        if not self.feature_maps or not self.alphas or not self.Cs:
+        if not self.alphas or not self.Cs:
             raise ValueError("grid lists must be non-empty")
-        for fm in self.feature_maps:  # the spec's label and reps rules; alphas are checked below
-            FeatureMapSpec(2, fm, self.reps)
         if not all(0 < a <= 2 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 2], got {self.alphas}")
         if not all(1 <= c <= 100 for c in self.Cs):
@@ -138,6 +137,8 @@ class BoostedEnsemble:
     def __post_init__(self):
         if not 1 <= self.pruned_length <= len(self.rounds):
             raise ValueError("pruned_length must lie in [1, len(rounds)]")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
 
     @property
     def active_rounds(self) -> tuple[BoostingRound, ...]:
@@ -342,10 +343,14 @@ def result_to_json(result: GridSearchResult) -> dict:
 
 
 def result_from_json(entry: dict, n_qubits: int) -> GridSearchResult:
-    """The grid cell that ``result_to_json`` wrote, on ``n_qubits`` qubits."""
-    spec = parse_feature_map(entry["feature_map"], n_qubits)
-    grid_point = (menu_id(spec.labels), float(entry["alpha"]), float(entry["C"]))
-    return GridSearchResult(svm_from_json(entry["svm"]), spec, grid_point, float(entry["val_accuracy"]))
+    """The grid cell that ``result_to_json`` wrote, on ``n_qubits`` qubits, if it writes ``entry`` back."""
+    return written_back(entry, result_to_json, _result(entry, n_qubits))
+
+
+def _result(entry: dict, n_qubits: int) -> GridSearchResult:
+    """The grid cell an entry describes, unchecked: a round's entry holds more than a cell's."""
+    spec, model = parse_feature_map(entry["feature_map"], n_qubits), svm_from_json(entry["svm"])
+    return GridSearchResult(model, spec, (menu_id(spec.labels), spec.alpha, model.C), float(entry["val_accuracy"]))
 
 
 def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
@@ -361,10 +366,8 @@ def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
 
 
 def ensemble_from_json(obj: dict) -> BoostedEnsemble:
-    n_qubits = int(obj["n_qubits"])
-    rounds = tuple(
-        BoostingRound(**vars(result_from_json(entry, n_qubits)),
-                      err_m=float(entry["err_m"]), alpha_m=float(entry["alpha_m"]))
-        for entry in obj["rounds"]
-    )
-    return BoostedEnsemble(rounds, int(obj["pruned_length"]), obj["stop_reason"])
+    """The ensemble that ``ensemble_to_json`` wrote, if it writes ``obj`` back."""
+    rounds = tuple(BoostingRound(**vars(_result(entry, obj["n_qubits"])), err_m=float(entry["err_m"]),
+                                 alpha_m=float(entry["alpha_m"])) for entry in obj["rounds"])
+    return written_back(obj, ensemble_to_json,
+                        BoostedEnsemble(rounds, int(obj["pruned_length"]), obj["stop_reason"]))

@@ -43,6 +43,7 @@ from .svm_solver import (
     svm_from_json,
     svm_to_json,
     train_weighted_svm,
+    written_back,
 )
 
 MODEL_BOOSTED = "boosted_qsvm"
@@ -276,14 +277,17 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
         base = classical_svm_baseline(
             split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
         )
-        entry = {key: value for key, value in base._asdict().items() if key != "model"}
-        entry["svm"] = svm_to_json(base.model)
         gamma_text = "-" if base.gamma is None else repr(base.gamma)
-        fit = ModelFit(entry, 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
+        fit = ModelFit(_baseline_entry(base), 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
     else:
         raise ValueError(f"unknown model {model_id!r}")
     fit.entry["test_accuracy"] = _test_accuracy(model_id, fit.entry, split, cache)
     return fit
+
+
+def _baseline_entry(base: BaselineResult) -> dict:
+    """The baseline cell's bundle entry: its fields, its SVM by ``svm_to_json``."""
+    return {**{k: v for k, v in base._asdict().items() if k != "model"}, "svm": svm_to_json(base.model)}
 
 
 def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramCache) -> float:
@@ -296,9 +300,11 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
         single = result_from_json(entry, X_train.shape[1])
         model, k_test = single.model, cache.fidelity(single.feature_map, X_test, X_train)
     else:
-        params = {} if entry["gamma"] is None else {"gamma": entry["gamma"]}
         model = svm_from_json(entry["svm"])
-        k_test = _BASELINE_GRAMS[entry["kernel"]](X_test, X_train, **params)
+        base = written_back(entry, _baseline_entry, BaselineResult(
+            model, entry["kernel"], entry["gamma"], model.C, float(entry["val_accuracy"])))
+        params = {} if base.gamma is None else {"gamma": base.gamma}
+        k_test = _BASELINE_GRAMS[base.kernel](X_test, X_train, **params)
     return _accuracy(predict(model, k_test.values), split.test.y)
 
 

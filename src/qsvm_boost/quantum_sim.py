@@ -102,6 +102,8 @@ class FeatureMapSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.labels, (list, tuple)) or not self.labels:  # a string reads as its letters
+            raise ValueError(f"feature maps take non-empty lists of Pauli labels, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         if not (is_integer(self.n_qubits) and 1 <= self.n_qubits <= MAX_QUBITS):
             raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {self.n_qubits!r}")
@@ -112,8 +114,6 @@ class FeatureMapSpec:
         object.__setattr__(self, "alpha", float(self.alpha))  # one canonical text per value
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if not self.labels:
-            raise ValueError("feature map needs at least one Pauli label")
         for label in self.labels:
             check_label(label)
             if len(label) > self.n_qubits:
@@ -144,31 +144,16 @@ class FeatureMapSpec:
 
 
 def parse_feature_map(text: str, n_qubits: int) -> FeatureMapSpec:
-    """Parse the canonical text form back into a spec; every field appears once."""
-    known, fields = ("paulis", "reps", "alpha", "map"), {}
-    for part in text.strip().split(";"):
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"malformed feature-map field {part!r}")
-        if key not in known:
-            raise ValueError(f"unknown feature-map field {key!r} in {text!r}")
-        if key in fields:
-            raise ValueError(f"repeated feature-map field {key!r} in {text!r}")
-        fields[key] = value.strip()
-    for key in known:
-        if key not in fields:
-            raise ValueError(f"feature-map text missing {key}= field: {text!r}")
-    if fields["map"] != DATA_MAP:
-        raise ValueError(f"unknown data map {fields['map']!r}, only {DATA_MAP} is supported")
-    return FeatureMapSpec(
-        n_qubits=n_qubits,
-        labels=tuple(fields["paulis"].split(",")),
-        reps=int(fields["reps"]),
-        alpha=float(fields["alpha"]),
-    )
+    """The spec whose :meth:`~FeatureMapSpec.canonical` text is ``text``; any other text is refused."""
+    fields = dict(part.partition("=")[::2] for part in text.split(";"))
+    try:
+        spec = FeatureMapSpec(n_qubits, tuple(fields["paulis"].split(",")),
+                              int(fields["reps"]), float(fields["alpha"]))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"feature-map text {text!r} has a missing or malformed field: {exc}") from exc
+    if spec.canonical() != text:
+        raise ValueError(f"feature-map text {text!r} is not its spec's canonical text {spec.canonical()!r}")
+    return spec
 
 
 # --- statevector kernels (batched over samples; shape (m, 2^n)) ---

@@ -387,13 +387,18 @@ def svm_to_json(model: TrainedSVM) -> dict:
 
 
 def svm_from_json(obj: dict) -> TrainedSVM:
-    model = TrainedSVM(
-        dual_coefs=np.asarray(obj["dual_coefs"], dtype=float),
-        bias=float(obj["bias"]),
-        C=float(obj["C"]),
-        converged=bool(obj["converged"]),
-        degenerate=bool(obj["degenerate"]),
-    )
-    if not np.array_equal(obj["support_indices"], model.support_indices):
-        raise ValueError(f"support_indices {obj['support_indices']} disagree with the nonzero dual_coefs")
-    return model
+    """The SVM that ``svm_to_json`` wrote, if it writes ``obj`` back."""
+    return written_back(obj, svm_to_json, TrainedSVM(
+        np.asarray(obj["dual_coefs"], dtype=float), float(obj["bias"]), float(obj["C"]),
+        bool(obj["converged"]), bool(obj["degenerate"])))
+
+
+def written_back(stored: dict, write, loaded):
+    """``loaded``, built from ``stored``, if ``write(loaded)`` gives ``stored`` back, apart from the
+    ``test_accuracy`` a study adds; else a ValueError naming the keys that differ."""
+    stored, written = {key: value for key, value in stored.items() if key != "test_accuracy"}, write(loaded)
+    if stored != written:
+        keys = [key for key in sorted(stored.keys() | written.keys(), key=str)
+                if key not in stored or key not in written or stored[key] != written[key]]
+        raise ValueError(f"stored keys {keys} differ from what their writer gives back")
+    return loaded

@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 from qsvm_boost import experiment
 from qsvm_boost.boosted_qsvm import (
     STOP_PERFECT,
+    GridSearchResult,
     GridSpec,
+    ensemble_from_json,
     ensemble_to_json,
     fit_boosted,
     grid_search_best,
     initial_weights,
+    result_from_json,
+    result_to_json,
 )
 from qsvm_boost.datasets import (
     GENERATORS,
@@ -50,8 +54,8 @@ from qsvm_boost.experiment import (
     write_records_csv,
 )
 from qsvm_boost.kernels import GramCache, linear_gram, rbf_gram
-from qsvm_boost.quantum_sim import FeatureMapSpec
-from qsvm_boost.svm_solver import predict, train_weighted_svm
+from qsvm_boost.quantum_sim import FeatureMapSpec, parse_feature_map
+from qsvm_boost.svm_solver import predict, svm_from_json, svm_to_json, train_weighted_svm
 from helpers import count_solver_calls
 
 SMALL_GRID = GridSpec(
@@ -340,6 +344,68 @@ def test_reloaded_models_reproduce_accuracies(tmp_path):
     reloaded = evaluate_reloaded(bundle, split)
     for model_id in MODELS:
         assert reloaded[model_id] == records[model_id].test_accuracy
+
+
+def test_a_tampered_bundle_is_refused_by_the_key_it_changed(tmp_path):
+    config = tiny_config(tmp_path / "out")
+    seed = run_experiment(config)[0].dataset_seed
+    split = dataset_from_csv(tmp_path / "out" / "datasets" / f"circles_{seed}.csv")
+    path = tmp_path / "out" / "models" / f"circles_{seed}.json"
+    assert set(evaluate_reloaded(reload_bundle(path), split)) == set(MODELS)
+    for model_key, tamper, key in (("single", lambda entry: entry.update(C=3.0), "C"),
+                                   ("boosted", lambda entry: entry["rounds"][0].update(alpha=2.0), "rounds"),
+                                   ("baseline", lambda entry: entry["svm"].update(support_indices=[]),
+                                    "support_indices")):
+        bundle = reload_bundle(path)
+        tamper(bundle[model_key])
+        with pytest.raises(ValueError, match=rf"stored keys \['{key}'\] differ from what their writer gives back"):
+            evaluate_reloaded(bundle, split)
+
+
+def _svm_entry() -> dict:
+    return svm_to_json(train_weighted_svm(np.eye(2), np.array([1, 0]), C=1.0))
+
+
+def _cell_entry() -> dict:
+    model = train_weighted_svm(np.eye(2), np.array([1, 0]), C=1.0)
+    return result_to_json(GridSearchResult(model, FeatureMapSpec(2, ("Z",)), ("Z", 1.0, 1.0), 0.5))
+
+
+def _reload_baseline(**changes) -> dict:
+    split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
+    config = ExperimentConfig(baseline_kernels=("linear",), baseline_Cs=(1.0,))
+    entry = fit_model(split, config, MODEL_BASELINE, GramCache()).entry
+    return evaluate_reloaded({"baseline": {**entry, **changes}}, split)
+
+
+def _text(text: str) -> str:
+    return f"feature-map text {re.escape(repr(text))}"
+
+
+_TEXTS = (" paulis = Z ; reps=2;alpha=1;map=havlicek-default; ",
+          "paulis=Z;reps=2.0;alpha=1.0;map=havlicek-default",
+          "paulis=Z;reps=2;alpha=x;map=havlicek-default")
+
+
+@pytest.mark.parametrize("load, message", [
+    *(pytest.param(lambda text=text: parse_feature_map(text, 2), _text(text), id=name)
+      for text, name in zip(_TEXTS, ("non-canonical-text", "reps-2.0", "alpha-x"))),
+    pytest.param(lambda: svm_from_json({**_svm_entry(), "label_convention": "y{0,1}<->t{+1,-1}:t=1-2y"}),
+                 r"\['label_convention'\]", id="flipped-label-convention"),
+    pytest.param(lambda: svm_from_json({**_svm_entry(), "kernel": "rbf"}), r"\['kernel'\]", id="extra-svm-key"),
+    pytest.param(lambda: result_from_json({**_cell_entry(), "alpha": 2.0}, 2), r"\['alpha'\]",
+                 id="cell-alpha-off-its-map"),
+    pytest.param(lambda: result_from_json({**_cell_entry(), "C": 100.0}, 2), r"\['C'\]", id="cell-C-off-its-svm"),
+    pytest.param(lambda: _reload_baseline(C=10.0), r"\['C'\]", id="baseline-C-off-its-svm"),
+    pytest.param(lambda: ensemble_from_json({"n_qubits": 2, "pruned_length": 1, "stop_reason": "bogus",
+                                             "rounds": [{**_cell_entry(), "err_m": 0.25, "alpha_m": 1.0}]}),
+                 "stop_reason must be one of .*, got 'bogus'", id="unknown-stop-reason"),
+    pytest.param(lambda: FeatureMapSpec(2, "ZZ"), "non-empty lists of Pauli labels, got 'ZZ'",
+                 id="bare-string-labels"),
+])
+def test_a_stored_format_loads_only_what_its_writer_gives_back(load, message):
+    with pytest.raises(ValueError, match=message):
+        load()
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Statevector simulator tests, checked against the dense-matrix oracle."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -567,23 +568,22 @@ def test_canonical_round_trip():
 
 
 def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_feature_map("reps=2", 2)
-    with pytest.raises(ValueError):
-        parse_feature_map("paulis=Z;reps", 2)
-    with pytest.raises(ValueError):
-        parse_feature_map("paulis=Z;reps=2;alpha=1.0;map=other", 2)
-    # every field is required: a truncated text fills nothing in
-    for text, key in (("paulis=Z;alpha=1.0;map=havlicek-default", "reps"),
-                      ("paulis=Z;reps=2;map=havlicek-default", "alpha"),
-                      ("paulis=Z;reps=2;alpha=1.0", "map")):
-        with pytest.raises(ValueError, match=f"missing {key}= field"):
+    # every field is required: a truncated text fills nothing in, and the error names the text
+    for text, reason in (("reps=2", "'paulis'"),
+                         ("paulis=Z;alpha=1.0;map=havlicek-default", "'reps'"),
+                         ("paulis=Z;reps=2;map=havlicek-default", "'alpha'"),
+                         ("paulis=Z;reps", "invalid literal for int")):
+        with pytest.raises(ValueError, match=f"feature-map text {re.escape(repr(text))} has a missing "
+                                             f"or malformed field: {reason}"):
             parse_feature_map(text, 2)
-    # bundles store this text, so an unknown field or a second value for one is refused, not dropped
-    with pytest.raises(ValueError, match="unknown feature-map field 'foo'"):
-        parse_feature_map("paulis=Z;reps=2;alpha=1.0;map=havlicek-default;foo=1", 2)
-    with pytest.raises(ValueError, match="repeated feature-map field 'paulis'"):
-        parse_feature_map("paulis=Z;paulis=ZZ;reps=2;alpha=1.0;map=havlicek-default", 2)
+    # bundles store this text, so a missing map=, another data map, an unknown field or a
+    # second value for one is refused, not dropped: only the spec's own text loads
+    for text in ("paulis=Z;reps=2;alpha=1.0",
+                 "paulis=Z;reps=2;alpha=1.0;map=other",
+                 "paulis=Z;reps=2;alpha=1.0;map=havlicek-default;foo=1",
+                 "paulis=Z;paulis=ZZ;reps=2;alpha=1.0;map=havlicek-default"):
+        with pytest.raises(ValueError, match=f"{re.escape(repr(text))} is not its spec's canonical text"):
+            parse_feature_map(text, 2)
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
