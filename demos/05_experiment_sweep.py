@@ -2,7 +2,7 @@
 
 Three models per dataset: the boosted ensemble, the single best
 grid-searched quantum-kernel SVM, and a classical RBF/linear SVM baseline.
-The default study (10 datasets per family) takes about 60 seconds on one
+The default study (10 datasets per family) takes about 27 seconds on one
 core; this demo shrinks it to 2 datasets per family. It writes its records,
 models and report files to qsvm_boost_demo/ in the current directory. Run:
 python3 demos/05_experiment_sweep.py
@@ -30,7 +30,7 @@ for family, fs in sorted(stats.families.items()):
     print(f"{family}: mean ensemble size {fs.mean_ensemble_size:.2f} "
           f"(max {fs.max_ensemble_size}), ensembles with >2 learners: {fs.n_more_than_2}")
 
-paths = emit_report(stats, records, config.output_dir)
+paths = emit_report(stats, config.output_dir)
 print()
 print("report files:")
 print(f"  records: {Path(config.output_dir) / 'records.csv'}")

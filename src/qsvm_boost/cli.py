@@ -64,7 +64,7 @@ def _cmd_experiment(args) -> int:
         config = replace(config, output_dir=args.output_dir)
     records = run_experiment(config, verbose=not args.quiet)
     stats = aggregate(records)
-    paths = emit_report(stats, records, config.output_dir)
+    paths = emit_report(stats, config.output_dir)
     print(f"wrote {Path(config.output_dir) / 'records.csv'}, {paths['summary']}, {paths['boxplot']}")
     return 0
 
@@ -72,7 +72,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_report(args) -> int:
     records = read_records_csv(args.records)
     stats = aggregate(records)
-    paths = emit_report(stats, records, args.out)
+    paths = emit_report(stats, args.out)
     print(f"wrote {paths['summary']} and {paths['boxplot']}")
     return 0
 

@@ -16,7 +16,8 @@ row's step in ``_pair_steps`` over (rows,) arrays and adds all K-row updates
 at once. A finished row, converged or stuck, leaves at the top of a pass.
 Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
 ``_smo_row`` with the scalar ``_pair_step``; ``train_weighted_svm`` runs
-only that loop.
+only that loop. Every row's bias is read from one last ``_pick`` over all
+rows, so the pair and the bias come from the same up and low candidates.
 
 Every row takes exactly the steps, and gives exactly the bits (the sign of
 zero included), of a fit of its problem alone: every pick is a first-index
@@ -127,12 +128,12 @@ def train_weighted_svms(
     t = 2.0 * np.asarray(y, dtype=float) - 1.0
     upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
     gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
-    alpha, u, converged = _smo_lockstep(stack, gram_of, t, upper)
-    return [TrainedSVM(alpha[r] * t, _bias(t, alpha[r], u[r], upper[r]), Cs[r % len(Cs)], bool(converged[r]))
+    alpha, bias, converged = _smo_lockstep(stack, gram_of, t, upper)
+    return [TrainedSVM(alpha[r] * t, bias[r], Cs[r % len(Cs)], bool(converged[r]))
             for r in range(len(gram_of))]
 
 
-def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
 
     A row stops when it has no violating pair or its gap is within
@@ -140,8 +141,10 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, np.ndarray, np.
     (stuck) or after ``_MAX_PASSES`` steps. Finished rows leave the working
     arrays at the top of a pass; the Gram stack is never copied. Once at most
     ``_TAIL_ROWS`` rows are live, each finishes alone in ``_smo_row`` from its
-    own ``alpha``, ``u``, last step and remaining passes. Returns every row's final ``alpha``
-    and ``u`` (u_k = sum_l alpha_l t_l K_lk), and whether it converged.
+    own ``alpha``, ``u`` (u_k = sum_l alpha_l t_l K_lk), last step and remaining passes.
+    Returns every row's final ``alpha``, its bias and whether it converged. The biases come
+    from one last ``_pick`` over all rows: the mean of neg_e = t - u over the free vectors
+    (on both sides), else the middle of the up and low ends, else the finite end.
     """
     n_grams, n, _ = stack.shape
     rows = len(gram_of)
@@ -200,7 +203,17 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, np.ndarray, np.
     for r, row in enumerate(live.tolist()):
         converged[row] = _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
                                   moved.item(r), max_passes - passes, tol)
-    return alpha_out, u_out, converged
+
+    t_m, neg_m, values, off, base = scratch(rows)
+    ij, _ = _pick(t_m, neg_m, alpha_out, u_out, upper, values, off, base)
+    free, ends = ~(off[0] | off[1]), values.take(ij + base).T.tolist()
+    bias = []
+    for r, (up, low) in enumerate(ends):  # low is -min low neg_e
+        if free[r].any():
+            bias.append(float(np.mean(values[0, r][free[r]])))
+        else:
+            bias.append(-low if up == -np.inf else up if low == -np.inf else (up - low) / 2.0)
+    return alpha_out, bias, converged
 
 
 def _pick(t, neg, alpha, u, box, values, off, base):
@@ -328,23 +341,6 @@ def _pair_steps(gap, a, box, t, k_diag, k_ij):
     return ai_new, aj_new, (ai_new - ai) * ti, delta_j * tj
 
 
-def _bias(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.ndarray) -> float:
-    """Bias of one fitted row: the mean over free vectors, else the middle of the feasible interval."""
-    neg_e = t - u
-    free = (alpha > 0) & (alpha < upper)
-    if free.any():
-        return float(np.mean(neg_e[free]))
-    up_mask = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
-    low_mask = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
-    lo_b = np.max(neg_e[up_mask]) if up_mask.any() else -np.inf
-    hi_b = np.min(neg_e[low_mask]) if low_mask.any() else np.inf
-    if np.isinf(lo_b):
-        return float(hi_b)
-    if np.isinf(hi_b):
-        return float(lo_b)
-    return float((lo_b + hi_b) / 2.0)
-
-
 def decision_function(model: TrainedSVM, kernel_row: np.ndarray) -> np.float64 | np.ndarray:
     """sum_i dual_coefs[i] * k(x_i, x_new) + bias.
 
@@ -397,8 +393,17 @@ def written_back(stored: dict, write, loaded):
     """``loaded``, built from ``stored``, if ``write(loaded)`` gives ``stored`` back, apart from the
     ``test_accuracy`` a study adds; else a ValueError naming the keys that differ."""
     stored, written = {key: value for key, value in stored.items() if key != "test_accuracy"}, write(loaded)
-    if stored != written:
-        keys = [key for key in sorted(stored.keys() | written.keys(), key=str)
-                if key not in stored or key not in written or stored[key] != written[key]]
+    keys = [key for key in sorted(stored.keys() | written.keys(), key=str)
+            if key not in stored or key not in written or _differ(stored[key], written[key])]
+    if keys:
         raise ValueError(f"stored keys {keys} differ from what their writer gives back")
     return loaded
+
+
+def _differ(stored, written) -> bool:
+    """``stored != written`` as a dict compares its values; a comparison that gives no one
+    truth value (a numpy array against a list) differs."""
+    try:
+        return stored is not written and bool(stored != written)
+    except ValueError:
+        return True

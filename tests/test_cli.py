@@ -138,6 +138,14 @@ def test_experiment_and_report(tmp_path):
     assert (report_dir / "summary.json").exists()
 
 
+def test_experiment_output_dir_replaces_the_configs(tmp_path):
+    config_path = write_small_config(tmp_path)
+    assert run_cli("experiment", "--config", str(config_path), "--output-dir",
+                   str(tmp_path / "elsewhere"), "--quiet") == 0
+    assert (tmp_path / "elsewhere" / "records.csv").exists()
+    assert not (tmp_path / "results").exists()
+
+
 def test_experiment_writes_records_once(tmp_path, monkeypatch, capsys):
     written = []
     write = experiment.write_records_csv

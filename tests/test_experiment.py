@@ -393,6 +393,8 @@ _TEXTS = (" paulis = Z ; reps=2;alpha=1;map=havlicek-default; ",
     pytest.param(lambda: svm_from_json({**_svm_entry(), "label_convention": "y{0,1}<->t{+1,-1}:t=1-2y"}),
                  r"\['label_convention'\]", id="flipped-label-convention"),
     pytest.param(lambda: svm_from_json({**_svm_entry(), "kernel": "rbf"}), r"\['kernel'\]", id="extra-svm-key"),
+    pytest.param(lambda: svm_from_json({**_svm_entry(), "dual_coefs": np.asarray(_svm_entry()["dual_coefs"])}),
+                 r"\['dual_coefs'\]", id="numpy-array-value"),
     pytest.param(lambda: result_from_json({**_cell_entry(), "alpha": 2.0}, 2), r"\['alpha'\]",
                  id="cell-alpha-off-its-map"),
     pytest.param(lambda: result_from_json({**_cell_entry(), "C": 100.0}, 2), r"\['C'\]", id="cell-C-off-its-svm"),
@@ -443,6 +445,91 @@ def test_records_csv_round_trip(tmp_path):
         read_records_csv(path)
 
 
+# --- failure records ---
+
+def sweep_config(output_dir) -> ExperimentConfig:
+    """perfbench's tiny study sizes, two datasets per family."""
+    grid = GridSpec(feature_maps=(("Z",), ("X", "XX")), alphas=(1.0,), Cs=(1.0, 10.0))
+    return ExperimentConfig(datasets_per_family=2, n_points=60, split_sizes=(20, 20, 20), grid=grid,
+                            max_rounds=2, baseline_Cs=(1.0,), baseline_gammas=(1.0,),
+                            output_dir=str(output_dir))
+
+
+def without_wall_time(records) -> list:
+    return [replace(r, wall_time=0.0) for r in records]
+
+
+def assert_failed(record, error):
+    assert (record.error, record.ensemble_size, record.grid_points) == (error, 0, "")
+    assert math.isnan(record.test_accuracy)
+
+
+def test_a_dataset_that_fails_to_generate_gets_three_error_records(tmp_path, monkeypatch):
+    clean = run_experiment(sweep_config(tmp_path / "clean"))
+    config = sweep_config(tmp_path / "out")
+    bad_seed = derive_seed(config.master_seed, config.families.index("moons"), 1, 0)
+    generate = experiment.GENERATORS["moons"]
+
+    def failing(n_points, seed, **params):
+        if seed == bad_seed:
+            raise RuntimeError("generator down")
+        return generate(n_points, seed=seed, **params)
+
+    monkeypatch.setitem(experiment.GENERATORS, "moons", failing)
+    records = run_experiment(config)
+    failed = [r for r in records if r.dataset_seed == bad_seed]
+    assert sorted(r.model_id for r in failed) == sorted(MODELS)
+    for record in failed:
+        assert_failed(record, "RuntimeError: generator down")
+    assert without_wall_time(r for r in records if r.dataset_seed != bad_seed) == without_wall_time(
+        r for r in clean if r.dataset_seed != bad_seed)
+    for folder, suffix in (("models", "json"), ("datasets", "csv")):
+        written = sorted(path.name for path in (tmp_path / "out" / folder).iterdir())
+        assert f"moons_{bad_seed}.{suffix}" not in written
+        assert written == sorted(path.name for path in (tmp_path / "clean" / folder).iterdir()
+                                 if path.name != f"moons_{bad_seed}.{suffix}")
+        for name in written:
+            assert (tmp_path / "out" / folder / name).read_bytes() == (
+                tmp_path / "clean" / folder / name).read_bytes()
+
+    # the records CSV keeps the error text, and the report skips those records
+    loaded = read_records_csv(tmp_path / "out" / "records.csv")
+    assert [r.error for r in loaded] == [r.error for r in records]
+    assert aggregate(loaded) == aggregate([r for r in loaded if not r.error])
+
+
+def test_a_failed_fit_marks_only_its_model(tmp_path, monkeypatch, capsys):
+    clean = run_experiment(sweep_config(tmp_path / "clean"))
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("boosting down")
+
+    monkeypatch.setattr(experiment, "fit_boosted", failing)
+    capsys.readouterr()
+    records = run_experiment(sweep_config(tmp_path / "out"), verbose=True)
+    for record in records:
+        if record.model_id == MODEL_BOOSTED:
+            assert_failed(record, "RuntimeError: boosting down")
+    assert without_wall_time(r for r in records if r.model_id != MODEL_BOOSTED) == without_wall_time(
+        r for r in clean if r.model_id != MODEL_BOOSTED)
+
+    by_dataset = {}
+    for record in records:
+        by_dataset.setdefault((record.family, record.dataset_seed), {})[record.model_id] = record.test_accuracy
+    for (family, seed), accuracy in by_dataset.items():
+        bundle = reload_bundle(tmp_path / "out" / "models" / f"{family}_{seed}.json")
+        assert "boosted" not in bundle
+        split = dataset_from_csv(tmp_path / "out" / "datasets" / f"{family}_{seed}.csv")
+        assert evaluate_reloaded(bundle, split) == {m: accuracy[m] for m in (MODEL_SINGLE, MODEL_BASELINE)}
+
+    # verbose: one line per dataset, nan for the failed model
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(f"[{family} seed={seed}] " +
+                                   " ".join(f"{m}={accuracy[m]:.3f}" for m in MODELS)
+                                   for (family, seed), accuracy in by_dataset.items())
+    assert all(f"{MODEL_BOOSTED}=nan " in line for line in lines)
+
+
 def test_reproducibility_small(tmp_path):
     a = run_experiment(tiny_config(tmp_path / "a"))
     b = run_experiment(tiny_config(tmp_path / "b"))
@@ -456,7 +543,7 @@ def test_reproducibility_small(tmp_path):
 def test_emit_report_files(tmp_path):
     records = [make_record(f, s, m, 0.5 + 0.01 * s, 1)
                for f in ("xor", "moons") for s in (1, 2, 3) for m in MODELS]
-    paths = emit_report(aggregate(records), records, tmp_path / "report")
+    paths = emit_report(aggregate(records), tmp_path / "report")
     assert set(paths) == {"summary", "boxplot"}
     assert paths["summary"].exists() and paths["boxplot"].exists()
     assert not (tmp_path / "report" / "records.csv").exists()
@@ -466,12 +553,6 @@ def test_emit_report_files(tmp_path):
     summary = json.loads(paths["summary"].read_text())
     assert summary["conventions"]["quartiles"] == "tukey-hinges"
     assert set(summary["box"]) == {"xor", "moons"}
-
-
-def test_emit_report_refuses_empty(tmp_path):
-    stats = aggregate([make_record("xor", 1, MODEL_BOOSTED, 0.9, 1)])
-    with pytest.raises(ValueError):
-        emit_report(stats, [], tmp_path)
 
 
 # --- config ---
