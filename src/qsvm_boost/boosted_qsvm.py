@@ -5,8 +5,8 @@ weights, keeps the candidate with the best validation accuracy, and then
 excludes that feature map from later rounds so the ensemble is forced to
 explore distinct kernels. Misclassified samples are up-weighted by
 exp(alpha_m) with alpha_m = ln((1 - err_m) / err_m). The fitted sequence is
-finally pruned to the prefix with minimum validation error, and predictions
-are a weighted majority vote over the pruned rounds.
+finally pruned to the prefix with minimum validation error. A prediction is the
+pruned rounds' weighted majority vote, each round deciding through its observable W.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .kernels import GramCache
 from .quantum_sim import FeatureMapSpec, is_integer, is_real, parse_feature_map
 from .svm_solver import (
@@ -291,12 +292,27 @@ def fit_boosted(
     return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
 
 
+def decisions(result: GridSearchResult, X_new: np.ndarray, X_train: np.ndarray, cache: GramCache) -> np.ndarray:
+    """The cell's SVM decision ``<psi(x)|W|psi(x)> + bias`` per row of ``X_new``, with ``W = sum_i
+    c_i |psi_i><psi_i|`` over ``X_train``'s states built once per ``cache``: ``decision_function``
+    on fidelity Gram rows up to round-off, each row summed in one order whatever the batch."""
+    spec, coefs = result.feature_map, result.model.dual_coefs
+    W = cache.search(spec.canonical(), (X_train, coefs), lambda: _observable(spec, X_train, coefs))
+    psi = kernels.feature_map_states(spec, X_new)
+    return np.einsum("md,md->m", psi.conj(), np.einsum("de,me->md", W, psi)).real + result.model.bias
+
+
+def _observable(spec: FeatureMapSpec, X_train: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    states = kernels.feature_map_states(spec, X_train)
+    if len(states) != len(coefs):
+        raise ValueError(f"training size {len(states)} does not match the model's {len(coefs)} dual coefficients")
+    return (states.T * coefs) @ states.conj()
+
+
 def _prefix_scores(rounds, X_new, X_train, cache) -> np.ndarray:
     """Row k: the weighted vote score of ``rounds[:k + 1]`` on every point of ``X_new``."""
     cache = cache if cache is not None else GramCache()
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    votes = np.array([predict(rnd.model, cache.fidelity(rnd.feature_map, X_new, X_train).values)
-                      for rnd in rounds])
+    votes = np.array([decisions(rnd, X_new, X_train, cache) >= 0 for rnd in rounds])
     alphas = np.array([rnd.alpha_m for rnd in rounds])
     return np.cumsum(alphas[:, None] * votes, axis=0) / np.cumsum(alphas)[:, None]
 

@@ -24,6 +24,7 @@ from .boosted_qsvm import (
     GridSpec,
     best_cell,
     checked_items,
+    decisions,
     ensemble_from_json,
     ensemble_to_json,
     fit_boosted,
@@ -298,13 +299,12 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
         return _accuracy(labels, split.test.y)
     if model_id == MODEL_SINGLE:
         single = result_from_json(entry, X_train.shape[1])
-        model, k_test = single.model, cache.fidelity(single.feature_map, X_test, X_train)
-    else:
-        model = svm_from_json(entry["svm"])
-        base = written_back(entry, _baseline_entry, BaselineResult(
-            model, entry["kernel"], entry["gamma"], model.C, float(entry["val_accuracy"])))
-        params = {} if base.gamma is None else {"gamma": base.gamma}
-        k_test = _BASELINE_GRAMS[base.kernel](X_test, X_train, **params)
+        return _accuracy(decisions(single, X_test, X_train, cache) >= 0, split.test.y)
+    model = svm_from_json(entry["svm"])
+    base = written_back(entry, _baseline_entry, BaselineResult(
+        model, entry["kernel"], entry["gamma"], model.C, float(entry["val_accuracy"])))
+    params = {} if base.gamma is None else {"gamma": base.gamma}
+    k_test = _BASELINE_GRAMS[base.kernel](X_test, X_train, **params)
     return _accuracy(predict(model, k_test.values), split.test.y)
 
 

@@ -5,8 +5,8 @@ the encoded statevectors, taken pairwise. Each row set is simulated once per
 Gram pair: :class:`GramCache` hands its last train-side states to the next
 Gram on those rows. Every kernel's Gram, fidelity, rbf or linear, goes
 through one assembly that mirrors a self Gram's upper triangle and stamps
-the kernel's id. :class:`GramCache` memoizes fidelity Grams and grid
-searches; the classical baseline's Grams are built per use.
+the kernel's id. :class:`GramCache` memoizes fidelity Grams, grid searches
+and fitted cells' observables; the classical baseline's Grams are built per use.
 """
 from __future__ import annotations
 
@@ -88,18 +88,19 @@ def _digest(X: np.ndarray) -> str:
 
 class GramCache:
     """Memoizes fidelity Gram matrices, keyed on (feature map, dataset content hash),
-    and grid-search results, keyed on grid, excluded maps, data, labels and weights.
+    and ``search`` results: grid searches, keyed on grid, excluded maps, data, labels
+    and weights, and fitted cells' observables W (``boosted_qsvm.decisions``).
 
     Grid search reuses the same (feature map, alpha) Gram across all C values
     and boosting rounds. A repeated search, such as boosting's unit-weight
     round 1 after the single QSVM's search on the same split, is not run
-    again. A hit returns the stored object unchanged; ``len`` counts both
-    kinds of entry. Classical baseline Grams are not held here: no study
-    asks for one twice, so each is built per use.
+    again. A hit returns the stored object unchanged; ``len`` counts every
+    entry. Classical baseline Grams are not held here: no study asks for one
+    twice, so each is built per use. Scoring new points adds no entry per batch.
 
     A fidelity miss keeps the states of its train side (X_a of a self Gram,
-    X_b of a cross Gram), read-only and outside ``len``, for the next Gram on
-    those rows: one entry, about 0.2 MB for 50 rows at 8 qubits.
+    X_b of a cross Gram), read-only and outside ``len``, for the grid's next
+    Gram on those rows: one entry, about 0.2 MB for 50 rows at 8 qubits.
     """
 
     def __init__(self):

@@ -14,7 +14,9 @@ from qsvm_boost.boosted_qsvm import (
     STOP_MAX_REACHED,
     STOP_PERFECT,
     STOP_WORSE_THAN_RANDOM,
+    GridSearchResult,
     best_cell,
+    decisions,
     ensemble_from_json,
     ensemble_to_json,
     estimator_error,
@@ -30,9 +32,9 @@ from qsvm_boost.boosted_qsvm import (
     update_weights,
 )
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
-from qsvm_boost.kernels import GramCache, GramMatrix
+from qsvm_boost.kernels import GramCache, GramMatrix, gram_matrix
 from qsvm_boost.quantum_sim import FeatureMapSpec
-from qsvm_boost.svm_solver import TrainedSVM, predict
+from qsvm_boost.svm_solver import TrainedSVM, decision_function, predict, train_weighted_svm
 from helpers import count_simulations, count_solver_calls
 
 LN3 = math.log(3.0)
@@ -157,6 +159,90 @@ def test_predict_ensemble_respects_pruning():
     ens = BoostedEnsemble(rounds, 1, STOP_MAX_REACHED)
     score, label = vote_one_point(ens)
     assert score == 1.0 and label == 1  # round 2 ignored
+
+
+# --- deciding through the observable W = sum_i c_i |psi_i><psi_i| ---
+
+OBSERVABLE_SPECS = (
+    FeatureMapSpec(1, ("X",)),
+    FeatureMapSpec(1, ("Y", "Z"), alpha=1.5),
+    FeatureMapSpec(2, ("Z", "ZZ")),
+    FeatureMapSpec(2, ("X", "YY"), reps=3, alpha=0.5),
+    FeatureMapSpec(3, ("X", "Y", "ZZ")),
+    FeatureMapSpec(3, ("Z", "XX"), alpha=2.0),
+)
+
+
+def fitted_cells(spec: FeatureMapSpec, seed: int, train_rows: int = 30):
+    """``(X_train, [cell fitted on random labels, degenerate cell])`` on random rows."""
+    rng = np.random.default_rng(seed)
+    X_train = rng.uniform(0.0, math.pi, size=(train_rows, spec.n_qubits))
+    k_train = gram_matrix(spec, X_train)
+    y = rng.integers(0, 2, size=train_rows)
+    y[:2] = [0, 1]
+    models = (train_weighted_svm(k_train, y, 10.0), train_weighted_svm(k_train, np.ones(train_rows, dtype=int), 10.0))
+    point = (menu_id(spec.labels), spec.alpha, 10.0)
+    return X_train, [GridSearchResult(model, spec, point, 1.0) for model in models]
+
+
+@pytest.mark.parametrize("spec", OBSERVABLE_SPECS, ids=lambda s: f"{s.n_qubits}q-{menu_id(s.labels)}")
+def test_observable_decision_matches_the_kernel_route(spec):
+    X_train, (cell, degenerate) = fitted_cells(spec, seed=71 + spec.n_qubits)
+    assert np.count_nonzero(cell.model.dual_coefs) > 1 and degenerate.model.degenerate
+    X_new = np.random.default_rng(7).uniform(0.0, math.pi, size=(40, spec.n_qubits))
+    k_new = gram_matrix(spec, X_new, X_train).values
+    for model_cell in (cell, degenerate):
+        np.testing.assert_allclose(decisions(model_cell, X_new, X_train, GramCache()),
+                                   decision_function(model_cell.model, k_new), rtol=0, atol=1e-12)
+    # W = 0: the decision is the bias exactly
+    assert np.all(decisions(degenerate, X_new, X_train, GramCache()) == degenerate.model.bias)
+
+
+@pytest.mark.parametrize("spec", OBSERVABLE_SPECS[1::2], ids=lambda s: f"{s.n_qubits}q-{menu_id(s.labels)}")
+def test_observable_decision_keeps_its_bits_in_any_batch(spec):
+    X_train, (cell, _) = fitted_cells(spec, seed=81 + spec.n_qubits)
+    X_new = np.random.default_rng(8).uniform(0.0, math.pi, size=(33, spec.n_qubits))
+    cache = GramCache()
+    batch = decisions(cell, X_new, X_train, cache)
+    np.testing.assert_array_equal(decisions(cell, X_new, X_train, GramCache()), batch)  # a fresh cache
+    for i, x in enumerate(X_new):
+        assert decisions(cell, x, X_train, cache)[0] == batch[i]  # alone
+        assert decisions(cell, X_new[i:i + 1], X_train, GramCache())[0] == batch[i]
+        np.testing.assert_array_equal(decisions(cell, X_new[:i + 1], X_train, cache), batch[:i + 1])
+        np.testing.assert_array_equal(decisions(cell, X_new[i:], X_train, cache), batch[i:])
+
+
+def test_a_model_refuses_a_train_set_of_another_size():
+    split = small_split()
+    grid = GridSpec(feature_maps=(("Z", "ZZ"),), alphas=(1.0,), Cs=(10.0,))
+    ens = fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y, grid, max_rounds=1)
+    short = split.train.X[:20]
+    with pytest.raises(ValueError, match=r"^training size 20 does not match the model's 24 dual coefficients$"):
+        predict_ensemble_batch(ens, split.test.X, short)
+    rnd = ens.rounds[0]
+    with pytest.raises(ValueError, match=r"^kernel row length 20 does not match training size 24$"):
+        decision_function(rnd.model, gram_matrix(rnd.feature_map, split.test.X, short).values)
+
+
+def test_scoring_batches_simulates_the_train_rows_once_per_round(monkeypatch):
+    # each round's W is built once per cache; a batch simulates only its own rows, once per round
+    split = small_split(kind="xor", n=90, seed=9, sizes=(36, 27, 27))
+    ens = fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y, SMALL_GRID, max_rounds=3)
+    ens = replace(ens, pruned_length=len(ens.rounds))
+    rounds = len(ens.rounds)
+    assert rounds >= 2 and len({r.feature_map for r in ens.rounds}) == rounds
+    batches = np.random.default_rng(5).uniform(0.0, math.pi, size=(4, 25, 2))
+    fresh = [predict_ensemble_batch(ens, X, split.train.X, GramCache()) for X in batches]
+    calls, cache = count_simulations(monkeypatch), GramCache()
+    for X, (scores, labels) in zip(batches, fresh):
+        got_scores, got_labels = predict_ensemble_batch(ens, X, split.train.X, cache)
+        np.testing.assert_array_equal(got_scores, scores)
+        np.testing.assert_array_equal(got_labels, labels)
+    simulated = [rows.tobytes() for _, rows, _ in calls]
+    assert simulated.count(split.train.X.tobytes()) == rounds
+    assert all(simulated.count(X.tobytes()) == rounds for X in batches)
+    assert len(simulated) == rounds * (len(batches) + 1)
+    assert len(cache) == rounds  # one W per round; a batch adds no entry
 
 
 # --- grid search ---
