@@ -112,13 +112,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    """A fitted grid cell: its SVM, feature map, (feature-map id, alpha, C) point
-    and unweighted validation accuracy. The single QSVM is one."""
+    """A fitted grid cell: its SVM, feature map and unweighted validation accuracy; the single QSVM is one."""
 
     model: TrainedSVM
     feature_map: FeatureMapSpec
-    grid_point: tuple[str, float, float]  # (feature-map id, alpha, C)
     val_accuracy: float
+
+    @property
+    def grid_point(self) -> tuple[str, float, float]:
+        """(feature-map id, alpha, C), read from the feature map and the SVM."""
+        return menu_id(self.feature_map.labels), self.feature_map.alpha, self.model.C
 
 
 @dataclass(frozen=True)
@@ -212,20 +215,19 @@ def grid_search_best(
 
 def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache) -> GridSearchResult:
     n_qubits = X_train.shape[1]
-    cells, k_trains = [], []  # per (feature map, alpha): ((fm_id, alpha, spec), val x train Gram)
+    cells, k_trains = [], []  # per (feature map, alpha): (spec, val x train Gram)
     for labels in grid.feature_maps:
-        fm_id = menu_id(labels)
-        if fm_id in excluded:
+        if menu_id(labels) in excluded:
             continue
         for alpha in grid.alphas:
             spec = grid.spec_for(labels, alpha, n_qubits)
             k_trains.append(cache.fidelity(spec, X_train))
-            cells.append(((fm_id, alpha, spec), cache.fidelity(spec, X_val, X_train)))
+            cells.append((spec, cache.fidelity(spec, X_val, X_train)))
     if not cells:
         raise ValueError("every feature map in the grid is excluded")
     models = train_weighted_svms(k_trains, y_train, grid.Cs, weights)
-    (fm_id, alpha, spec), C, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
-    return GridSearchResult(model, spec, (fm_id, alpha, C), accuracy)
+    spec, _, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
+    return GridSearchResult(model, spec, accuracy)
 
 
 def best_cell(cells, Cs, models, y_val) -> tuple:
@@ -351,8 +353,8 @@ def result_to_json(result: GridSearchResult) -> dict:
     """A fitted grid cell's bundle entry; a boosting round's adds err_m and alpha_m."""
     return {
         "feature_map": result.feature_map.canonical(),
-        "alpha": result.grid_point[1],
-        "C": result.grid_point[2],
+        "alpha": result.feature_map.alpha,
+        "C": result.model.C,
         "val_accuracy": result.val_accuracy,
         "svm": svm_to_json(result.model),
     }
@@ -366,7 +368,7 @@ def result_from_json(entry: dict, n_qubits: int) -> GridSearchResult:
 def _result(entry: dict, n_qubits: int) -> GridSearchResult:
     """The grid cell an entry describes, unchecked: a round's entry holds more than a cell's."""
     spec, model = parse_feature_map(entry["feature_map"], n_qubits), svm_from_json(entry["svm"])
-    return GridSearchResult(model, spec, (menu_id(spec.labels), spec.alpha, model.C), float(entry["val_accuracy"]))
+    return GridSearchResult(model, spec, float(entry["val_accuracy"]))
 
 
 def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:

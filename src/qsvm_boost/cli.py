@@ -40,7 +40,7 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"{args.family} takes no {flags}")
     data = generator(args.n, seed=args.seed, **kwargs)
     if args.split:
-        data = split_and_scale(data, tuple(int(s) for s in args.sizes.split(",")), seed=args.split_seed)
+        data = split_and_scale(data, args.sizes, seed=args.split_seed)
     dataset_to_csv(args.out, data)
     print(f"wrote {args.out}")
     return 0
@@ -77,6 +77,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """``--sizes`` as its comma-separated counts; argparse names the flag when one is not an integer."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsvm-boost", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
     p.add_argument("--factor", type=float, default=None, help="circles inner radius")
     p.add_argument("--split", action="store_true", help="split 50/50/50 and scale to [0, pi]")
-    p.add_argument("--sizes", default="50,50,50")
+    p.add_argument("--sizes", type=_sizes, default="50,50,50", help="train,val,test counts")
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)

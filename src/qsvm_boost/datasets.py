@@ -1,9 +1,11 @@
-"""Seeded generators for XOR, moons and circles data, with splitting and scaling.
+"""Seeded generators for XOR, moons and circles data, with splitting, scaling and CSV files.
 
 All generators use numpy's PCG64 generator with an explicit seed, so datasets
 reproduce bit-exactly. Features are min-max scaled to [0, pi] by a scaling
 fitted on the training split only; validation/test features may slightly
-exceed that range.
+exceed that range. One line builder defines the CSV format: ``dataset_to_csv``
+writes its lines, and ``dataset_from_csv`` keeps a dataset it built from a file
+only if the builder gives back every line of that file.
 """
 from __future__ import annotations
 
@@ -41,8 +43,13 @@ class LabeledDataset:
         bad = ~np.isin(y, (0, 1))
         if bad.any():
             raise ValueError(f"labels must be 0 or 1, got {np.unique(y[bad]).tolist()}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, got {self.params!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y.astype(int))
+        # a numpy scalar is kept as the Python number it equals, which JSON can write
+        object.__setattr__(self, "params", {key: value.item() if isinstance(value, np.generic) else value
+                                            for key, value in self.params.items()})
         if np.unique(self.y).size != 2:
             raise OneClassError("dataset must contain both classes")
 
@@ -155,80 +162,55 @@ def split_and_scale(
     ))
 
 
+def _csv_lines(data: LabeledDataset | SplitDataset) -> list[str]:
+    """The lines :func:`dataset_to_csv` writes for ``data``, each ending in a newline. A kind
+    that holds whitespace, which would end its header field, is refused."""
+    split = isinstance(data, SplitDataset)
+    ref = data.train if split else data
+    if any(char.isspace() for char in ref.kind):
+        raise ValueError(f"dataset kind {ref.kind!r} holds whitespace, which the CSV header cannot")
+    blocks = [(f",{name}", getattr(data, name)) for name in _SPLIT_NAMES] if split else [("", data)]
+    return [f"# kind={ref.kind} seed={ref.seed} params={json.dumps(ref.params, sort_keys=True)}\n",
+            "x1,x2,y,split\n" if split else "x1,x2,y\n",
+            *(f"{float(x1)!r},{float(x2)!r},{int(label)}{suffix}\n"
+              for suffix, part in blocks for (x1, x2), label in zip(part.X, part.y))]
+
+
 def dataset_to_csv(path, data: LabeledDataset | SplitDataset) -> None:
-    """Write x1,x2,y rows (plus a split column post-split) with a comment header."""
-    if isinstance(data, SplitDataset):
-        ref = data.train
-        blocks = [(name, getattr(data, name)) for name in _SPLIT_NAMES]
-    else:
-        ref = data
-        blocks = [(None, data)]
-    with open(path, "w") as fh:
-        fh.write(f"# kind={ref.kind} seed={ref.seed} params={json.dumps(ref.params, sort_keys=True)}\n")
-        fh.write("x1,x2,y,split\n" if isinstance(data, SplitDataset) else "x1,x2,y\n")
-        for name, part in blocks:
-            suffix = f",{name}" if name else ""
-            for (x1, x2), label in zip(part.X, part.y):
-                fh.write(f"{float(x1)!r},{float(x2)!r},{int(label)}{suffix}\n")
-
-
-def _parsed(convert, text: str, name: str, path, lineno: int):
-    """``convert(text)`` for ``int``, ``float`` or ``json.loads`` (a JSON object only), or a
-    ValueError naming the field, file and line."""
-    kind, noun = {int: (int, "an integer"), float: (float, "a number"),
-                  json.loads: (dict, "a JSON object")}[convert]
-    try:
-        value = convert(text)
-    except ValueError:  # json.JSONDecodeError is one
-        value = None
-    if not isinstance(value, kind):
-        raise ValueError(f"{path} line {lineno}: {name} {text!r} is not {noun}")
-    return value
+    """Write a comment header, the column names and one x1,x2,y row per sample; a split
+    dataset's rows end with their split's name."""
+    lines = _csv_lines(data)
+    with open(path, "w", newline="") as fh:  # "\n" on every platform
+        fh.writelines(lines)
 
 
 def dataset_from_csv(path) -> LabeledDataset | SplitDataset:
-    """Read a dataset written by :func:`dataset_to_csv`."""
-    kind, seed, params = "unknown", 0, {}
-    rows: list[tuple[float, float, int, str | None]] = []
-    has_split: bool | None = None  # set by the column-header line
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].strip().split(" ", 2):
-                    key, _, value = token.partition("=")
-                    if key == "kind":
-                        kind = value
-                    elif key == "seed":
-                        seed = _parsed(int, value, "seed", path, lineno)
-                    elif key == "params":
-                        params = _parsed(json.loads, value, "params", path, lineno)
-                continue
-            if has_split is None:
-                has_split = "split" in line.split(",")
-                continue
-            parts = line.split(",")
-            n_fields = 4 if has_split else 3
-            if len(parts) != n_fields:
-                raise ValueError(f"{path} line {lineno}: expected {n_fields} fields, got {len(parts)}")
-            if has_split and parts[3] not in _SPLIT_NAMES:
-                raise ValueError(f"{path} line {lineno}: unknown split {parts[3]!r}")
-            rows.append(
-                (_parsed(float, parts[0], "x1", path, lineno), _parsed(float, parts[1], "x2", path, lineno),
-                 _parsed(int, parts[2], "label", path, lineno), parts[3] if has_split else None)
-            )
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    X = np.array([[r[0], r[1]] for r in rows])
-    y = np.array([r[2] for r in rows])
-    if has_split:
-        parts = {}
-        for name in _SPLIT_NAMES:
-            mask = np.array([r[3] == name for r in rows])
-            if not mask.any():
-                raise ValueError(f"no {name} rows in {path}")
-            parts[name] = LabeledDataset(X[mask], y[mask], kind, seed, params)
-        return SplitDataset(parts["train"], parts["val"], parts["test"])
-    return LabeledDataset(X, y, kind, seed, params)
+    """The dataset that :func:`dataset_to_csv` wrote, if it writes every line of ``path`` back.
+
+    Else a ValueError names the first line that cannot be read or is not written back, and its
+    text; a split with no rows is named instead. The dataset refuses its own bad values."""
+    def unwritten(at: int) -> ValueError:  # of line index ``at`` of ``lines``, read below
+        return ValueError(f"{path} line {at + 1} is not a line dataset_to_csv writes: {lines[at]!r}")
+
+    with open(path, newline="") as fh:  # a line keeps its own ending: "\r\n" is not written back
+        lines = list(fh) or [""]  # an empty file reads as one empty line
+    at = 0  # index of the line being read
+    try:
+        _, kind, seed, params = (token.partition("=")[2] for token in lines[0].split(" ", 3))
+        seed, params = int(seed), json.loads(params)
+        parts = {name: [] for name in (_SPLIT_NAMES if lines[1].endswith(",split\n") else ("",))}
+        for at, line in enumerate(lines[2:], 2):
+            x1, x2, label, *name = line.removesuffix("\n").split(",")
+            # a row of no part is left out, so the line that holds it is not written back
+            parts.get(",".join(name), []).append(((float(x1), float(x2)), int(label)))
+    except (ValueError, IndexError) as exc:
+        raise unwritten(at) from exc
+    for name, rows in parts.items():
+        if not rows:
+            raise ValueError(f"no {name or 'data'} rows in {path}")
+    built = [LabeledDataset(*map(np.array, zip(*rows)), kind, seed, params) for rows in parts.values()]
+    data = SplitDataset(*built) if len(built) > 1 else built[0]
+    for at, (line, written) in enumerate(zip(lines, [*_csv_lines(data), None])):  # None: beyond the end
+        if line != written:
+            raise unwritten(at)
+    return data

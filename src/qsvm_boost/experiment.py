@@ -164,7 +164,6 @@ class BaselineResult(NamedTuple):
     model: TrainedSVM
     kernel: str
     gamma: float | None
-    C: float
     val_accuracy: float
 
 
@@ -210,8 +209,8 @@ def classical_svm_baseline(
         cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
     Cs = sorted(Cs)
     models = [train_weighted_svm(k_train, y_train, C) for k_train in k_trains for C in Cs]
-    (kernel, gamma), C, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
-    return BaselineResult(model, kernel, gamma, C, val_accuracy)
+    (kernel, gamma), _, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
+    return BaselineResult(model, kernel, gamma, val_accuracy)
 
 
 def _grid_point_text(grid_point: tuple[str, float, float]) -> str:
@@ -279,7 +278,7 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
             split, config.baseline_kernels, config.baseline_Cs, config.baseline_gammas,
         )
         gamma_text = "-" if base.gamma is None else repr(base.gamma)
-        fit = ModelFit(_baseline_entry(base), 1, f"{base.kernel}@gamma={gamma_text}@C={base.C!r}")
+        fit = ModelFit(_baseline_entry(base), 1, f"{base.kernel}@gamma={gamma_text}@C={base.model.C!r}")
     else:
         raise ValueError(f"unknown model {model_id!r}")
     fit.entry["test_accuracy"] = _test_accuracy(model_id, fit.entry, split, cache)
@@ -287,8 +286,9 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
 
 
 def _baseline_entry(base: BaselineResult) -> dict:
-    """The baseline cell's bundle entry: its fields, its SVM by ``svm_to_json``."""
-    return {**{k: v for k, v in base._asdict().items() if k != "model"}, "svm": svm_to_json(base.model)}
+    """The baseline cell's bundle entry: its fields, its SVM's C and the SVM by ``svm_to_json``."""
+    return {"kernel": base.kernel, "gamma": base.gamma, "C": base.model.C, "val_accuracy": base.val_accuracy,
+            "svm": svm_to_json(base.model)}
 
 
 def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramCache) -> float:
@@ -302,7 +302,7 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
         return _accuracy(decisions(single, X_test, X_train, cache) >= 0, split.test.y)
     model = svm_from_json(entry["svm"])
     base = written_back(entry, _baseline_entry, BaselineResult(
-        model, entry["kernel"], entry["gamma"], model.C, float(entry["val_accuracy"])))
+        model, entry["kernel"], entry["gamma"], float(entry["val_accuracy"])))
     params = {} if base.gamma is None else {"gamma": base.gamma}
     k_test = _BASELINE_GRAMS[base.kernel](X_test, X_train, **params)
     return _accuracy(predict(model, k_test.values), split.test.y)
@@ -469,14 +469,21 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 
 def read_records_csv(path) -> list[RunRecord]:
     """Records CSV rows as ``RunRecord``s, each column converted by its field's type.
-    A missing column is a KeyError, a row shorter than the header a ValueError;
-    an extra column is ignored."""
+    A missing column is a KeyError; a row shorter than the header, or a field its type
+    cannot read, a ValueError naming the line; an extra column is ignored."""
     types = get_type_hints(RunRecord)
+    records = []
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if any(None in row.values() for row in rows):
-        raise ValueError(f"{path} has a row with fewer fields than its header")
-    records = [RunRecord(**{name: kind(row[name]) for name, kind in types.items()}) for row in rows]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path} line {reader.line_num} has fewer fields than its header")
+            for name, kind in types.items():
+                try:
+                    row[name] = kind(row[name])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}, column {name}: {exc}") from None
+            records.append(RunRecord(**{name: row[name] for name in types}))
     if not records:
         raise ValueError(f"no records found in {path}")
     return records

@@ -54,7 +54,6 @@ def stub_round(label: int, alpha_m: float) -> BoostingRound:
     return BoostingRound(
         model=constant_model(label),
         feature_map=FeatureMapSpec(2, ("Z",)),
-        grid_point=("Z", 1.0, 1.0),
         err_m=0.25,
         alpha_m=alpha_m,
         val_accuracy=0.75,
@@ -181,8 +180,7 @@ def fitted_cells(spec: FeatureMapSpec, seed: int, train_rows: int = 30):
     y = rng.integers(0, 2, size=train_rows)
     y[:2] = [0, 1]
     models = (train_weighted_svm(k_train, y, 10.0), train_weighted_svm(k_train, np.ones(train_rows, dtype=int), 10.0))
-    point = (menu_id(spec.labels), spec.alpha, 10.0)
-    return X_train, [GridSearchResult(model, spec, point, 1.0) for model in models]
+    return X_train, [GridSearchResult(model, spec, 1.0) for model in models]
 
 
 @pytest.mark.parametrize("spec", OBSERVABLE_SPECS, ids=lambda s: f"{s.n_qubits}q-{menu_id(s.labels)}")

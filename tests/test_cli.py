@@ -40,6 +40,14 @@ def test_generate_bad_margin_exits_1(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 1
 
 
+def test_generate_bad_sizes_names_the_flag(tmp_path, capsys):
+    # int() refused "a" with its own text, which named no flag
+    out = tmp_path / "x.csv"
+    assert run_cli("generate", "--family", "xor", "--split", "--sizes", "a,b,c", "--out", str(out)) == 1
+    assert "argument --sizes: expected comma-separated integers, got 'a,b,c'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_passes_only_the_family_parameters(tmp_path):
     # a flag the family's generator does not take is an error, not dropped
     for family, flags in (("xor", ["--noise-std", "5", "--factor", "0.9"]),

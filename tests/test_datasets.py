@@ -113,6 +113,12 @@ def test_dataset_invariants():
     with pytest.raises(OneClassError, match="both classes"):
         LabeledDataset(np.zeros((4, 2)), np.array([1, 1, 1, 1]), "xor", 0)
     assert LabeledDataset(np.zeros((4, 2)), [0.0, 1.0, 1.0, 0.0], "xor", 0).y.tolist() == [0, 1, 1, 0]
+    # the CSV writer would write a list back as it is, so the dataset refuses params of no dict
+    with pytest.raises(ValueError, match=r"^params must be a dict, got \[1, 2\]$"):
+        LabeledDataset(np.zeros((2, 2)), [0, 1], "xor", 0, [1, 2])
+    # a numpy scalar, which JSON cannot write, is kept as the Python number it equals
+    params = LabeledDataset(np.zeros((2, 2)), [0, 1], "moons", 0, {"noise_std": np.float32(0.3)}).params
+    assert params == {"noise_std": 0.30000001192092896} and type(params["noise_std"]) is float
 
 
 @pytest.mark.parametrize("y, bad", [([0, 2, 1, 1], r"\[2\]"), ([0, 1, 1, -1], r"\[-1\]"),
@@ -217,6 +223,51 @@ def test_split_gives_up_when_classes_cannot_cover():
 
 # --- CSV round trip ---
 
+def unwritten(path, lineno: int, text: str) -> str:
+    """The refusal of a file whose line ``lineno``, ``text`` with its newline if it has one,
+    dataset_to_csv would not write."""
+    return f"^{re.escape(f'{path} line {lineno} is not a line dataset_to_csv writes: {text!r}')}$"
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["plain", "split"])
+@pytest.mark.parametrize("generator", [make_xor, make_moons, make_circles])
+def test_csv_writes_back_byte_for_byte(tmp_path, generator, split):
+    data = generator(45, seed=6)
+    data = split_and_scale(data, (15, 15, 15), seed=2) if split else data
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    dataset_to_csv(first, data)
+    dataset_to_csv(second, dataset_from_csv(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("edit, lineno", [
+    (lambda lines: lines[:4] + ["\n"] + lines[4:], 5),
+    (lambda lines: lines[:3] + ["0.50,1.0,1,train\n"] + lines[4:], 4),
+    (lambda lines: ['# kind=moons seed=8 params={"noise_std": 0.2, "a": 1}\n'] + lines[1:], 1),
+    (lambda lines: lines[:2] + [lines[13]] + lines[2:13] + lines[14:], 3),
+    (lambda lines: lines[1:], 1),
+    (lambda lines: lines[:-1] + [lines[-1].rstrip("\n")], 32),
+    (lambda lines: lines[:6] + [lines[6].replace("\n", "\r\n")] + lines[7:], 7),
+], ids=["blank-line", "0.50-for-0.5", "unsorted-params", "val-row-before-train", "no-header", "no-final-newline",
+        "crlf"])
+def test_csv_refuses_by_line_what_the_writer_would_not_write(tmp_path, edit, lineno):
+    # each of these loaded before the reader checked the file against its writer
+    path = tmp_path / "split.csv"
+    dataset_to_csv(path, split_and_scale(make_moons(30, seed=8), (10, 10, 10), seed=1))
+    lines = edit(path.read_text().splitlines(keepends=True))
+    path.write_bytes("".join(lines).encode())
+    with pytest.raises(ValueError, match=unwritten(path, lineno, lines[lineno - 1])):
+        dataset_from_csv(path)
+
+
+def test_csv_writer_refuses_a_kind_that_holds_whitespace(tmp_path):
+    # the header's fields end at a space, so "my kind" was written and then refused by the reader
+    data = LabeledDataset(np.zeros((2, 2)), [0, 1], "my kind", 1)
+    with pytest.raises(ValueError, match="^dataset kind 'my kind' holds whitespace"):
+        dataset_to_csv(tmp_path / "kind.csv", data)
+    assert not (tmp_path / "kind.csv").exists()
+
+
 def test_csv_round_trip_plain(tmp_path):
     data = make_circles(30, seed=5)
     path = tmp_path / "plain.csv"
@@ -248,22 +299,18 @@ def test_csv_rejects_malformed_rows(tmp_path):
     lines = path.read_text().splitlines()
     bad_split = lines[:5] + [lines[5].rsplit(",", 1)[0] + ",tset"] + lines[6:]
     path.write_text("\n".join(bad_split) + "\n")
-    with pytest.raises(ValueError, match="line 6: unknown split 'tset'"):
+    with pytest.raises(ValueError, match=unwritten(path, 6, bad_split[5] + "\n")):
         dataset_from_csv(path)
     path.write_text("\n".join(lines[:3] + ["0.5,1.0"] + lines[4:]) + "\n")
-    with pytest.raises(ValueError, match="line 4: expected 4 fields, got 2"):
+    with pytest.raises(ValueError, match=unwritten(path, 4, "0.5,1.0\n")):
         dataset_from_csv(path)
     path.write_text("# kind=xor seed=0 params={}\nx1,x2,y\n0.1,0.2\n")
-    with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+    with pytest.raises(ValueError, match=unwritten(path, 3, "0.1,0.2\n")):
         dataset_from_csv(path)
 
 
-@pytest.mark.parametrize("column, text, message", [
-    (2, "1.0", "label '1.0' is not an integer"),
-    (0, "abc", "x1 'abc' is not a number"),
-    (1, "", "x2 '' is not a number"),
-])
-def test_csv_names_the_line_of_a_field_it_cannot_read(tmp_path, column, text, message):
+@pytest.mark.parametrize("column, text", [(2, "1.0"), (0, "abc"), (1, "")])
+def test_csv_names_the_line_of_a_field_it_cannot_read(tmp_path, column, text):
     # int() and float() refused these with their own text and no location
     path = tmp_path / "plain.csv"
     dataset_to_csv(path, make_circles(10, seed=5))
@@ -271,24 +318,26 @@ def test_csv_names_the_line_of_a_field_it_cannot_read(tmp_path, column, text, me
     fields = lines[3].split(",")
     fields[column] = text
     path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 4: {message}')}$"):
+    with pytest.raises(ValueError, match=unwritten(path, 4, ",".join(fields) + "\n")):
         dataset_from_csv(path)
 
 
 def test_csv_names_the_line_of_a_header_seed_it_cannot_read(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("# kind=xor seed=1.5 params={}\nx1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 1: seed')} '1.5' is not an integer$"):
+    with pytest.raises(ValueError, match=unwritten(path, 1, "# kind=xor seed=1.5 params={}\n")):
         dataset_from_csv(path)
 
 
 @pytest.mark.parametrize("params", ["{margin: 0.0}", "[1, 2]"])
 def test_csv_names_the_line_of_header_params_it_cannot_read(tmp_path, params):
-    # bad JSON raised a bare JSONDecodeError, and a JSON list loaded as the dataset's params
+    # bad JSON raised a bare JSONDecodeError, and a JSON list loaded as the dataset's params;
+    # the list is JSON the reader can read, so the dataset refuses it as params of no dict
     path = tmp_path / "plain.csv"
     path.write_text(f"# kind=xor seed=1 params={params}\nx1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n")
-    message = f"{path} line 1: params {params!r} is not a JSON object"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    message = (unwritten(path, 1, f"# kind=xor seed=1 params={params}\n") if params.startswith("{")
+               else r"^params must be a dict, got \[1, 2\]$")
+    with pytest.raises(ValueError, match=message):
         dataset_from_csv(path)
 
 

@@ -244,7 +244,7 @@ def test_baseline_tie_breaking_order():
     best = max(accuracy for accuracy, *_ in cells)
     expected = next(cell for cell in cells if cell[0] == best)
     result = classical_svm_baseline(split, kernels, Cs, gammas)
-    assert (result.val_accuracy, result.kernel, result.gamma, result.C) == expected
+    assert (result.val_accuracy, result.kernel, result.gamma, result.model.C) == expected
     assert sum(cell[0] == best for cell in cells) > 1  # ties exist, so the order decides
 
 
@@ -368,7 +368,7 @@ def _svm_entry() -> dict:
 
 def _cell_entry() -> dict:
     model = train_weighted_svm(np.eye(2), np.array([1, 0]), C=1.0)
-    return result_to_json(GridSearchResult(model, FeatureMapSpec(2, ("Z",)), ("Z", 1.0, 1.0), 0.5))
+    return result_to_json(GridSearchResult(model, FeatureMapSpec(2, ("Z",)), 0.5))
 
 
 def _reload_baseline(**changes) -> dict:
@@ -442,6 +442,24 @@ def test_records_csv_round_trip(tmp_path):
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerows([rows[0], rows[1][:-1], *rows[2:]])
     with pytest.raises(ValueError, match="fewer fields than its header"):
+        read_records_csv(path)
+
+
+@pytest.mark.parametrize("column, text, reason", [
+    ("dataset_seed", "5.0", "invalid literal for int() with base 10: '5.0'"),
+    ("test_accuracy", "high", "could not convert string to float: 'high'"),
+    ("ensemble_size", "3 rounds", "invalid literal for int() with base 10: '3 rounds'"),
+])
+def test_records_csv_names_the_line_and_column_of_a_field_it_cannot_read(tmp_path, column, text, reason):
+    # int() and float() refused these with their own text, which named no file, line or column
+    path = tmp_path / "records.csv"
+    write_records_csv(path, [make_record("xor", seed, MODEL_SINGLE, 0.9, 1) for seed in (5, 6)])
+    rows = list(csv.reader(path.open(newline="")))
+    rows[2][rows[0].index(column)] = text
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    message = f"{path} line 3, column {column}: {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_records_csv(path)
 
 
@@ -811,6 +829,19 @@ def test_replace_does_not_try_the_datasets_again(monkeypatch):
         with pytest.raises(ValueError, match="cannot generate xor datasets: margin must lie in"):
             replace(config, dataset_params={"xor": {"margin": 1.5}})
         assert calls.count("xor") == 1 + attempt
+
+
+def test_numpy_dataset_params_run_and_their_csvs_load(tmp_path):
+    # a numpy scalar passed the config's checks, then failed every dataset of its family at the CSV write
+    params = {"moons": {"noise_std": np.float32(0.3)}, "xor": {"margin": np.int64(0)}}
+    config = replace(sweep_config(tmp_path / "out"), datasets_per_family=1, dataset_params=params)
+    records = run_experiment(config)
+    assert len(records) == 9 and not any(r.error for r in records)
+    for family, stored in (("moons", '{"noise_std": 0.30000001192092896}'), ("xor", '{"margin": 0}')):
+        seed = next(r.dataset_seed for r in records if r.family == family)
+        path = tmp_path / "out" / "datasets" / f"{family}_{seed}.csv"
+        assert path.read_text().splitlines()[0].endswith(f" params={stored}")
+        assert dataset_from_csv(path).train.params == json.loads(stored)
 
 
 def test_partial_dataset_params_keep_the_other_defaults():
