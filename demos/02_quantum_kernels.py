@@ -9,7 +9,6 @@ import numpy as np
 from qsvm_boost import (
     FeatureMapSpec,
     GramCache,
-    export_gram_csv,
     gram_matrix,
     make_circles,
     rbf_gram,
@@ -28,7 +27,7 @@ print()
 # a small circles dataset, scaled to [0, pi] as the SVMs consume it
 split = split_and_scale(make_circles(60, seed=7), (20, 20, 20), seed=1)
 gram = gram_matrix(spec, split.train.X)
-print("train Gram shape:", gram.values.shape, "spec:", gram.spec_id)
+print("train Gram shape:", gram.values.shape)
 print("symmetric:", np.array_equal(gram.values, gram.values.T))
 print("diagonal:", gram.values.diagonal()[:5], "...")
 print("min eigenvalue:", np.linalg.eigvalsh(gram.values).min())
@@ -45,6 +44,3 @@ print("val x train Gram shape:", cross.values.shape, "| cached matrices:", len(c
 # classical baseline kernel for comparison
 print()
 print("rbf k(x, y) gamma=1:", rbf_gram(x, y, gamma=1.0).values[0, 0])
-
-export_gram_csv(gram, "train_gram.csv")
-print("wrote train_gram.csv in the current directory (header carries the kernel spec)")

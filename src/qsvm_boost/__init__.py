@@ -10,7 +10,6 @@ from .quantum_sim import (
 from .kernels import (
     GramCache,
     GramMatrix,
-    export_gram_csv,
     gram_matrix,
     linear_gram,
     rbf_gram,

@@ -353,8 +353,6 @@ def result_to_json(result: GridSearchResult) -> dict:
     """A fitted grid cell's bundle entry; a boosting round's adds err_m and alpha_m."""
     return {
         "feature_map": result.feature_map.canonical(),
-        "alpha": result.feature_map.alpha,
-        "C": result.model.C,
         "val_accuracy": result.val_accuracy,
         "svm": svm_to_json(result.model),
     }

@@ -50,6 +50,10 @@ class LabeledDataset:
         # a numpy scalar is kept as the Python number it equals, which JSON can write
         object.__setattr__(self, "params", {key: value.item() if isinstance(value, np.generic) else value
                                             for key, value in self.params.items()})
+        try:  # as the CSV header writes it
+            json.dumps(self.params, sort_keys=True)
+        except TypeError as exc:
+            raise ValueError(f"params must be writable as JSON, got {self.params!r}: {exc}") from exc
         if np.unique(self.y).size != 2:
             raise OneClassError("dataset must contain both classes")
 

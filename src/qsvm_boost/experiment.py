@@ -177,8 +177,8 @@ def _accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _baseline_cells(kernels, Cs, gammas) -> list[tuple[str, float | None]]:
-    """``(kernel, gamma)`` cells in tie-break order; a ValueError for an unknown kernel or an empty axis."""
-    for kernel in kernels:
+    """``(kernel, gamma)`` cells in tie-break order; a ValueError for a bad kernel list or an empty axis."""
+    for kernel in checked_items("baseline_kernels", kernels, "a list of names", lambda v: isinstance(v, str)):
         if kernel not in _BASELINE_GRAMS:
             raise ValueError(f"unknown baseline kernel {kernel!r}")
     for axis, given in (("kernels", kernels), ("Cs", Cs), ("gammas", gammas if "rbf" in kernels else [None])):
@@ -286,8 +286,8 @@ def fit_model(split: SplitDataset, config: ExperimentConfig, model_id: str,
 
 
 def _baseline_entry(base: BaselineResult) -> dict:
-    """The baseline cell's bundle entry: its fields, its SVM's C and the SVM by ``svm_to_json``."""
-    return {"kernel": base.kernel, "gamma": base.gamma, "C": base.model.C, "val_accuracy": base.val_accuracy,
+    """The baseline cell's bundle entry: its fields and the SVM by ``svm_to_json``."""
+    return {"kernel": base.kernel, "gamma": base.gamma, "val_accuracy": base.val_accuracy,
             "svm": svm_to_json(base.model)}
 
 
@@ -512,10 +512,10 @@ def reload_bundle(path) -> dict:
         return json.load(fh)
 
 
-def evaluate_reloaded(bundle: dict, split: SplitDataset, cache: GramCache | None = None) -> dict[str, float]:
+def evaluate_reloaded(bundle: dict, split: SplitDataset) -> dict[str, float]:
     """Test accuracy of each model in a bundle, keyed by model id; each entry is scored
     as ``fit_model`` scored it, so its recorded ``test_accuracy`` comes back."""
-    cache = cache if cache is not None else GramCache()
+    cache = GramCache()
     return {model_id: _test_accuracy(model_id, bundle[_BUNDLE_KEYS[model_id]], split, cache)
             for model_id in MODELS if _BUNDLE_KEYS[model_id] in bundle}
 

@@ -4,9 +4,9 @@ The fidelity kernel is k(x, y) = |<phi(x)|phi(y)>|^2, the squared overlap of
 the encoded statevectors, taken pairwise. Each row set is simulated once per
 Gram pair: :class:`GramCache` hands its last train-side states to the next
 Gram on those rows. Every kernel's Gram, fidelity, rbf or linear, goes
-through one assembly that mirrors a self Gram's upper triangle and stamps
-the kernel's id. :class:`GramCache` memoizes fidelity Grams, grid searches
-and fitted cells' observables; the classical baseline's Grams are built per use.
+through one assembly that mirrors a self Gram's upper triangle. :class:`GramCache`
+memoizes fidelity Grams, grid searches and fitted cells' observables; the
+classical baseline's Grams are built per use.
 """
 from __future__ import annotations
 
@@ -20,17 +20,16 @@ from .quantum_sim import FeatureMapSpec, feature_map_states, is_real
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Matrix of pairwise kernel values plus the producing kernel's identity."""
+    """Matrix of pairwise kernel values."""
 
     values: np.ndarray
-    spec_id: str
 
 
-def _assemble(values: np.ndarray, X_b, spec_id: str) -> GramMatrix:
+def _assemble(values: np.ndarray, X_b) -> GramMatrix:
     # a self Gram (X_b=None) keeps its upper triangle, mirrored below the diagonal: exact symmetry
     if X_b is None:
         values = np.triu(values) + np.triu(values, 1).T
-    return GramMatrix(values=values, spec_id=spec_id)
+    return GramMatrix(values)
 
 
 def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None, *,
@@ -45,7 +44,7 @@ def gram_matrix(spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = 
         states_b = feature_map_states(spec, X_a if X_b is None else X_b)
     states_a = states_b if X_b is None else feature_map_states(spec, X_a)
     values = np.abs(states_a @ states_b.conj().T)
-    return _assemble(np.square(values, out=values), X_b, spec.canonical())
+    return _assemble(np.square(values, out=values), X_b)
 
 
 def _operands(X_a: np.ndarray, X_b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +59,7 @@ def _operands(X_a: np.ndarray, X_b: np.ndarray | None) -> tuple[np.ndarray, np.n
 def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) -> GramMatrix:
     if not is_real(gamma):
         raise ValueError(f"gamma must be a real number, got {gamma!r}")
-    gamma = float(gamma)  # one canonical id per value
+    gamma = float(gamma)  # a Fraction would make the Gram an object array
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     X_a, X_b2 = _operands(X_a, X_b)
@@ -69,12 +68,12 @@ def rbf_gram(X_a: np.ndarray, X_b: np.ndarray | None = None, *, gamma: float) ->
         + np.sum(X_b2**2, axis=1)[None, :]
         - 2.0 * (X_a @ X_b2.T)
     )
-    return _assemble(np.exp(-gamma * np.maximum(sq, 0.0)), X_b, f"rbf;gamma={gamma!r}")
+    return _assemble(np.exp(-gamma * np.maximum(sq, 0.0)), X_b)
 
 
 def linear_gram(X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
     X_a, X_b2 = _operands(X_a, X_b)
-    return _assemble(X_a @ X_b2.T, X_b, "linear")
+    return _assemble(X_a @ X_b2.T, X_b)
 
 
 def _digest(X: np.ndarray) -> str:
@@ -132,10 +131,3 @@ class GramCache:
             self._states[1].flags.writeable = False
         return gram_matrix(spec, X_a, X_b, states_b=self._states[1])
 
-
-def export_gram_csv(gram: GramMatrix, path) -> None:
-    """Write a Gram matrix as row-major CSV with a `# spec=` header line."""
-    with open(path, "w") as fh:
-        fh.write(f"# spec={gram.spec_id}\n")
-        for row in np.atleast_2d(gram.values):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

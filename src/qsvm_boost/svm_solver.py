@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix
+from .quantum_sim import is_real
 
 _KKT_TOLERANCE = 1e-3  # a fit converges once its maximal KKT violation is within this,
 _MAX_PASSES = 10_000  # or gives up after this many passes; both are read at each call
@@ -109,6 +110,8 @@ def train_weighted_svms(
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     for C in Cs:
+        if not is_real(C):
+            raise ValueError(f"C must be a real number, got {C!r}")
         if not 0 < C < np.inf:
             raise ValueError(f"C must be positive and finite, got {C}")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
@@ -374,7 +377,6 @@ def svm_to_json(model: TrainedSVM) -> dict:
     return {
         "dual_coefs": [float(v) for v in model.dual_coefs],
         "bias": model.bias,
-        "support_indices": [int(i) for i in model.support_indices],
         "C": model.C,
         "converged": model.converged,
         "label_convention": LABEL_CONVENTION,

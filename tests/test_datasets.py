@@ -1,4 +1,5 @@
 """Generator, splitting, scaling and CSV round-trip tests."""
+import fractions
 import math
 import re
 import time
@@ -119,6 +120,14 @@ def test_dataset_invariants():
     # a numpy scalar, which JSON cannot write, is kept as the Python number it equals
     params = LabeledDataset(np.zeros((2, 2)), [0, 1], "moons", 0, {"noise_std": np.float32(0.3)}).params
     assert params == {"noise_std": 0.30000001192092896} and type(params["noise_std"]) is float
+
+
+@pytest.mark.parametrize("value", [fractions.Fraction(3, 10), {1, 2}, object])
+def test_params_the_csv_header_cannot_write_are_refused_by_value(value):
+    # a Fraction was kept, then failed the CSV write with "Object of type Fraction is not JSON serializable"
+    message = f"params must be writable as JSON, got {{'p': {value!r}}}: "
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        LabeledDataset(np.zeros((2, 2)), [0, 1], "moons", 0, {"p": value})
 
 
 @pytest.mark.parametrize("y, bad", [([0, 2, 1, 1], r"\[2\]"), ([0, 1, 1, -1], r"\[-1\]"),

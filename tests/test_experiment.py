@@ -1,5 +1,7 @@
 """Experiment harness tests: aggregation, baseline, persistence, reproducibility."""
 import csv
+import fractions
+import functools
 import json
 import math
 import re
@@ -26,6 +28,7 @@ from qsvm_boost.boosted_qsvm import (
 from qsvm_boost.datasets import (
     GENERATORS,
     OneClassError,
+    SplitDataset,
     dataset_from_csv,
     make_moons,
     make_xor,
@@ -205,6 +208,13 @@ def test_baseline_rejects_unknown_kernel():
         classical_svm_baseline(split, kernels=("poly",))
 
 
+def test_baseline_refuses_a_bare_kernel_string():
+    # "rbf" was read as its letters and refused as unknown baseline kernel 'r'
+    split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
+    with pytest.raises(ValueError, match="^baseline_kernels must be a list of names, got 'rbf'$"):
+        classical_svm_baseline(split, kernels="rbf")
+
+
 def test_baseline_linear_ignores_gamma():
     data = make_moons(60, noise_std=0.1, seed=4)
     split = split_and_scale(data, (20, 20, 20), seed=5)
@@ -371,10 +381,20 @@ def _cell_entry() -> dict:
     return result_to_json(GridSearchResult(model, FeatureMapSpec(2, ("Z",)), 0.5))
 
 
-def _reload_baseline(**changes) -> dict:
+def _ensemble_entry() -> dict:
+    return {"n_qubits": 2, "pruned_length": 1, "stop_reason": STOP_PERFECT,
+            "rounds": [{**_cell_entry(), "err_m": 0.25, "alpha_m": 1.0}]}
+
+
+@functools.cache
+def _baseline_fit() -> tuple[dict, SplitDataset]:
     split = split_and_scale(make_moons(60, noise_std=0.25, seed=13), (20, 20, 20), seed=14)
     config = ExperimentConfig(baseline_kernels=("linear",), baseline_Cs=(1.0,))
-    entry = fit_model(split, config, MODEL_BASELINE, GramCache()).entry
+    return fit_model(split, config, MODEL_BASELINE, GramCache()).entry, split
+
+
+def _reload_baseline(**changes) -> dict:
+    entry, split = _baseline_fit()
     return evaluate_reloaded({"baseline": {**entry, **changes}}, split)
 
 
@@ -408,6 +428,49 @@ _TEXTS = (" paulis = Z ; reps=2;alpha=1;map=havlicek-default; ",
 def test_a_stored_format_loads_only_what_its_writer_gives_back(load, message):
     with pytest.raises(ValueError, match=message):
         load()
+
+
+# per stored entry: a fresh written entry, and its loader
+_ENTRIES = {
+    "svm": (_svm_entry, svm_from_json),
+    "cell": (_cell_entry, lambda entry: result_from_json(entry, 2)),
+    "round": (lambda: _ensemble_entry()["rounds"][0],
+              lambda entry: ensemble_from_json({**_ensemble_entry(), "rounds": [entry]})),
+    "ensemble": (_ensemble_entry, ensemble_from_json),
+    "baseline": (lambda: dict(_baseline_fit()[0]),
+                 lambda entry: evaluate_reloaded({"baseline": entry}, _baseline_fit()[1])),
+}
+
+
+@pytest.mark.parametrize("kind", _ENTRIES)
+def test_an_entry_missing_any_written_key_is_refused(kind):
+    # a key whose loss its loader does not notice is written for nothing
+    fresh, load = _ENTRIES[kind]
+    load(fresh())
+    for key in fresh().keys() - {"test_accuracy"}:  # a study's own score, set aside by the loader
+        entry = fresh()
+        del entry[key]
+        with pytest.raises((KeyError, ValueError), match=re.escape(repr(key))):
+            load(entry)
+
+
+def _old_svm_entry() -> dict:
+    svm = _svm_entry()
+    return {**svm, "support_indices": np.flatnonzero(svm["dual_coefs"]).tolist()}
+
+
+@pytest.mark.parametrize("kind, old, named", [
+    # each value is what the entry's writer wrote before the key went: the key alone is refused
+    ("svm", _old_svm_entry, "support_indices"),
+    ("cell", lambda: {**_cell_entry(), "alpha": 1.0}, "alpha"),
+    ("cell", lambda: {**_cell_entry(), "C": 1.0}, "C"),
+    ("round", lambda: {**_ensemble_entry()["rounds"][0], "alpha": 1.0}, "rounds"),  # named by its ensemble
+    ("round", lambda: {**_ensemble_entry()["rounds"][0], "C": 1.0}, "rounds"),
+    ("baseline", lambda: {**_baseline_fit()[0], "C": _baseline_fit()[0]["svm"]["C"]}, "C"),
+])
+def test_an_entry_holding_a_key_no_writer_writes_is_refused_by_name(kind, old, named):
+    with pytest.raises(ValueError, match=rf"stored keys \['{named}'\] differ from what their writer gives back"):
+        _ENTRIES[kind][1](old())
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -727,6 +790,9 @@ def test_config_rejects_empty_baseline_grid(obj, message):
     ({"xor": {"margin": 0.999999}}, "cannot generate xor datasets: margin 0.999999 keeps too few"),
     ({"xor": {"margin": [0.1]}}, r"dataset_params for xor: margin must be a number, got \[0.1\]"),
     ({"moons": {"noise_std": None}}, "dataset_params for moons: noise_std must be a number, got None"),
+    # a Fraction passed, then failed every dataset of its family at the CSV write
+    ({"moons": {"noise_std": fractions.Fraction(3, 10)}},
+     r"cannot generate moons datasets: params must be writable as JSON, got \{'noise_std': Fraction\(3, 10\)\}"),
 ])
 def test_config_rejects_bad_dataset_params(params, message):
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """SMO solver tests: analytic cases, KKT feasibility, QP-oracle and scalar-oracle equivalence."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,13 @@ def test_non_finite_C_or_weight_rejected(C, weights, message):
         train_weighted_svms([np.eye(4)], np.array([0, 1, 0, 1]), [1.0, C], weights)
 
 
+@pytest.mark.parametrize("C", [True, "1", None, 1j])
+def test_C_must_be_a_real_number(C):
+    # C=True was fitted as 1.0, and "1" failed comparing an int with a str
+    with pytest.raises(ValueError, match=rf"^C must be a real number, got {re.escape(repr(C))}$"):
+        train_weighted_svm(np.eye(2), np.array([0, 1]), C)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_gram_rejected(bad):
     # an inf pair gave a "converged" fit with bias 16.7, and a NaN pair a NaN bias
@@ -241,23 +249,24 @@ def test_json_round_trip_preserves_predictions():
     np.testing.assert_array_equal(loaded.dual_coefs, model.dual_coefs)
     assert loaded.bias == model.bias
     np.testing.assert_array_equal(predict(loaded, K), predict(model, K))
-    # through JSON text and back, every field keeps its value, support_indices included
-    assert blob["support_indices"] and svm_to_json(svm_from_json(json.loads(json.dumps(blob)))) == blob
+    # through JSON text and back, every field keeps its value
+    assert svm_to_json(svm_from_json(json.loads(json.dumps(blob)))) == blob
 
 
-@pytest.mark.parametrize("key", ["converged", "degenerate", "support_indices"])
+@pytest.mark.parametrize("key", ["converged", "degenerate", "label_convention"])
 def test_svm_from_json_fills_nothing_in(key):
     # a field the model is built from is a KeyError; one only its writer sets fails the write-back
     blob = svm_to_json(train_weighted_svm(np.eye(2), np.array([1, 0]), C=1.0))
     del blob[key]
-    with pytest.raises(ValueError if key == "support_indices" else KeyError, match=key):
+    with pytest.raises(ValueError if key == "label_convention" else KeyError, match=key):
         svm_from_json(blob)
 
 
-@pytest.mark.parametrize("indices", [[0, 1], [1, 0, 2], [0, 1, 2, 3], []])
+@pytest.mark.parametrize("indices", [[0, 1], [1, 0, 2], [0, 1, 2, 3], [], [0, 1, 2]])
 def test_svm_from_json_rejects_support_indices_off_the_coefficients(indices):
+    # the support follows from dual_coefs, so no entry stores it: even the true [0, 1, 2] is refused
     blob = svm_to_json(train_weighted_svm(np.eye(3), np.array([1, 0, 0]), C=1.0))
-    assert blob["support_indices"] == [0, 1, 2]
+    assert "support_indices" not in blob
     blob["support_indices"] = indices
     with pytest.raises(ValueError, match=r"stored keys \['support_indices'\] differ from what their writer"):
         svm_from_json(blob)
