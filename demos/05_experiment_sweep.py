@@ -19,18 +19,19 @@ print(f"families={config.families}, {config.datasets_per_family} datasets each, 
       f"master seed {config.master_seed}")
 records = run_experiment(config, verbose=True)
 
-stats = aggregate(records)
+summary = aggregate(records)  # the document emit_report writes as summary.json
 print()
 print(f"{'family':<8} {'model':<13} {'median':>7} {'Q1':>6} {'Q3':>6}")
-for (family, model), box in sorted(stats.box.items()):
-    print(f"{family:<8} {model:<13} {box.median:>7.3f} {box.q1:>6.3f} {box.q3:>6.3f}")
+for family, boxes in sorted(summary["box"].items()):
+    for model, box in sorted(boxes.items()):
+        print(f"{family:<8} {model:<13} {box['median']:>7.3f} {box['q1']:>6.3f} {box['q3']:>6.3f}")
 
 print()
-for family, fs in sorted(stats.families.items()):
-    print(f"{family}: mean ensemble size {fs.mean_ensemble_size:.2f} "
-          f"(max {fs.max_ensemble_size}), ensembles with >2 learners: {fs.n_more_than_2}")
+for family, fs in sorted(summary["families"].items()):
+    print(f"{family}: mean ensemble size {fs['mean_ensemble_size']:.2f} "
+          f"(max {fs['max_ensemble_size']}), ensembles with >2 learners: {fs['n_more_than_2']}")
 
-paths = emit_report(stats, config.output_dir)
+paths = emit_report(summary, config.output_dir)
 print()
 print("report files:")
 print(f"  records: {Path(config.output_dir) / 'records.csv'}")

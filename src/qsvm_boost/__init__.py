@@ -53,7 +53,6 @@ from .datasets import (
 from .experiment import (
     ExperimentConfig,
     RunRecord,
-    SummaryStats,
     aggregate,
     classical_svm_baseline,
     emit_report,

@@ -63,16 +63,14 @@ def _cmd_experiment(args) -> int:
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
     records = run_experiment(config, verbose=not args.quiet)
-    stats = aggregate(records)
-    paths = emit_report(stats, config.output_dir)
+    paths = emit_report(aggregate(records), config.output_dir)
     print(f"wrote {Path(config.output_dir) / 'records.csv'}, {paths['summary']}, {paths['boxplot']}")
     return 0
 
 
 def _cmd_report(args) -> int:
     records = read_records_csv(args.records)
-    stats = aggregate(records)
-    paths = emit_report(stats, args.out)
+    paths = emit_report(aggregate(records), args.out)
     print(f"wrote {paths['summary']} and {paths['boxplot']}")
     return 0
 

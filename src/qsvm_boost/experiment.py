@@ -176,15 +176,17 @@ def _accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.asarray(predictions) == np.asarray(truth)))
 
 
-def _baseline_cells(kernels, Cs, gammas) -> list[tuple[str, float | None]]:
-    """``(kernel, gamma)`` cells in tie-break order; a ValueError for a bad kernel list or an empty axis."""
+def _baseline_cells(kernels, Cs, gammas) -> tuple[list[tuple[str, float | None]], tuple[float, ...]]:
+    """``(kernel, gamma)`` cells in tie-break order, and the Cs ascending; a ValueError for a bad
+    kernel list, a C or gamma list ``sorted_reals`` refuses, or an empty axis."""
     for kernel in checked_items("baseline_kernels", kernels, "a list of names", lambda v: isinstance(v, str)):
         if kernel not in _BASELINE_GRAMS:
             raise ValueError(f"unknown baseline kernel {kernel!r}")
+    Cs, gammas = sorted_reals("baseline_Cs", Cs), sorted_reals("baseline_gammas", gammas)
     for axis, given in (("kernels", kernels), ("Cs", Cs), ("gammas", gammas if "rbf" in kernels else [None])):
         if not len(given):
             raise ValueError(f"baseline_{axis} must not be empty")
-    return [(k, g) for k in kernels for g in (sorted(gammas) if k == "rbf" else [None])]
+    return [(k, g) for k in kernels for g in (gammas if k == "rbf" else [None])], Cs
 
 
 def classical_svm_baseline(
@@ -198,16 +200,17 @@ def classical_svm_baseline(
     The winner is picked by ``best_cell``, the quantum grid's rule: ties go
     to kernel menu order, then ascending gamma, then ascending C. The gamma
     list is ignored for linear cells. ``_baseline_cells`` refuses a kernel
-    outside rbf and linear, and an empty axis. Each (kernel, gamma) cell
-    builds its train and val Grams once, uncached: no study reuses them.
+    outside rbf and linear, a C or gamma list that is not distinct real
+    numbers, and an empty axis. Each (kernel, gamma) cell builds its train
+    and val Grams once, uncached: no study reuses them.
     """
     X_train, y_train = split.train.X, split.train.y
+    grid, Cs = _baseline_cells(kernels, Cs, gammas)
     cells, k_trains = [], []  # per (kernel, gamma): ((kernel, gamma), val x train Gram)
-    for kernel, gamma in _baseline_cells(kernels, Cs, gammas):
+    for kernel, gamma in grid:
         gram, params = _BASELINE_GRAMS[kernel], {} if gamma is None else {"gamma": gamma}
         k_trains.append(gram(X_train, **params))
         cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
-    Cs = sorted(Cs)
     models = [train_weighted_svm(k_train, y_train, C) for k_train in k_trains for C in Cs]
     (kernel, gamma), _, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
     return BaselineResult(model, kernel, gamma, val_accuracy)
@@ -356,45 +359,8 @@ def _run_one_dataset(
 
 # --- aggregation ---
 
-@dataclass(frozen=True)
-class BoxStats:
-    median: float
-    q1: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-
-
-@dataclass(frozen=True)
-class FamilyStats:
-    mean_ensemble_size: float | None
-    max_ensemble_size: int | None
-    improvement_mean: float | None
-    improvement_max: float | None
-    n_more_than_2: int
-    n_more_than_1: int
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    box: dict
-    families: dict
-
-    def to_json(self) -> dict:
-        box: dict = {}
-        for (family, model), stats in sorted(self.box.items()):
-            box.setdefault(family, {})[model] = vars(stats).copy()
-        fams = {family: vars(stats).copy() for family, stats in sorted(self.families.items())}
-        return {
-            "box": box,
-            "families": fams,
-            "conventions": {
-                "quartiles": "tukey-hinges",
-                "whiskers": "Q1-1.5*IQR, Q3+1.5*IQR",
-                "improvement_filter": "boosted ensembles with more than 2 learners "
-                                      "(n_more_than_1 also reported)",
-            },
-        }
+# each box's fields, in boxplot.csv's column order after family and model
+_BOX_COLUMNS = ("median", "q1", "q3", "whisker_lo", "whisker_hi")
 
 
 def tukey_quartiles(values) -> tuple[float, float, float]:
@@ -413,46 +379,45 @@ def tukey_quartiles(values) -> tuple[float, float, float]:
     return med(ordered[:half]), med(ordered), med(ordered[n - half:])
 
 
-def _box_stats(values) -> BoxStats:
+def _box(values) -> dict:
     q1, median, q3 = tukey_quartiles(values)
     iqr = q3 - q1
-    return BoxStats(median, q1, q3, q1 - 1.5 * iqr, q3 + 1.5 * iqr)
+    return dict(zip(_BOX_COLUMNS, (median, q1, q3, q1 - 1.5 * iqr, q3 + 1.5 * iqr)))
 
 
-def aggregate(records: list[RunRecord]) -> SummaryStats:
-    """Box-plot stats per (family, model) plus per-family ensemble/improvement stats."""
+def aggregate(records: list[RunRecord]) -> dict:
+    """The summary document ``emit_report`` writes: ``box[family][model]`` holds a box of test
+    accuracies, ``families[family]`` the ensemble-size and boosted-over-single improvement
+    stats, and ``conventions`` how both were computed. Error records are skipped."""
     good = [r for r in records if not r.error]
     if not good:
         raise ValueError("no successful records to aggregate")
-    box = {}
-    families = sorted({r.family for r in good})
-    for family in families:
-        for model in MODELS:
-            values = [r.test_accuracy for r in good if r.family == family and r.model_id == model]
-            if values:
-                box[(family, model)] = _box_stats(values)
-
-    family_stats = {}
-    for family in families:
-        boosted = {r.dataset_seed: r for r in good
-                   if r.family == family and r.model_id == MODEL_BOOSTED}
-        single = {r.dataset_seed: r for r in good
-                  if r.family == family and r.model_id == MODEL_SINGLE}
+    box, families = {}, {}
+    for family in sorted({r.family for r in good}):
+        by_model = {model: [r for r in good if r.family == family and r.model_id == model]
+                    for model in MODELS}
+        boxes = {model: _box([r.test_accuracy for r in rs]) for model, rs in by_model.items() if rs}
+        if boxes:
+            box[family] = boxes
+        boosted = {r.dataset_seed: r for r in by_model[MODEL_BOOSTED]}
+        single = {r.dataset_seed: r for r in by_model[MODEL_SINGLE]}
         sizes = [r.ensemble_size for r in boosted.values()]
         improvements = [
             boosted[seed].test_accuracy - single[seed].test_accuracy
             for seed in boosted.keys() & single.keys()
             if boosted[seed].ensemble_size > 2
         ]
-        family_stats[family] = FamilyStats(
-            mean_ensemble_size=float(np.mean(sizes)) if sizes else None,
-            max_ensemble_size=int(max(sizes)) if sizes else None,
-            improvement_mean=float(np.mean(improvements)) if improvements else None,
-            improvement_max=float(max(improvements)) if improvements else None,
-            n_more_than_2=sum(1 for r in boosted.values() if r.ensemble_size > 2),
-            n_more_than_1=sum(1 for r in boosted.values() if r.ensemble_size > 1),
-        )
-    return SummaryStats(box=box, families=family_stats)
+        families[family] = {
+            "mean_ensemble_size": float(np.mean(sizes)) if sizes else None,
+            "max_ensemble_size": int(max(sizes)) if sizes else None,
+            "improvement_mean": float(np.mean(improvements)) if improvements else None,
+            "improvement_max": float(max(improvements)) if improvements else None,
+            "n_more_than_2": sum(1 for r in boosted.values() if r.ensemble_size > 2),
+            "n_more_than_1": sum(1 for r in boosted.values() if r.ensemble_size > 1),
+        }
+    return {"box": box, "families": families, "conventions": {
+        "quartiles": "tukey-hinges", "whiskers": "Q1-1.5*IQR, Q3+1.5*IQR",
+        "improvement_filter": "boosted ensembles with more than 2 learners (n_more_than_1 also reported)"}}
 
 
 # --- record and report I/O ---
@@ -489,19 +454,20 @@ def read_records_csv(path) -> list[RunRecord]:
     return records
 
 
-def emit_report(stats: SummaryStats, output_dir) -> dict[str, Path]:
-    """Write summary JSON and box-plot CSV; returns the paths. The records CSV is
-    ``run_experiment``'s to write."""
+def emit_report(summary: dict, output_dir) -> dict[str, Path]:
+    """Write ``aggregate``'s document as summary.json and its boxes as boxplot.csv, one row
+    per (family, model); returns the paths. The records CSV is ``run_experiment``'s to write."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"summary": out / "summary.json", "boxplot": out / "boxplot.csv"}
     with open(paths["summary"], "w") as fh:
-        json.dump(stats.to_json(), fh, indent=1, sort_keys=True)
+        json.dump(summary, fh, indent=1, sort_keys=True)
     with open(paths["boxplot"], "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["family", "model", *(f.name for f in fields(BoxStats))])
-        writer.writerows([family, model, *astuple(box)]
-                         for (family, model), box in sorted(stats.box.items()))
+        writer.writerow(["family", "model", *_BOX_COLUMNS])
+        writer.writerows([family, model, *(box[column] for column in _BOX_COLUMNS)]
+                         for family, boxes in sorted(summary["box"].items())
+                         for model, box in sorted(boxes.items()))
     return paths
 
 

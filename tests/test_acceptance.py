@@ -166,7 +166,7 @@ def test_criterion_5_circles_replication(default_sweep):
             if r.family == "circles" and r.model_id == MODEL_BOOSTED and not r.error]
     assert len(accs) == 10
     median = float(np.median(accs))
-    mean_size = stats.families["circles"].mean_ensemble_size
+    mean_size = stats["families"]["circles"]["mean_ensemble_size"]
     assert median >= 0.95
     assert mean_size <= 1.5
     print(f"CRITERION 5 PASS: circles median boosted accuracy {median:.3f} (>= 0.95), "
@@ -175,8 +175,8 @@ def test_criterion_5_circles_replication(default_sweep):
 
 def test_criterion_6_ensemble_size_ordering(default_sweep):
     config, records, stats = default_sweep
-    means = {fam: stats.families[fam].mean_ensemble_size for fam in ("moons", "xor", "circles")}
-    maxes = {fam: stats.families[fam].max_ensemble_size for fam in means}
+    means = {fam: stats["families"][fam]["mean_ensemble_size"] for fam in ("moons", "xor", "circles")}
+    maxes = {fam: stats["families"][fam]["max_ensemble_size"] for fam in means}
     assert means["moons"] > means["xor"] > means["circles"]
     assert all(m <= config.max_rounds for m in maxes.values())
     print(f"CRITERION 6 PASS: mean ensemble sizes moons {means['moons']:.2f} > "

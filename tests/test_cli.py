@@ -144,6 +144,8 @@ def test_experiment_and_report(tmp_path):
     assert run_cli("report", "--records", str(results / "records.csv"),
                    "--out", str(report_dir)) == 0
     assert (report_dir / "summary.json").exists()
+    for name in ("summary.json", "boxplot.csv"):
+        assert (report_dir / name).read_bytes() == (results / name).read_bytes()
 
 
 def test_experiment_output_dir_replaces_the_configs(tmp_path):

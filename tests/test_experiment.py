@@ -119,9 +119,9 @@ def test_tukey_single_value():
 def test_aggregate_single_record_box():
     records = [make_record("xor", 1, m, 0.9, 1) for m in MODELS]
     stats = aggregate(records)
-    b = stats.box[("xor", MODEL_BOOSTED)]
-    assert b.median == b.q1 == b.q3 == 0.9
-    assert b.whisker_lo == b.whisker_hi == 0.9
+    b = stats["box"]["xor"][MODEL_BOOSTED]
+    assert b["median"] == b["q1"] == b["q3"] == 0.9
+    assert b["whisker_lo"] == b["whisker_hi"] == 0.9
 
 
 def test_aggregate_improvements_filter_more_than_two():
@@ -135,13 +135,13 @@ def test_aggregate_improvements_filter_more_than_two():
         make_record("xor", 1, MODEL_BASELINE, 0.97, 1),
     ]
     stats = aggregate(records)
-    fs = stats.families["xor"]
-    assert fs.n_more_than_2 == 2
-    assert fs.n_more_than_1 == 3
-    assert fs.improvement_mean == pytest.approx((0.05 + 0.01) / 2)
-    assert fs.improvement_max == pytest.approx(0.05)
-    assert fs.mean_ensemble_size == pytest.approx(3.0)
-    assert fs.max_ensemble_size == 4
+    fs = stats["families"]["xor"]
+    assert fs["n_more_than_2"] == 2
+    assert fs["n_more_than_1"] == 3
+    assert fs["improvement_mean"] == pytest.approx((0.05 + 0.01) / 2)
+    assert fs["improvement_max"] == pytest.approx(0.05)
+    assert fs["mean_ensemble_size"] == pytest.approx(3.0)
+    assert fs["max_ensemble_size"] == 4
 
 
 def test_aggregate_skips_error_records():
@@ -150,7 +150,7 @@ def test_aggregate_skips_error_records():
         make_record("xor", 2, MODEL_BOOSTED, float("nan"), 0, error="ValueError: x"),
     ]
     stats = aggregate(records)
-    assert stats.box[("xor", MODEL_BOOSTED)].median == 0.9
+    assert stats["box"]["xor"][MODEL_BOOSTED]["median"] == 0.9
     with pytest.raises(ValueError):
         aggregate([make_record("xor", 1, MODEL_BOOSTED, float("nan"), 0, error="err")])
 
@@ -158,10 +158,10 @@ def test_aggregate_skips_error_records():
 def test_whisker_formula():
     values = [0.5, 0.6, 0.7, 0.8, 1.0]
     records = [make_record("moons", i, MODEL_SINGLE, v, 1) for i, v in enumerate(values)]
-    b = aggregate(records).box[("moons", MODEL_SINGLE)]
-    iqr = b.q3 - b.q1
-    assert b.whisker_lo == pytest.approx(b.q1 - 1.5 * iqr)
-    assert b.whisker_hi == pytest.approx(b.q3 + 1.5 * iqr)
+    b = aggregate(records)["box"]["moons"][MODEL_SINGLE]
+    iqr = b["q3"] - b["q1"]
+    assert b["whisker_lo"] == pytest.approx(b["q1"] - 1.5 * iqr)
+    assert b["whisker_hi"] == pytest.approx(b["q3"] + 1.5 * iqr)
 
 
 # --- classical baseline ---
@@ -232,6 +232,22 @@ def test_baseline_rejects_empty_grid(kernels, Cs, gammas, empty):
     split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
     with pytest.raises(ValueError, match=f"^baseline_{empty} must not be empty$"):
         classical_svm_baseline(split, kernels, Cs, gammas)
+
+
+@pytest.mark.parametrize("kernels, Cs, gammas, message", [
+    # a bare string was read as its letters; a repeated value was fitted twice
+    (("rbf",), (1.0,), "0.1", "^baseline_gammas must be a list of real numbers, got '0.1'$"),
+    (("rbf",), "10", (0.1,), "^baseline_Cs must be a list of real numbers, got '10'$"),
+    (("rbf",), (1.0,), (0.1, 0.1), r"^baseline_gammas must not repeat a value, got \(0.1, 0.1\)$"),
+    (("linear",), (1.0, 1.0), (), r"^baseline_Cs must not repeat a value, got \(1.0, 1.0\)$"),
+], ids=["bare_gammas", "bare_Cs", "repeated_gamma", "repeated_C"])
+def test_baseline_refuses_a_bare_string_or_a_repeated_value(kernels, Cs, gammas, message, monkeypatch):
+    split = split_and_scale(make_moons(60, noise_std=0.1, seed=4), (20, 20, 20), seed=5)
+    fits = []
+    monkeypatch.setattr(experiment, "train_weighted_svm", lambda *args: fits.append(args))
+    with pytest.raises(ValueError, match=message):
+        classical_svm_baseline(split, kernels, Cs, gammas)
+    assert fits == []
 
 
 def test_baseline_tie_breaking_order():
@@ -634,6 +650,106 @@ def test_emit_report_files(tmp_path):
     summary = json.loads(paths["summary"].read_text())
     assert summary["conventions"]["quartiles"] == "tukey-hinges"
     assert set(summary["box"]) == {"xor", "moons"}
+
+
+PINNED_SUMMARY = """{
+ "box": {
+  "moons": {
+   "boosted_qsvm": {
+    "median": 0.6875,
+    "q1": 0.625,
+    "q3": 0.75,
+    "whisker_hi": 0.9375,
+    "whisker_lo": 0.4375
+   },
+   "single_qsvm": {
+    "median": 0.5625,
+    "q1": 0.5,
+    "q3": 0.625,
+    "whisker_hi": 0.8125,
+    "whisker_lo": 0.3125
+   }
+  },
+  "xor": {
+   "boosted_qsvm": {
+    "median": 0.875,
+    "q1": 0.6875,
+    "q3": 0.9375,
+    "whisker_hi": 1.3125,
+    "whisker_lo": 0.3125
+   },
+   "single_qsvm": {
+    "median": 0.75,
+    "q1": 0.6875,
+    "q3": 0.75,
+    "whisker_hi": 0.84375,
+    "whisker_lo": 0.59375
+   },
+   "svm_baseline": {
+    "median": 0.375,
+    "q1": 0.25,
+    "q3": 0.5,
+    "whisker_hi": 0.875,
+    "whisker_lo": -0.125
+   }
+  }
+ },
+ "conventions": {
+  "improvement_filter": "boosted ensembles with more than 2 learners (n_more_than_1 also reported)",
+  "quartiles": "tukey-hinges",
+  "whiskers": "Q1-1.5*IQR, Q3+1.5*IQR"
+ },
+ "families": {
+  "moons": {
+   "improvement_max": null,
+   "improvement_mean": null,
+   "max_ensemble_size": 2,
+   "mean_ensemble_size": 1.5,
+   "n_more_than_1": 1,
+   "n_more_than_2": 0
+  },
+  "xor": {
+   "improvement_max": 0.125,
+   "improvement_mean": -0.0625,
+   "max_ensemble_size": 4,
+   "mean_ensemble_size": 2.6666666666666665,
+   "n_more_than_1": 2,
+   "n_more_than_2": 2
+  }
+ }
+}"""
+
+PINNED_BOXPLOT = (
+    "family,model,median,q1,q3,whisker_lo,whisker_hi\r\n"
+    "moons,boosted_qsvm,0.6875,0.625,0.75,0.4375,0.9375\r\n"
+    "moons,single_qsvm,0.5625,0.5,0.625,0.3125,0.8125\r\n"
+    "xor,boosted_qsvm,0.875,0.6875,0.9375,0.3125,1.3125\r\n"
+    "xor,single_qsvm,0.75,0.6875,0.75,0.59375,0.84375\r\n"
+    "xor,svm_baseline,0.375,0.25,0.5,-0.125,0.875\r\n"
+)
+
+
+def test_emit_report_bytes_are_pinned(tmp_path):
+    # moons never grows past two learners (null improvements) and has no baseline;
+    # xor's third baseline failed, so its box takes two values
+    records = [
+        make_record("xor", 1, MODEL_BOOSTED, 0.875, 3),
+        make_record("xor", 1, MODEL_SINGLE, 0.75, 1),
+        make_record("xor", 1, MODEL_BASELINE, 0.5, 1),
+        make_record("xor", 2, MODEL_BOOSTED, 1.0, 1),
+        make_record("xor", 2, MODEL_SINGLE, 0.625, 1),
+        make_record("xor", 2, MODEL_BASELINE, 0.25, 1),
+        make_record("xor", 3, MODEL_BOOSTED, 0.5, 4),
+        make_record("xor", 3, MODEL_SINGLE, 0.75, 1),
+        make_record("xor", 3, MODEL_BASELINE, float("nan"), 0, "ValueError: no fit"),
+        make_record("moons", 1, MODEL_BOOSTED, 0.75, 2),
+        make_record("moons", 1, MODEL_SINGLE, 0.5, 1),
+        make_record("moons", 2, MODEL_BOOSTED, 0.625, 1),
+        make_record("moons", 2, MODEL_SINGLE, 0.625, 1),
+    ]
+    paths = emit_report(aggregate(records), tmp_path)
+    assert paths["summary"].read_bytes() == PINNED_SUMMARY.encode()
+    assert paths["boxplot"].read_bytes() == PINNED_BOXPLOT.encode()
 
 
 # --- config ---

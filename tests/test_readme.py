@@ -1,9 +1,9 @@
-"""The README's config block loads and its library quick start runs."""
+"""The README's config block loads, its library quick start runs, and it names the report's header."""
 import json
 import re
 from pathlib import Path
 
-from qsvm_boost.experiment import config_from_dict
+from qsvm_boost.experiment import MODEL_BOOSTED, RunRecord, aggregate, config_from_dict, emit_report
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -28,3 +28,9 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert stop_reason in {"perfect", "worse_than_random", "max_reached", "maps_exhausted"}
     assert int(pruned_length) >= 1
     assert 0.0 <= float(accuracy) <= 1.0
+
+
+def test_readme_names_the_boxplot_header(tmp_path):
+    paths = emit_report(aggregate([RunRecord("xor", 1, MODEL_BOOSTED, 0.5, 1, "", 0.0)]), tmp_path)
+    header = paths["boxplot"].read_text().splitlines()[0]
+    assert f"`{header}`" in README
