@@ -434,10 +434,11 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 
 def read_records_csv(path) -> list[RunRecord]:
     """Records CSV rows as ``RunRecord``s, each column converted by its field's type.
-    A missing column is a KeyError; a row shorter than the header, or a field its type
-    cannot read, a ValueError naming the line; an extra column is ignored."""
+    A missing column is a KeyError; a row shorter than the header, a field its type cannot
+    read, a model outside ``MODELS`` or a second record of one (family, dataset_seed,
+    model_id), a ValueError naming the line; an extra column is ignored."""
     types = get_type_hints(RunRecord)
-    records = []
+    records, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -448,6 +449,13 @@ def read_records_csv(path) -> list[RunRecord]:
                     row[name] = kind(row[name])
                 except ValueError as exc:
                     raise ValueError(f"{path} line {reader.line_num}, column {name}: {exc}") from None
+            if row["model_id"] not in MODELS:
+                raise ValueError(f"{path} line {reader.line_num}, column model_id: "
+                                 f"{row['model_id']!r} is not one of {MODELS}")
+            key = (row["family"], row["dataset_seed"], row["model_id"])
+            if key in seen:
+                raise ValueError(f"{path} line {reader.line_num} repeats the record of {key}")
+            seen.add(key)
             records.append(RunRecord(**{name: row[name] for name in types}))
     if not records:
         raise ValueError(f"no records found in {path}")

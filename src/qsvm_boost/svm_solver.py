@@ -13,11 +13,12 @@ problems of a grid search, which share labels and weights, in lock-step:
 each pass picks every row's pair in ``_pick`` (masks from two comparisons,
 -inf written off them into one two-sided buffer, one argmax), takes every
 row's step in ``_pair_steps`` over (rows,) arrays and adds all K-row updates
-at once. A finished row, converged or stuck, leaves at the top of a pass.
+at once. A finished row, within tolerance or stuck, leaves at the top of a pass.
 Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
 ``_smo_row`` with the scalar ``_pair_step``; ``train_weighted_svm`` runs
-only that loop. Every row's bias is read from one last ``_pick`` over all
-rows, so the pair and the bias come from the same up and low candidates.
+only that loop. Every row's bias and verdict are read from one last ``_pick``
+over all rows, so the pair, the bias and ``converged`` (the returned duals'
+maximal KKT violation is within ``_KKT_TOLERANCE``) share their candidates.
 
 Every row takes exactly the steps, and gives exactly the bits (the sign of
 zero included), of a fit of its problem alone: every pick is a first-index
@@ -35,8 +36,8 @@ import numpy as np
 from .kernels import GramMatrix
 from .quantum_sim import is_real
 
-_KKT_TOLERANCE = 1e-3  # a fit converges once its maximal KKT violation is within this,
-_MAX_PASSES = 10_000  # or gives up after this many passes; both are read at each call
+_KKT_TOLERANCE = 1e-3  # a fit stops, converged, once its duals' maximal KKT violation is within this,
+_MAX_PASSES = 10_000  # or, converged or not, after this many passes; both are read at each call
 _ETA_FLOOR = 1e-12
 # at most this many live rows finish one by one: a lock-step pass over a few rows costs
 # more than their 1-D passes (replay sweep in BENCH_lean_pass.json: 4 to 16 tie, 2 loses)
@@ -50,8 +51,9 @@ class TrainedSVM:
     """Fitted dual solution; immutable after fit.
 
     ``dual_coefs[i]`` is alpha_i * t_i over the full training set, nonzero
-    exactly at ``support_indices``. A degenerate model (single effective class)
-    has zero dual coefficients and bias equal to the sole class's t value.
+    exactly at ``support_indices``; ``converged`` is whether their maximal KKT
+    violation is within the solver's tolerance. A degenerate model (single effective
+    class) has zero dual coefficients and bias equal to the sole class's t value.
     """
 
     dual_coefs: np.ndarray
@@ -132,27 +134,26 @@ def train_weighted_svms(
     upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
     gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
     alpha, bias, converged = _smo_lockstep(stack, gram_of, t, upper)
-    return [TrainedSVM(alpha[r] * t, bias[r], Cs[r % len(Cs)], bool(converged[r]))
+    return [TrainedSVM(alpha[r] * t, bias[r], Cs[r % len(Cs)], converged[r])
             for r in range(len(gram_of))]
 
 
-def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np.ndarray]:
+def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], list[bool]]:
     """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
 
     A row stops when it has no violating pair or its gap is within
-    ``_KKT_TOLERANCE`` (converged), when its last step left ``a_j`` unchanged
-    (stuck) or after ``_MAX_PASSES`` steps. Finished rows leave the working
+    ``_KKT_TOLERANCE``, when its last step left ``a_j`` unchanged (stuck) or
+    after ``_MAX_PASSES`` steps. Finished rows leave the working
     arrays at the top of a pass; the Gram stack is never copied. Once at most
     ``_TAIL_ROWS`` rows are live, each finishes alone in ``_smo_row`` from its
     own ``alpha``, ``u`` (u_k = sum_l alpha_l t_l K_lk), last step and remaining passes.
-    Returns every row's final ``alpha``, its bias and whether it converged. The biases come
-    from one last ``_pick`` over all rows: the mean of neg_e = t - u over the free vectors
-    (on both sides), else the middle of the up and low ends, else the finite end.
+    Returns every row's final ``alpha``, its bias and its verdict from one last ``_pick`` over
+    all rows: the bias is the mean of neg_e = t - u over the free vectors (on both sides), else
+    the middle of the up and low ends, else the finite end; the verdict is that gap <= tol.
     """
     n_grams, n, _ = stack.shape
     rows = len(gram_of)
     alpha_out, u_out = np.zeros((rows, n)), np.zeros((rows, n))
-    converged = np.zeros(rows, dtype=bool)
     k_rows = stack.reshape(n_grams * n, n)  # row g*n + i is K[g, i]
     tol, max_passes = _KKT_TOLERANCE, _MAX_PASSES
 
@@ -169,11 +170,10 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np
         return (t_rows[:m], neg_rows[:m], value_buf[:2 * m * n].reshape(2, m, n),
                 off_buf[:2 * m * n].reshape(2, m, n), np.arange(0, 2 * m * n, n).reshape(2, m))
 
-    def finish(done, ok, *step_arrays):
+    def finish(done, *step_arrays):
         """Copy the finished rows out; the rest of every working and per-step array."""
         alpha_out[live[done]] = alpha[done]
         u_out[live[done]] = u[done]
-        converged[live[done]] = ok
         keep = ~done
         return [a[keep] for a in (live, alpha, u, box, k_base)] + [a[..., keep] for a in step_arrays]
 
@@ -182,9 +182,8 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np
     while live.size > _TAIL_ROWS and passes < max_passes:
         ij, gap = _pick(t_m, neg_m, alpha, u, box, values, off, base)
         if not (gap > tol).all() or not moved.all():
-            ok = gap <= tol  # a side with no candidate gives gap -inf
-            done = ok | (moved == 0.0)
-            live, alpha, u, box, k_base, moved, ij, gap = finish(done, ok[done], moved, ij, gap)
+            done = (gap <= tol) | (moved == 0.0)  # a side with no candidate gives gap -inf
+            live, alpha, u, box, k_base, moved, ij, gap = finish(done, moved, ij, gap)
             if live.size <= _TAIL_ROWS:
                 break  # the tail takes this pass again, row by row
             t_m, neg_m, values, off, base = scratch(live.size)
@@ -204,11 +203,11 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np
 
     alpha_out[live], u_out[live] = alpha, u
     for r, row in enumerate(live.tolist()):
-        converged[row] = _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
-                                  moved.item(r), max_passes - passes, tol)
+        _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
+                 moved.item(r), max_passes - passes, tol)
 
     t_m, neg_m, values, off, base = scratch(rows)
-    ij, _ = _pick(t_m, neg_m, alpha_out, u_out, upper, values, off, base)
+    ij, gap = _pick(t_m, neg_m, alpha_out, u_out, upper, values, off, base)
     free, ends = ~(off[0] | off[1]), values.take(ij + base).T.tolist()
     bias = []
     for r, (up, low) in enumerate(ends):  # low is -min low neg_e
@@ -216,7 +215,7 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], np
             bias.append(float(np.mean(values[0, r][free[r]])))
         else:
             bias.append(-low if up == -np.inf else up if low == -np.inf else (up - low) / 2.0)
-    return alpha_out, bias, converged
+    return alpha_out, bias, (gap <= tol).tolist()
 
 
 def _pick(t, neg, alpha, u, box, values, off, base):
@@ -244,12 +243,12 @@ def _pick(t, neg, alpha, u, box, values, off, base):
     return ij, best[0] + best[1]
 
 
-def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> bool:
+def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> None:
     """Finish one row alone: the lock-step pass on (n,) arrays, with the scalar step.
 
     Updates ``alpha`` and ``u`` in place from where the batch left them and
     runs at most ``passes`` more passes; ``moved`` is the row's last
-    ``delta_j t_j``. Returns whether the row converged.
+    ``delta_j t_j``. Its verdict is read from the final ``_pick``, as every row's is.
 
     ``sides`` stacks t on the up candidates (-inf elsewhere), u, and t on the
     low ones (+inf elsewhere), so ``sides[:2] - sides[1:]`` is ``_pick``'s
@@ -263,13 +262,11 @@ def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> bool:
     ends, starts, row_u = sides[:2], sides[1:], sides[1]
     a, upper, labels, k_diag = alpha.tolist(), box.tolist(), t.tolist(), K.diagonal().tolist()
     k_rows = list(K)
-    converged = False
     for _ in range(passes):
         np.subtract(ends, starts, out=values)
         i, j = values.argmax(1).tolist()
         gap = values.item(0, i) + values.item(1, j)
         if gap <= tol or moved == 0.0:
-            converged = gap <= tol
             break
         a[i], a[j], ci, moved = _pair_step(gap, (a[i], a[j]), (upper[i], upper[j]), (labels[i], labels[j]),
                                            (k_diag[i], k_diag[j]), K.item(i, j))
@@ -280,7 +277,6 @@ def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> bool:
         row_u += ci * k_rows[i]
         row_u += moved * k_rows[j]
     alpha[:], u[:] = a, row_u
-    return converged
 
 
 def _pair_step(gap, a, box, t, k_diag, k_ij):

@@ -147,6 +147,8 @@ def reference_smo(
     """The scalar SMO loop, one problem at a time: the oracle for the batched solver.
 
     ``tol`` and ``max_passes`` default to the solver's constants as they are at the call.
+    The fit is converged when ``reference_pick`` finds its final state's gap within ``tol``,
+    however the loop stopped.
     """
     K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     n = K.shape[0]
@@ -183,12 +185,10 @@ def reference_smo(
     u = np.zeros(n)  # u_k = sum_l alpha_l t_l K_lk
     tol = svm_solver._KKT_TOLERANCE if tol is None else tol
     max_passes = svm_solver._MAX_PASSES if max_passes is None else max_passes
-    converged = False
 
     for _ in range(max_passes):
         i, j, gap = reference_pick(t, alpha, u, upper)
         if gap <= tol:  # a side with no candidate gives gap -inf
-            converged = True
             break
 
         ti, tj = t[i], t[j]
@@ -216,6 +216,7 @@ def reference_smo(
         alpha[j] = aj_new
         u = u + (delta_i * ti) * K[i] + (delta_j * tj) * K[j]
 
+    converged = bool(reference_pick(t, alpha, u, upper)[2] <= tol)
     neg_e = t - u
     free = (alpha > 0) & (alpha < upper)
     if free.any():

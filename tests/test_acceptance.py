@@ -6,6 +6,7 @@ per family, default grids); expect about 60 seconds for the full module.
 import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qsvm_boost.experiment import (
     MODEL_SINGLE,
     ExperimentConfig,
     aggregate,
+    reload_bundle,
     run_experiment,
 )
 from qsvm_boost.kernels import GramCache, gram_matrix
@@ -40,6 +42,21 @@ def default_sweep(tmp_path_factory):
     config = ExperimentConfig(output_dir=str(tmp_path_factory.mktemp("sweep")))
     records = run_experiment(config)
     return config, records, aggregate(records)
+
+
+def unconverged_rounds(config, family, seeds=None) -> tuple[int, int]:
+    """(unconverged, kept): how many kept rounds of the family's boosted bundles (those of
+    ``seeds`` only, if given) have an SVM that did not converge, and how many there are."""
+    kept = []
+    for path in sorted(Path(config.output_dir, "models").glob(f"{family}_*.json")):
+        bundle = reload_bundle(path)
+        if "boosted" in bundle and (seeds is None or bundle["dataset_seed"] in seeds):
+            kept += bundle["boosted"]["rounds"][:bundle["boosted"]["pruned_length"]]
+    return sum(not entry["svm"]["converged"] for entry in kept), len(kept)
+
+
+def of(counts) -> str:
+    return "{} of {}".format(*counts)
 
 
 def test_criterion_1_simulator_correctness():
@@ -161,7 +178,7 @@ def test_criterion_4_algorithm_mechanics():
 
 
 def test_criterion_5_circles_replication(default_sweep):
-    _, records, stats = default_sweep
+    config, records, stats = default_sweep
     accs = [r.test_accuracy for r in records
             if r.family == "circles" and r.model_id == MODEL_BOOSTED and not r.error]
     assert len(accs) == 10
@@ -170,7 +187,8 @@ def test_criterion_5_circles_replication(default_sweep):
     assert median >= 0.95
     assert mean_size <= 1.5
     print(f"CRITERION 5 PASS: circles median boosted accuracy {median:.3f} (>= 0.95), "
-          f"mean ensemble size {mean_size:.2f} (<= 1.5)")
+          f"mean ensemble size {mean_size:.2f} (<= 1.5); unconverged kept rounds: "
+          f"circles {of(unconverged_rounds(config, 'circles'))}")
 
 
 def test_criterion_6_ensemble_size_ordering(default_sweep):
@@ -181,22 +199,21 @@ def test_criterion_6_ensemble_size_ordering(default_sweep):
     assert all(m <= config.max_rounds for m in maxes.values())
     print(f"CRITERION 6 PASS: mean ensemble sizes moons {means['moons']:.2f} > "
           f"xor {means['xor']:.2f} > circles {means['circles']:.2f}; "
-          f"max {max(maxes.values())} <= {config.max_rounds}")
+          f"max {max(maxes.values())} <= {config.max_rounds}; unconverged kept rounds: "
+          + ", ".join(f"{family} {of(unconverged_rounds(config, family))}" for family in means))
 
 
 def test_criterion_7_boosting_benefit(default_sweep):
-    _, records, stats = default_sweep
+    config, records, stats = default_sweep
     pooled = []
-    per_family = {}
+    per_family, pooled_seeds = {}, {}
     for family in ("xor", "moons"):
         boosted = {r.dataset_seed: r for r in records
                    if r.family == family and r.model_id == MODEL_BOOSTED and not r.error}
         single = {r.dataset_seed: r for r in records
                   if r.family == family and r.model_id == MODEL_SINGLE and not r.error}
-        improvements = [
-            boosted[s].test_accuracy - single[s].test_accuracy
-            for s in boosted.keys() & single.keys() if boosted[s].ensemble_size > 2
-        ]
+        pooled_seeds[family] = [s for s in boosted.keys() & single.keys() if boosted[s].ensemble_size > 2]
+        improvements = [boosted[s].test_accuracy - single[s].test_accuracy for s in pooled_seeds[family]]
         per_family[family] = improvements
         pooled.extend(improvements)
     assert pooled, "no ensembles with more than 2 learners on xor/moons"
@@ -208,8 +225,11 @@ def test_criterion_7_boosting_benefit(default_sweep):
         f"{fam}: n={len(imps)} mean={np.mean(imps):+.3f}" if imps else f"{fam}: n=0"
         for fam, imps in per_family.items()
     )
+    counts = {family: unconverged_rounds(config, family, seeds) for family, seeds in pooled_seeds.items()}
     print(f"CRITERION 7 PASS: improvement among >2-learner ensembles positive "
-          f"(pooled {np.mean(pooled):+.3f}; {detail})")
+          f"(pooled {np.mean(pooled):+.3f}; {detail}); unconverged kept rounds of the pooled "
+          f"ensembles: {of(map(sum, zip(*counts.values())))} "
+          f"({', '.join(f'{family} {of(pair)}' for family, pair in counts.items())})")
 
 
 def _records_without_wall_time(path):

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qsvm_boost import experiment
 from qsvm_boost.cli import main
 from qsvm_boost.datasets import SplitDataset, dataset_from_csv
@@ -230,6 +232,25 @@ def test_experiment_non_integer_or_nan_config_exits_1(tmp_path):
 def test_report_missing_records_exits_1(tmp_path):
     assert run_cli("report", "--records", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path)) == 1
+
+
+HEADER = "family,dataset_seed,model_id,test_accuracy,ensemble_size,grid_points,wall_time,error\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a misspelt model was dropped from every box, and its family's sizes read None
+    (["xor,1,boosted_qvsm,0.9,3,,0.0,", "xor,1,single_qsvm,0.8,1,,0.0,"],
+     "line 2, column model_id: 'boosted_qvsm' is not one of ('single_qsvm', 'boosted_qsvm', 'svm_baseline')"),
+    # a repeated record counted twice in its box and once, the last, in the family's sizes
+    (["xor,1,boosted_qsvm,0.9,3,,0.0,", "xor,1,boosted_qsvm,0.5,1,,0.0,"],
+     "line 3 repeats the record of ('xor', 1, 'boosted_qsvm')"),
+])
+def test_report_refuses_a_record_no_study_writes(tmp_path, capsys, rows, message):
+    records = tmp_path / "records.csv"
+    records.write_text(HEADER + "".join(row + "\n" for row in rows))
+    assert run_cli("report", "--records", str(records), "--out", str(tmp_path / "report")) == 1
+    assert capsys.readouterr().err == f"error: {records} {message}\n"
+    assert not (tmp_path / "report").exists()
 
 
 def test_no_arguments_exits_1():

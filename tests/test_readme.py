@@ -1,8 +1,11 @@
-"""The README's config block loads, its library quick start runs, and it names the report's header."""
+"""The README's config block loads, its library quick start runs, it names the report's header
+and states the solver's constants."""
+import ast
 import json
 import re
 from pathlib import Path
 
+from qsvm_boost import svm_solver
 from qsvm_boost.experiment import MODEL_BOOSTED, RunRecord, aggregate, config_from_dict, emit_report
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -34,3 +37,10 @@ def test_readme_names_the_boxplot_header(tmp_path):
     paths = emit_report(aggregate([RunRecord("xor", 1, MODEL_BOOSTED, 0.5, 1, "", 0.0)]), tmp_path)
     header = paths["boxplot"].read_text().splitlines()[0]
     assert f"`{header}`" in README
+
+
+def test_readme_states_the_solver_constants():
+    stated = re.findall(r"`(_KKT_TOLERANCE|_MAX_PASSES) = ([^`]+)`", README)
+    assert sorted(name for name, _ in stated) == ["_KKT_TOLERANCE", "_MAX_PASSES"]
+    for name, text in stated:
+        assert ast.literal_eval(text) == getattr(svm_solver, name), name

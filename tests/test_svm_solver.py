@@ -238,6 +238,22 @@ def test_non_convergence_flagged(monkeypatch):
     assert model.dual_coefs.shape == (30,)
 
 
+def test_a_fit_solved_by_its_last_budgeted_step_is_converged(monkeypatch):
+    # converged is the returned duals' verdict: one step solves each problem exactly, and with
+    # one pass allowed the loops used to flag it unconverged; 9 rows run the lock-step loop
+    monkeypatch.setattr(svm_solver, "_MAX_PASSES", 1)
+    labels = np.array([0, 1])
+    models = [train_weighted_svm(np.eye(2), labels, 10.0),
+              *train_weighted_svms([np.eye(2)] * 3, labels, [1.0, 2.0, 10.0])]
+    oracles = [reference_smo(np.eye(2), labels, C) for C in (10.0, *[1.0, 2.0, 10.0] * 3)]
+    assert len(models) == 10
+    for model, oracle in zip(models, oracles):
+        assert model.converged and oracle.converged
+        np.testing.assert_array_equal(model.dual_coefs, [-1.0, 1.0])
+        np.testing.assert_array_equal(oracle.dual_coefs, [-1.0, 1.0])
+        assert model.bias == oracle.bias == 0.0
+
+
 def test_json_round_trip_preserves_predictions():
     rng = np.random.default_rng(51)
     K = random_psd_kernel(rng, 15)
@@ -285,6 +301,16 @@ def moons_grid():
     return grams, split.train.y, grid.Cs
 
 
+def kkt_gap(K, labels, dual_coefs, upper) -> float:
+    """Maximal KKT violation of returned duals, from the Gram alone (u = K @ dual_coefs);
+    -inf when a side has no candidate."""
+    t = 2.0 * labels - 1.0
+    alpha, neg_e = dual_coefs * t, t - K @ dual_coefs
+    up = ((t > 0) & (alpha < upper)) | ((t < 0) & (alpha > 0))
+    low = ((t < 0) & (alpha < upper)) | ((t > 0) & (alpha > 0))
+    return neg_e[up].max() - neg_e[low].min() if up.any() and low.any() else -np.inf
+
+
 def exit_reason(model, gram, labels, C, weights) -> str:
     """kkt, stuck or max_passes, told apart by one oracle run a step shorter.
 
@@ -319,6 +345,9 @@ def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes, monkeypa
         np.testing.assert_array_equal(np.signbit(model.dual_coefs), np.signbit(expected.dual_coefs))
         assert model.bias == expected.bias and np.signbit(model.bias) == np.signbit(expected.bias)
         assert model.converged == expected.converged
+        upper = C * (np.ones(len(labels)) if weights is None else weights)
+        assert model.converged == (kkt_gap(gram.values, labels, model.dual_coefs, upper)
+                                   <= svm_solver._KKT_TOLERANCE)
         np.testing.assert_array_equal(model.support_indices, np.flatnonzero(expected.dual_coefs * t > 0))
         assert model.C == expected.C == C and not model.degenerate
         if max_passes < DEFAULT_PASSES:
@@ -388,12 +417,12 @@ def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
         steps[0] += 1
         return pair_step(*args)
 
-    def recorded_row(K, t, box, alpha, u, moved, passes, *rest):
+    def recorded_row(K, t, box, alpha, u, moved, passes, tol):
         steps[0] = 0
-        ok = smo_row(K, t, box, alpha, u, moved, passes, *rest)
+        smo_row(K, t, box, alpha, u, moved, passes, tol)
+        ok = reference_pick(t, alpha, u, box)[2] <= tol  # the row's verdict, as the final pick reads it
         alone.append("kkt" if ok else "batch budget" if passes == 0
                      else "max_passes" if steps[0] == passes else "stuck")
-        return ok
 
     monkeypatch.setattr(svm_solver, "_pair_step", counted_step)
     monkeypatch.setattr(svm_solver, "_smo_row", recorded_row)
