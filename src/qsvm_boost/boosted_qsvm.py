@@ -126,10 +126,14 @@ class GridSearchResult:
 
 @dataclass(frozen=True)
 class BoostingRound(GridSearchResult):
-    """A grid-search result plus the round's weighted error and vote weight."""
+    """A grid-search result plus the round's weighted training error, which sets its vote weight."""
 
     err_m: float
-    alpha_m: float
+
+    @property
+    def alpha_m(self) -> float:
+        """``estimator_weight(err_m)``; 1.0 for a perfect round or one no better than random."""
+        return estimator_weight(self.err_m) if 0.0 < self.err_m < 0.5 else 1.0
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def grid_search_best(
     cache = cache if cache is not None else GramCache()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
-    y_val = np.asarray(y_val)
+    y_val = _validation_labels(X_val, y_val)
     return cache.search(
         (grid, frozenset(excluded)),  # a copy: fit_boosted grows its set
         (X_train, y_train, weights, X_val, y_val),
@@ -228,6 +232,15 @@ def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
     models = train_weighted_svms(k_trains, y_train, grid.Cs, weights)
     spec, _, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
     return GridSearchResult(model, spec, accuracy)
+
+
+def _validation_labels(X_val, y_val) -> np.ndarray:
+    """``y_val`` as an array, if it holds one 0/1 label per row of ``X_val`` and there is a row."""
+    y_val, n_rows = np.asarray(y_val), len(np.atleast_2d(X_val))
+    if not n_rows or y_val.shape != (n_rows,) or not np.isin(y_val, (0, 1)).all():
+        raise ValueError(f"validation needs at least one row and one label of 0 or 1 per row, "
+                         f"got {y_val.size} labels for {n_rows} rows")
+    return y_val
 
 
 def best_cell(cells, Cs, models, y_val) -> tuple:
@@ -275,20 +288,18 @@ def fit_boosted(
         result = grid_search_best(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
         k_train = cache.fidelity(result.feature_map, X_train)
         train_preds = predict(result.model, k_train.values)
-        err_m = estimator_error(train_preds, y_train, weights)
-        alpha_m = estimator_weight(err_m) if 0.0 < err_m < 0.5 else 1.0
-        rnd = BoostingRound(**vars(result), err_m=err_m, alpha_m=alpha_m)
-        if err_m <= 0.0:
+        rnd = BoostingRound(**vars(result), err_m=estimator_error(train_preds, y_train, weights))
+        if rnd.err_m <= 0.0:
             rounds, stop_reason = [rnd], STOP_PERFECT
             break
-        if err_m >= 0.5:
+        if rnd.err_m >= 0.5:
             if not rounds:
                 rounds.append(rnd)
             stop_reason = STOP_WORSE_THAN_RANDOM
             break
         rounds.append(rnd)
         excluded.add(result.grid_point[0])
-        weights = update_weights(weights, train_preds != y_train, alpha_m)
+        weights = update_weights(weights, train_preds != y_train, rnd.alpha_m)
 
     ensemble = BoostedEnsemble(tuple(rounds), len(rounds), stop_reason)
     return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
@@ -344,13 +355,14 @@ def prune_by_validation(
     Ties go to the shortest prefix, so the pruned error never exceeds the
     full-ensemble error.
     """
+    y_val = _validation_labels(X_val, y_val)
     prefix_labels = _prefix_scores(ensemble.rounds, X_val, X_train, cache) >= 0.5
-    prefix_errors = np.mean(prefix_labels != np.asarray(y_val)[None, :], axis=1)
+    prefix_errors = np.mean(prefix_labels != y_val[None, :], axis=1)
     return replace(ensemble, pruned_length=int(np.argmin(prefix_errors)) + 1)
 
 
 def result_to_json(result: GridSearchResult) -> dict:
-    """A fitted grid cell's bundle entry; a boosting round's adds err_m and alpha_m."""
+    """A fitted grid cell's bundle entry; a boosting round's adds err_m."""
     return {
         "feature_map": result.feature_map.canonical(),
         "val_accuracy": result.val_accuracy,
@@ -372,10 +384,7 @@ def _result(entry: dict, n_qubits: int) -> GridSearchResult:
 def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
     return {
         "n_qubits": ensemble.rounds[0].feature_map.n_qubits,
-        "rounds": [
-            {**result_to_json(rnd), "err_m": rnd.err_m, "alpha_m": rnd.alpha_m}
-            for rnd in ensemble.rounds
-        ],
+        "rounds": [{**result_to_json(rnd), "err_m": rnd.err_m} for rnd in ensemble.rounds],
         "pruned_length": ensemble.pruned_length,
         "stop_reason": ensemble.stop_reason,
     }
@@ -383,7 +392,7 @@ def ensemble_to_json(ensemble: BoostedEnsemble) -> dict:
 
 def ensemble_from_json(obj: dict) -> BoostedEnsemble:
     """The ensemble that ``ensemble_to_json`` wrote, if it writes ``obj`` back."""
-    rounds = tuple(BoostingRound(**vars(_result(entry, obj["n_qubits"])), err_m=float(entry["err_m"]),
-                                 alpha_m=float(entry["alpha_m"])) for entry in obj["rounds"])
+    rounds = tuple(BoostingRound(**vars(_result(entry, obj["n_qubits"])), err_m=float(entry["err_m"]))
+                   for entry in obj["rounds"])
     return written_back(obj, ensemble_to_json,
                         BoostedEnsemble(rounds, int(obj["pruned_length"]), obj["stop_reason"]))

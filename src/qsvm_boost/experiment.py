@@ -9,7 +9,6 @@ config reproduces its records byte-for-byte.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import time
@@ -114,9 +113,7 @@ class ExperimentConfig:
                 if not is_real(value):
                     raise ValueError(f"dataset_params for {family}: {key} must be a number, got {value!r}")
         merged = DEFAULT_DATASET_PARAMS | self.dataset_params
-        trial = (self.families, self.n_points, self.split_sizes,
-                 tuple((family, tuple(p.items())) for family, p in merged.items()), self.master_seed)
-        _try_datasets(*trial)
+        _try_datasets(self.families, self.n_points, self.split_sizes, merged, self.master_seed)
         object.__setattr__(self, "dataset_params", {family: dict(p) for family, p in merged.items()})
         _baseline_cells(self.baseline_kernels, self.baseline_Cs, self.baseline_gammas)
         if not all(0.1 <= c <= 100 for c in self.baseline_Cs):
@@ -125,18 +122,14 @@ class ExperimentConfig:
             raise ValueError("baseline gamma values must lie in [0.0001, 10]")
 
 
-@functools.lru_cache(maxsize=32)
-def _try_datasets(families, n_points, split_sizes, params, master_seed) -> None:
+def _try_datasets(families, n_points, split_sizes, merged, master_seed) -> None:
     """Generate and split each study family's dataset 0 on the seeds ``run_experiment`` gives it,
     then generate one dataset of each other family given a non-default value.
 
-    ``params`` holds each family's merged parameters as ``(family, items)`` pairs. A
-    generator's or the split's error is raised as ``cannot generate <family> datasets``;
-    a family the study never runs is not split, and a one-class draw of it is no fault of
-    its parameters. Memoized on its inputs, so a ``dataclasses.replace`` of a loaded
-    config does not try again; a refused config raises on every attempt.
+    ``merged`` holds each family's parameters laid over its defaults. A generator's or the
+    split's error is raised as ``cannot generate <family> datasets``; a family the study never
+    runs is not split, and a one-class draw of it is no fault of its parameters.
     """
-    merged = {family: dict(items) for family, items in params}
     others = [g for g, p in merged.items() if g not in families and p != DEFAULT_DATASET_PARAMS[g]]
     for f, family in enumerate([*families, *others]):
         try:

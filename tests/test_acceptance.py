@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 5-7 share one sweep of the default experiment config (10 datasets
-per family, default grids); expect about 60 seconds for the full module.
+per family, default grids), the session's ``default_sweep`` fixture; expect
+about 60 seconds for the full module.
 """
-import csv
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,6 @@ from qsvm_boost.datasets import make_xor, split_and_scale
 from qsvm_boost.experiment import (
     MODEL_BOOSTED,
     MODEL_SINGLE,
-    ExperimentConfig,
-    aggregate,
     reload_bundle,
     run_experiment,
 )
@@ -35,13 +34,7 @@ from qsvm_boost.kernels import GramCache, gram_matrix
 from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle, feature_map_states
 from qsvm_boost.svm_solver import dual_objective, predict, train_weighted_svm
 from helpers import brute_force_qp, phase_align, random_feature_map_spec, random_psd_kernel
-
-
-@pytest.fixture(scope="session")
-def default_sweep(tmp_path_factory):
-    config = ExperimentConfig(output_dir=str(tmp_path_factory.mktemp("sweep")))
-    records = run_experiment(config)
-    return config, records, aggregate(records)
+from pinned_sweeps import records_without_wall_time
 
 
 def unconverged_rounds(config, family, seeds=None) -> tuple[int, int]:
@@ -232,27 +225,12 @@ def test_criterion_7_boosting_benefit(default_sweep):
           f"({', '.join(f'{family} {of(pair)}' for family, pair in counts.items())})")
 
 
-def _records_without_wall_time(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    drop = rows[0].index("wall_time")
-    return [tuple(v for i, v in enumerate(row) if i != drop) for row in rows]
-
-
-def test_criterion_8_reproducibility(tmp_path):
-    base = dict(
-        families=("xor", "moons", "circles"),
-        datasets_per_family=1,
-        n_points=90,
-        split_sizes=(30, 30, 30),
-        grid=GridSpec(feature_maps=(("Z", "ZZ"), ("X", "XX")), alphas=(1.0, 2.0), Cs=(1.0, 10.0)),
-        max_rounds=3,
-        master_seed=12345,
-    )
-    run_experiment(ExperimentConfig(output_dir=str(tmp_path / "a"), **base))
-    run_experiment(ExperimentConfig(output_dir=str(tmp_path / "b"), **base))
-    rows_a = _records_without_wall_time(tmp_path / "a" / "records.csv")
-    rows_b = _records_without_wall_time(tmp_path / "b" / "records.csv")
+def test_criterion_8_reproducibility(criterion_8_sweep, tmp_path):
+    # the session's run of the small config is the first of the two
+    config, _, _ = criterion_8_sweep
+    run_experiment(replace(config, output_dir=str(tmp_path)))
+    rows_a = records_without_wall_time(Path(config.output_dir) / "records.csv")
+    rows_b = records_without_wall_time(tmp_path / "records.csv")
     assert rows_a == rows_b
-    print(f"CRITERION 8 PASS: {len(rows_a) - 1} records byte-identical across two runs "
+    print(f"CRITERION 8 PASS: {len(rows_a.splitlines()) - 1} records byte-identical across two runs "
           "(wall-time column excluded)")

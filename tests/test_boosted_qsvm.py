@@ -50,12 +50,12 @@ def constant_model(label: int, train_size: int = 1) -> TrainedSVM:
     )
 
 
-def stub_round(label: int, alpha_m: float) -> BoostingRound:
+def stub_round(label: int, err_m: float) -> BoostingRound:
+    """A constant voter whose vote weight is ``estimator_weight(err_m)``: ln 3 at 0.25, ln 9 at 0.1."""
     return BoostingRound(
         model=constant_model(label),
         feature_map=FeatureMapSpec(2, ("Z",)),
-        err_m=0.25,
-        alpha_m=alpha_m,
+        err_m=err_m,
         val_accuracy=0.75,
     )
 
@@ -126,19 +126,19 @@ def vote_one_point(ensemble: BoostedEnsemble) -> tuple[float, int]:
 
 
 def test_predict_ensemble_single_round():
-    ens = BoostedEnsemble((stub_round(1, 1.0),), 1, STOP_MAX_REACHED)
+    ens = BoostedEnsemble((stub_round(1, 0.25),), 1, STOP_MAX_REACHED)
     score, label = vote_one_point(ens)
     assert score == 1.0 and label == 1
 
 
 def test_predict_ensemble_tie_goes_to_one():
-    ens = BoostedEnsemble((stub_round(1, 1.0), stub_round(0, 1.0)), 2, STOP_MAX_REACHED)
+    ens = BoostedEnsemble((stub_round(1, 0.25), stub_round(0, 0.25)), 2, STOP_MAX_REACHED)
     score, label = vote_one_point(ens)
     assert score == 0.5 and label == 1
 
 
 def test_predict_ensemble_log_weights():
-    rounds = (stub_round(1, LN3), stub_round(0, math.log(9.0)), stub_round(1, LN3))
+    rounds = (stub_round(1, 0.25), stub_round(0, 0.1), stub_round(1, 0.25))
     ens = BoostedEnsemble(rounds, 3, STOP_MAX_REACHED)
     score, label = vote_one_point(ens)
     assert abs(score - 2 * LN3 / (2 * LN3 + math.log(9.0))) < 1e-12
@@ -148,13 +148,13 @@ def test_predict_ensemble_log_weights():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_predict_ensemble_refuses_a_non_finite_point(bad):
     # such a point scored 0.0 and took label 0, with only a RuntimeWarning
-    ens = BoostedEnsemble((stub_round(1, 1.0),), 1, STOP_MAX_REACHED)
+    ens = BoostedEnsemble((stub_round(1, 0.25),), 1, STOP_MAX_REACHED)
     with pytest.raises(ValueError, match="^samples must be finite$"):
         predict_ensemble_batch(ens, np.array([[0.5, 1.0], [bad, 1.0]]), np.array([[0.2, 0.3]]))
 
 
 def test_predict_ensemble_respects_pruning():
-    rounds = (stub_round(1, 1.0), stub_round(0, 5.0))
+    rounds = (stub_round(1, 0.25), stub_round(0, 0.1))
     ens = BoostedEnsemble(rounds, 1, STOP_MAX_REACHED)
     score, label = vote_one_point(ens)
     assert score == 1.0 and label == 1  # round 2 ignored
@@ -553,13 +553,42 @@ def test_predict_labels_give_the_prefix_error_prune_chose():
 def test_prune_tie_goes_to_shortest():
     # constant voters: every prefix predicts all-ones, so all prefix errors
     # tie and the shortest prefix must win
-    rounds = (stub_round(1, 1.0), stub_round(1, 1.0), stub_round(1, 1.0))
+    rounds = (stub_round(1, 0.25), stub_round(1, 0.25), stub_round(1, 0.25))
     ens = BoostedEnsemble(rounds, 3, STOP_MAX_REACHED)
     X_val = np.zeros((4, 2))
     y_val = np.array([1, 0, 1, 1])
     X_train = np.zeros((1, 2))
     pruned = prune_by_validation(ens, X_val, y_val, X_train)
     assert pruned.pruned_length == 1
+
+
+_VAL_GRID = GridSpec(feature_maps=(("Z",), ("ZZ",)), alphas=(1.0,), Cs=(1.0,))
+
+# each a validation set that does not fit: one label for 20 rows, no rows, and labels of ±1
+_UNFIT_VALIDATION = {
+    "one-label": lambda val: (val.X, val.y[:1]),
+    "no-rows": lambda val: (val.X[:0], val.y[:0]),
+    "plus-minus-one": lambda val: (val.X, 2 * val.y - 1),
+}
+# each function that takes y_val from its caller, called on a split's train rows and a validation set
+_TAKING_VALIDATION = {
+    "grid_search_best": lambda train, X_val, y_val: grid_search_best(
+        train.X, train.y, initial_weights(len(train.y)), X_val, y_val, _VAL_GRID),
+    "fit_boosted": lambda train, X_val, y_val: fit_boosted(train.X, train.y, X_val, y_val, _VAL_GRID),
+    "prune_by_validation": lambda train, X_val, y_val: prune_by_validation(
+        BoostedEnsemble((stub_round(1, 0.25), stub_round(0, 0.1)), 2, STOP_MAX_REACHED), X_val, y_val, train.X),
+}
+
+
+@pytest.mark.parametrize("call", _TAKING_VALIDATION)
+@pytest.mark.parametrize("unfit", _UNFIT_VALIDATION)
+def test_validation_labels_must_fit_the_validation_rows(unfit, call):
+    # one label was broadcast over all 20 rows (val_accuracy 0.1 against 0.4), no rows gave a NaN
+    # accuracy, and ±1 labels counted every class-0 row as an error
+    split = split_and_scale(make_moons(60, seed=1), (20, 20, 20), seed=2)
+    X_val, y_val = _UNFIT_VALIDATION[unfit](split.val)
+    with pytest.raises(ValueError, match=rf"0 or 1 per row, got {len(y_val)} labels for {len(X_val)} rows$"):
+        _TAKING_VALIDATION[call](split.train, X_val, y_val)
 
 
 def test_determinism():

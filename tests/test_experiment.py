@@ -399,7 +399,7 @@ def _cell_entry() -> dict:
 
 def _ensemble_entry() -> dict:
     return {"n_qubits": 2, "pruned_length": 1, "stop_reason": STOP_PERFECT,
-            "rounds": [{**_cell_entry(), "err_m": 0.25, "alpha_m": 1.0}]}
+            "rounds": [{**_cell_entry(), "err_m": 0.25}]}
 
 
 @functools.cache
@@ -436,7 +436,7 @@ _TEXTS = (" paulis = Z ; reps=2;alpha=1;map=havlicek-default; ",
     pytest.param(lambda: result_from_json({**_cell_entry(), "C": 100.0}, 2), r"\['C'\]", id="cell-C-off-its-svm"),
     pytest.param(lambda: _reload_baseline(C=10.0), r"\['C'\]", id="baseline-C-off-its-svm"),
     pytest.param(lambda: ensemble_from_json({"n_qubits": 2, "pruned_length": 1, "stop_reason": "bogus",
-                                             "rounds": [{**_cell_entry(), "err_m": 0.25, "alpha_m": 1.0}]}),
+                                             "rounds": [{**_cell_entry(), "err_m": 0.25}]}),
                  "stop_reason must be one of .*, got 'bogus'", id="unknown-stop-reason"),
     pytest.param(lambda: FeatureMapSpec(2, "ZZ"), "non-empty lists of Pauli labels, got 'ZZ'",
                  id="bare-string-labels"),
@@ -482,6 +482,7 @@ def _old_svm_entry() -> dict:
     ("cell", lambda: {**_cell_entry(), "C": 1.0}, "C"),
     ("round", lambda: {**_ensemble_entry()["rounds"][0], "alpha": 1.0}, "rounds"),  # named by its ensemble
     ("round", lambda: {**_ensemble_entry()["rounds"][0], "C": 1.0}, "rounds"),
+    ("round", lambda: {**_ensemble_entry()["rounds"][0], "alpha_m": 1.0}, "rounds"),  # ln 3 is read from err_m
     ("baseline", lambda: {**_baseline_fit()[0], "C": _baseline_fit()[0]["svm"]["C"]}, "C"),
 ])
 def test_an_entry_holding_a_key_no_writer_writes_is_refused_by_name(kind, old, named):
@@ -990,7 +991,7 @@ def test_a_one_class_draw_of_a_family_that_never_runs_is_no_fault(master_seed):
         config_from_dict({**obj, "dataset_params": {"xor": {"margin": 2}}})
 
 
-def test_replace_does_not_try_the_datasets_again(monkeypatch):
+def test_every_construction_a_replace_included_runs_the_trial(monkeypatch):
     config = config_from_dict({"families": ["moons", "circles"], "dataset_params": {"xor": {"margin": 0.2}},
                                "master_seed": 31})
     calls = []
@@ -1003,8 +1004,6 @@ def test_replace_does_not_try_the_datasets_again(monkeypatch):
 
     monkeypatch.setattr(experiment, "GENERATORS", {f: counting(f, g) for f, g in GENERATORS.items()})
     assert replace(config, output_dir="elsewhere").output_dir == "elsewhere"
-    assert calls == []
-    replace(config, master_seed=32)  # new trial inputs: tried again
     assert calls == ["moons", "circles", "xor"]
     # a refused config is not remembered: it raises, and tries, on every attempt
     for attempt in (1, 2):

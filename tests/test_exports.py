@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller in the program or its benchmark."""
+"""Every name the package exports has a caller in the program or its benchmark, and every name a
+module imports is read."""
 import ast
 from pathlib import Path
 
@@ -23,3 +24,17 @@ def test_every_exported_name_has_a_caller():
     assert exported
     modules = [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")]
     assert sorted(exported - set().union(*map(_references, modules))) == []
+
+
+def _imported_names(path: Path) -> set[str]:
+    """The names a module's imports bind, ``from __future__`` aside: it sets how the module compiles."""
+    return {(alias.asname or alias.name).split(".")[0] for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    # __init__.py's imports are its exports, held to their callers above
+    unread = {path.name: sorted(_imported_names(path) - _references(path))
+              for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    assert {module: names for module, names in unread.items() if names} == {}
