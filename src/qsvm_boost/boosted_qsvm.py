@@ -204,32 +204,52 @@ def grid_search_best(
     content of the train and validation data, labels and weights. A search
     that repeats an earlier one on the same cache returns the earlier result
     object and fits nothing: boosting's unit-weight round 1 reuses the single
-    QSVM's search this way.
+    QSVM's search this way, and a study's searches find there the results of
+    its rounds solved across datasets (``experiment.run_experiment``).
     """
     cache = cache if cache is not None else GramCache()
+    return _solved(_grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache))
+
+
+def _solved(run):
+    """What the resumable search or boosting loop ``run`` returns, each grid problem it yields
+    solved by its own ``train_weighted_svms`` call."""
+    try:
+        problem = next(run)
+        while True:
+            problem = run.send(train_weighted_svms(*problem))
+    except StopIteration as done:
+        return done.value
+
+
+def _grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache):
+    """``grid_search_best`` as a resumable round: a generator that, on a memo miss, yields its grid
+    problem (``train_weighted_svms``'s arguments), receives the problem's models and returns the
+    search's result."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     y_val = _validation_labels(X_val, y_val)
-    return cache.search(
+    return (yield from cache.resumable_search(
         (grid, frozenset(excluded)),  # a copy: fit_boosted grows its set
         (X_train, y_train, weights, X_val, y_val),
-        lambda: _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache),
-    )
+        _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache),
+    ))
 
 
-def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache) -> GridSearchResult:
+def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache):
     n_qubits = X_train.shape[1]
-    cells, k_trains = [], []  # per (feature map, alpha): (spec, val x train Gram)
+    specs, k_trains = [], []  # per (feature map, alpha): its spec and train Gram
     for labels in grid.feature_maps:
         if menu_id(labels) in excluded:
             continue
         for alpha in grid.alphas:
-            spec = grid.spec_for(labels, alpha, n_qubits)
-            k_trains.append(cache.fidelity(spec, X_train))
-            cells.append((spec, cache.fidelity(spec, X_val, X_train)))
-    if not cells:
+            specs.append(grid.spec_for(labels, alpha, n_qubits))
+            k_trains.append(cache.fidelity(specs[-1], X_train))
+            cache.fidelity(specs[-1], X_val, X_train)  # while the train states are at hand
+    if not specs:
         raise ValueError("every feature map in the grid is excluded")
-    models = train_weighted_svms(k_trains, y_train, grid.Cs, weights)
+    models = yield k_trains, y_train, grid.Cs, weights
+    cells = [(spec, cache.fidelity(spec, X_val, X_train)) for spec in specs]
     spec, _, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
     return GridSearchResult(model, spec, accuracy)
 
@@ -269,12 +289,20 @@ def fit_boosted(
     is kept only if it is the first round (vote weight 1.0). Running out of
     feature maps or reaching max_rounds also stops.
     """
+    cache = cache if cache is not None else GramCache()
+    ensemble = _solved(boosting_rounds(X_train, y_train, X_val, y_val, grid, max_rounds, cache))
+    return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
+
+
+def boosting_rounds(X_train, y_train, X_val, y_val, grid, max_rounds, cache: GramCache):
+    """``fit_boosted``'s loop as a resumable run: a generator that yields each round's grid problem
+    on a memo miss of ``cache``, receives its models, and returns the unpruned ensemble. Each
+    round's search is memoized under ``grid_search_best``'s key."""
     grid = grid if grid is not None else GridSpec()
     if not (is_integer(max_rounds) and max_rounds >= 1):
         raise ValueError(f"max_rounds must be a positive integer, got {max_rounds!r}")
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y_train = np.asarray(y_train)
-    cache = cache if cache is not None else GramCache()
 
     weights = initial_weights(len(y_train))
     rounds: list[BoostingRound] = []
@@ -285,7 +313,7 @@ def fit_boosted(
         if all(menu_id(fm) in excluded for fm in grid.feature_maps):
             stop_reason = STOP_MAPS_EXHAUSTED
             break
-        result = grid_search_best(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
+        result = yield from _grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
         k_train = cache.fidelity(result.feature_map, X_train)
         train_preds = predict(result.model, k_train.values)
         rnd = BoostingRound(**vars(result), err_m=estimator_error(train_preds, y_train, weights))
@@ -300,9 +328,7 @@ def fit_boosted(
         rounds.append(rnd)
         excluded.add(result.grid_point[0])
         weights = update_weights(weights, train_preds != y_train, rnd.alpha_m)
-
-    ensemble = BoostedEnsemble(tuple(rounds), len(rounds), stop_reason)
-    return prune_by_validation(ensemble, X_val, y_val, X_train, cache)
+    return BoostedEnsemble(tuple(rounds), len(rounds), stop_reason)
 
 
 def decisions(result: GridSearchResult, X_new: np.ndarray, X_train: np.ndarray, cache: GramCache) -> np.ndarray:

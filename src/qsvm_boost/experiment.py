@@ -22,6 +22,7 @@ from .boosted_qsvm import (
     DEFAULT_MAX_ROUNDS,
     GridSpec,
     best_cell,
+    boosting_rounds,
     checked_items,
     decisions,
     ensemble_from_json,
@@ -42,7 +43,9 @@ from .svm_solver import (
     predict,
     svm_from_json,
     svm_to_json,
+    train_problems,
     train_weighted_svm,
+    train_weighted_svms,
     written_back,
 )
 
@@ -219,7 +222,9 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> list[RunR
 
     Persists per-dataset CSVs, serialized models, and the records CSV under
     ``config.output_dir``. Fit failures are recorded with an error marker and
-    the sweep continues.
+    the sweep continues. Every dataset's boosting rounds are solved first, round
+    index r of all of them in one solver call (``_solve_rounds``); each model is
+    then fitted per dataset, its grid searches found in the dataset's cache.
     """
     out = Path(config.output_dir)
     datasets_dir = out / "datasets"
@@ -228,18 +233,80 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> list[RunR
     models_dir.mkdir(parents=True, exist_ok=True)
 
     records: list[RunRecord] = []
+    studied = []  # (family, dataset_seed, split_seed, split) of each dataset that generated
     for family_index, family in enumerate(config.families):
         for k in range(config.datasets_per_family):
             dataset_seed = derive_seed(config.master_seed, family_index, k, 0)
             split_seed = derive_seed(config.master_seed, family_index, k, 1)
-            records.extend(
-                _run_one_dataset(
-                    config, family, dataset_seed, split_seed, datasets_dir, models_dir, verbose
-                )
-            )
+            t0 = time.perf_counter()
+            try:
+                data = GENERATORS[family](config.n_points, seed=dataset_seed, **config.dataset_params[family])
+                split = split_and_scale(data, config.split_sizes, seed=split_seed)
+                dataset_to_csv(datasets_dir / f"{family}_{dataset_seed}.csv", split)
+            except Exception as exc:  # generation failed: mark all three models
+                wall, message = time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
+                records += [RunRecord(family, dataset_seed, m, float("nan"), 0, "", wall, message)
+                            for m in MODELS]
+                continue
+            studied.append((family, dataset_seed, split_seed, split))
+
+    caches = [GramCache() for _ in studied]
+    shared = _solve_rounds(config, [split for *_, split in studied], caches)
+    for dataset, cache, seconds in zip(studied, caches, shared):
+        records.extend(_fit_dataset(config, *dataset, cache, seconds, models_dir, verbose))
     records.sort(key=lambda r: (r.family, r.dataset_seed, r.model_id))
     write_records_csv(out / "records.csv", records)
     return records
+
+
+def _solve_rounds(config: ExperimentConfig, splits: list[SplitDataset], caches: list[GramCache]) -> list[dict]:
+    """Run every dataset's boosting rounds at once, round index r of all of them in one
+    ``train_problems`` call; each round's search lands in its dataset's cache memo, where
+    ``fit_model``'s searches find it. No val x train Gram is held while the rounds solve.
+
+    Returns each dataset's seconds by model: the time its own rounds took plus its share, by
+    rows, of each shared solve. Round 1, the unit-weight search, is the single QSVM's; the
+    rest are boosting's. A dataset whose round fails leaves the drive, and ``fit_model``
+    meets the failure again alone.
+    """
+    seconds = [dict.fromkeys(MODELS, 0.0) for _ in splits]
+    runs = [boosting_rounds(s.train.X, s.train.y, s.val.X, s.val.y, config.grid, config.max_rounds, cache)
+            for s, cache in zip(splits, caches)]
+    received, model_id = dict.fromkeys(range(len(runs))), MODEL_SINGLE  # the models each run gets next
+    while True:
+        problems = {}
+        for d, models in received.items():
+            t0 = time.perf_counter()
+            try:
+                problems[d] = runs[d].send(models)
+            except Exception:  # StopIteration when its rounds are done
+                pass
+            caches[d].drop_cross_grams()
+            seconds[d][model_id] += time.perf_counter() - t0
+        if not problems:
+            return seconds
+        t0 = time.perf_counter()
+        received = _solve_together(problems)
+        shared = time.perf_counter() - t0
+        rows = {d: len(grams) * len(Cs) for d, (grams, _, Cs, _) in problems.items()}
+        for d, count in rows.items():
+            seconds[d][model_id] += shared * count / sum(rows.values())
+        model_id = MODEL_BOOSTED
+
+
+def _solve_together(problems: dict) -> dict:
+    """Every problem's models from one ``train_problems`` call; if it refuses one, each problem's
+    own ``train_weighted_svms`` call, leaving out the problems refused."""
+    try:
+        return dict(zip(problems, train_problems(list(problems.values()))))
+    except Exception:
+        alone = {}
+        for d, problem in problems.items():
+            try:
+                alone[d] = train_weighted_svms(*problem)
+            except Exception:
+                pass
+        return alone
 
 
 class ModelFit(NamedTuple):
@@ -304,29 +371,19 @@ def _test_accuracy(model_id: str, entry: dict, split: SplitDataset, cache: GramC
     return _accuracy(predict(model, k_test.values), split.test.y)
 
 
-def _run_one_dataset(
+def _fit_dataset(
     config: ExperimentConfig,
     family: str,
     dataset_seed: int,
     split_seed: int,
-    datasets_dir: Path,
+    split: SplitDataset,
+    cache: GramCache,
+    shared: dict,
     models_dir: Path,
     verbose: bool,
 ) -> list[RunRecord]:
-    def record(model_id, accuracy, size, points, wall, error=""):
-        return RunRecord(family, dataset_seed, model_id, accuracy, size, points, wall, error)
-
-    t0 = time.perf_counter()
-    try:
-        data = GENERATORS[family](config.n_points, seed=dataset_seed, **config.dataset_params[family])
-        split = split_and_scale(data, config.split_sizes, seed=split_seed)
-        dataset_to_csv(datasets_dir / f"{family}_{dataset_seed}.csv", split)
-    except Exception as exc:  # generation failed: mark all three models
-        wall = time.perf_counter() - t0
-        message = f"{type(exc).__name__}: {exc}"
-        return [record(m, float("nan"), 0, "", wall, message) for m in MODELS]
-
-    cache = GramCache()
+    """Fit, score and store one dataset's three models; a model's wall time is its own fit's plus
+    the seconds ``shared`` charges it from the rounds solved across datasets."""
     records = []
     bundle: dict = {"family": family, "dataset_seed": dataset_seed, "split_seed": split_seed}
     for model_id in MODELS:
@@ -334,12 +391,14 @@ def _run_one_dataset(
         try:
             fit = fit_model(split, config, model_id, cache)
         except Exception as exc:
-            records.append(record(model_id, float("nan"), 0, "",
-                                  time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"))
+            fit, error = None, f"{type(exc).__name__}: {exc}"
+        wall = time.perf_counter() - t0 + shared[model_id]
+        if fit is None:
+            records.append(RunRecord(family, dataset_seed, model_id, float("nan"), 0, "", wall, error))
             continue
         bundle[_BUNDLE_KEYS[model_id]] = fit.entry
-        records.append(record(model_id, fit.entry["test_accuracy"], fit.ensemble_size,
-                              fit.grid_points, time.perf_counter() - t0))
+        records.append(RunRecord(family, dataset_seed, model_id, fit.entry["test_accuracy"],
+                                 fit.ensemble_size, fit.grid_points, wall))
 
     with open(models_dir / f"{family}_{dataset_seed}.json", "w") as fh:
         json.dump(bundle, fh, indent=1, sort_keys=True)

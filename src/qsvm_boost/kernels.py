@@ -103,31 +103,47 @@ class GramCache:
     """
 
     def __init__(self):
-        self._store: dict[tuple, object] = {}
+        self._grams: dict[tuple, GramMatrix] = {}
+        self._searches: dict[tuple, object] = {}
         self._states: tuple = ((), None)  # ((feature map, rows digest), states)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._grams) + len(self._searches)
 
-    def _get(self, key: tuple, compute):
-        hit = self._store.get(key)
-        if hit is None:
-            hit = self._store[key] = compute()
-        return hit
+    def drop_cross_grams(self) -> None:
+        """Drop every stored Gram between two row sets, keeping the self Grams and the searches:
+        a study that solves all its datasets' rounds at once holds no val x train Gram while it
+        solves (``boosted_qsvm._search_grid`` builds them again once the models are back)."""
+        self._grams = {key: gram for key, gram in self._grams.items() if key[2] is None}
+
+    @staticmethod
+    def _search_key(params: tuple, arrays) -> tuple:
+        return params, tuple(None if a is None else _digest(a) for a in arrays)
 
     def search(self, params: tuple, arrays, run):
         """``run()``'s result, memoized on hashable ``params`` plus the content
         of ``arrays`` (each an array or None); ``run`` is called on a miss only."""
-        digests = tuple(None if a is None else _digest(a) for a in arrays)
-        return self._get(("search", params, digests), run)
+        key = self._search_key(params, arrays)
+        if key not in self._searches:
+            self._searches[key] = run()
+        return self._searches[key]
+
+    def resumable_search(self, params: tuple, arrays, rounds):
+        """``search`` for a resumable run: a generator that, on a miss only, yields from the
+        generator ``rounds`` and stores what it returns."""
+        key = self._search_key(params, arrays)
+        if key not in self._searches:
+            self._searches[key] = yield from rounds
+        return self._searches[key]
 
     def fidelity(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
         key = (spec.canonical(), _digest(X_a), None if X_b is None else _digest(X_b))
-        return self._get(key, lambda: self._build(spec, X_a, X_b, (key[0], key[2] or key[1])))
+        if key not in self._grams:
+            self._grams[key] = self._build(spec, X_a, X_b, (key[0], key[2] or key[1]))
+        return self._grams[key]
 
     def _build(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b, states_key: tuple) -> GramMatrix:
         if self._states[0] != states_key:
             self._states = (states_key, feature_map_states(spec, X_a if X_b is None else X_b))
             self._states[1].flags.writeable = False
         return gram_matrix(spec, X_a, X_b, states_b=self._states[1])
-

@@ -175,14 +175,20 @@ def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(power(n - h), np.kron(power(h), np.eye(2)))
 
 
-def _hadamard_all_batch(psi: np.ndarray) -> np.ndarray:
+def _hadamard_all_batch(psi: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """H on every qubit of every row: the float64 view reshaped to (m, high, low
     parts) takes one real matmul per axis. At one or two qubits each matmul
-    covers one qubit, so the bits are those of a per-qubit 2x2 layer."""
+    covers one qubit, so the bits are those of a per-qubit 2x2 layer. Given a
+    float64 ``scratch`` of psi's size (above two qubits), the first matmul goes
+    there and the second back into psi, which is returned."""
     m, dim = psi.shape
     n = dim.bit_length() - 1
     high, low = _hadamard_factors(n)
     v = np.ascontiguousarray(psi).view(np.float64).reshape(m, len(high), len(low))
+    if scratch is not None:
+        np.matmul(high, v, out=scratch.reshape(v.shape))
+        np.matmul(scratch.reshape(v.shape), low, out=v)
+        return psi
     v = high @ v
     if n > 1:
         v = v @ low
@@ -268,10 +274,18 @@ def _phase_factor(theta: np.ndarray, b_lo, b_hi, lo, hi, cross) -> np.ndarray:
     def exp_sum(table, idx):  # einsum, unlike BLAS, sums every row alike
         return np.exp(1j * np.einsum("tm,tk->mk", theta[idx], table[idx]))
 
-    factor = exp_sum(b_lo, lo)[:, None]  # (rows, 2^(high qubits so far), 2^h)
+    factor = np.empty((theta.shape[1], b_hi.shape[1], b_lo.shape[1]), dtype=complex)
+    factor[:, 0] = exp_sum(b_lo, lo)
+    filled = 1  # rows of the high axis set so far
     for idx in cross:  # each doubling puts the next high qubit's bit on top: + then -
-        e = exp_sum(b_lo, idx)[:, None] if len(idx) else 1.0
-        factor = np.concatenate([factor * e, factor * np.conj(e)], axis=1)
+        done, new = factor[:, :filled], factor[:, filled:2 * filled]
+        if len(idx):
+            e = exp_sum(b_lo, idx)[:, None]
+            np.multiply(done, np.conj(e), out=new)
+            done *= e
+        else:  # no cross term on this qubit: both halves are the same
+            new[...] = done
+        filled *= 2
     factor *= exp_sum(b_hi, hi)[:, :, None]
     return factor.reshape(-1, b_lo.shape[1] * b_hi.shape[1])
 
@@ -340,9 +354,10 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     factors = [_phase_factor(angles[terms], *op) if kind == "phase"
                else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
     psi = np.repeat(start, len(X), axis=0)
+    scratch = np.empty(2 * psi.size) if spec.n_qubits > 2 else None  # the Hadamard layers' first matmul
     for kind, operand in steps:
         if kind == "hadamard":
-            psi = _hadamard_all_batch(psi)
+            psi = _hadamard_all_batch(psi, scratch)
         elif kind == "rotate":  # rows last: each term's operations run along the batch
             rows = psi.view(np.float64)
             v = np.ascontiguousarray(rows.T)
@@ -351,7 +366,7 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
                 v, spare = _rotate_batch(v, gather, cos, sin, spare), v
             rows[...] = v.T
         else:
-            psi = psi * (operand if kind == "diagonal" else factors[operand])
+            psi *= operand if kind == "diagonal" else factors[operand]
     return psi
 
 

@@ -8,9 +8,11 @@ box bound C*w_i, the sample-weight semantics of the classical SVC this
 mirrors. Working-set selection is the maximal violating pair with
 first-index tie-breaking, so training is deterministic.
 
-One solver fits every problem. ``train_weighted_svms`` runs the (Gram, C)
-problems of a grid search, which share labels and weights, in lock-step:
-each pass picks every row's pair in ``_pick`` (masks from two comparisons,
+One solver fits every problem. ``train_problems`` runs the (Gram, C) rows of
+several problems in lock-step, each problem with its own labels and weights:
+the grid searches of a study's datasets, or of one dataset alone through
+``train_weighted_svms``. Each pass picks every row's pair in ``_pick``
+(masks from two comparisons,
 -inf written off them into one two-sided buffer, one argmax), takes every
 row's step in ``_pair_steps`` over (rows,) arrays and adds all K-row updates
 at once. A finished row, within tolerance or stuck, leaves at the top of a pass.
@@ -94,8 +96,44 @@ def train_weighted_svms(
     """Fit every (gram, C) pair on shared labels and weights, in lock-step.
 
     Models come back grams outer, Cs inner. Each is bit-identical to a fit of
-    its pair alone.
+    its pair alone. This is ``train_problems`` on one problem.
     """
+    return train_problems([(grams, labels, Cs, weights)])[0]
+
+
+def train_problems(problems: Sequence[tuple]) -> list[list[TrainedSVM]]:
+    """Each ``(grams, labels, Cs, weights)`` problem's ``train_weighted_svms`` models, every row
+    of every problem in one lock-step call with its own labels and box.
+
+    A problem's models are bit-identical to its call alone. Every problem is
+    checked before any is solved, and one that a lone call refuses is refused
+    with the same message. The problems that need a solve must share their
+    training size.
+    """
+    checked = [_checked(*problem) for problem in problems]
+    solved = [rows for models, rows in checked if models is None]
+    if solved:
+        sizes = sorted({len(problem_t) for _, problem_t, _, _ in solved})
+        if len(sizes) > 1:
+            raise ValueError(f"problems solved together must share their training size, got {sizes}")
+        Ks, gram_of, t, upper, Cs = [], [], [], [], []  # rows: each problem's grams outer, Cs inner
+        for problem_Ks, problem_t, problem_Cs, w in solved:
+            rows = len(problem_Ks) * len(problem_Cs)
+            gram_of.append(len(Ks) + np.arange(rows) // len(problem_Cs))
+            Ks += problem_Ks
+            t.append(np.broadcast_to(problem_t, (rows, len(problem_t))))
+            upper.append(np.tile(np.asarray(problem_Cs)[:, None] * w, (len(problem_Ks), 1)))
+            Cs += problem_Cs * len(problem_Ks)
+        t, upper = np.concatenate(t), np.concatenate(upper)
+        alpha, bias, converged = _smo_lockstep(np.stack(Ks), np.concatenate(gram_of), t, upper)
+        fits = iter([TrainedSVM(alpha[r] * t[r], bias[r], C, converged[r]) for r, C in enumerate(Cs)])
+    return [models if models is not None else [next(fits) for _ in range(len(rows[0]) * len(rows[2]))]
+            for models, rows in checked]
+
+
+def _checked(grams, labels, Cs, weights=None) -> tuple:
+    """``(models, None)`` for a problem that needs no solve (no Gram or C, or one effective class),
+    else ``(None, (Grams, t, Cs, weights))`` with t = 2y - 1; a ValueError for an invalid problem."""
     Ks = [_gram_values(gram) for gram in grams]
     y = np.asarray(labels)
     for K in Ks:
@@ -105,9 +143,8 @@ def train_weighted_svms(
         if y.shape != (n,):
             raise ValueError(f"labels shape {y.shape} does not match gram size {n}")
     if not Ks or len(Cs) == 0:
-        return []
-    stack = np.stack(Ks)
-    if not np.isfinite(stack).all():
+        return [], None
+    if not all(np.isfinite(K).all() for K in Ks):
         raise ValueError("training grams must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
@@ -128,18 +165,13 @@ def train_weighted_svms(
         raise ValueError("no training samples with positive weight")
     if effective_classes.size == 1:
         sole = float(2 * int(effective_classes[0]) - 1)
-        return [TrainedSVM(np.zeros(n), sole, C, degenerate=True) for _ in Ks for C in Cs]
-
-    t = 2.0 * np.asarray(y, dtype=float) - 1.0
-    upper = np.tile(np.asarray(Cs)[:, None] * w, (len(Ks), 1))
-    gram_of = np.repeat(np.arange(len(Ks)), len(Cs))
-    alpha, bias, converged = _smo_lockstep(stack, gram_of, t, upper)
-    return [TrainedSVM(alpha[r] * t, bias[r], Cs[r % len(Cs)], converged[r])
-            for r in range(len(gram_of))]
+        return [TrainedSVM(np.zeros(n), sole, C, degenerate=True) for _ in Ks for C in Cs], None
+    return None, (Ks, 2.0 * np.asarray(y, dtype=float) - 1.0, Cs, w)
 
 
 def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], list[bool]]:
-    """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` under box ``upper[r]``.
+    """Run SMO on every row at once: row r solves Gram ``stack[gram_of[r]]`` with labels ``t[r]``
+    under box ``upper[r]``.
 
     A row stops when it has no violating pair or its gap is within
     ``_KKT_TOLERANCE``, when its last step left ``a_j`` unchanged (stuck) or
@@ -157,57 +189,59 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], li
     k_rows = stack.reshape(n_grams * n, n)  # row g*n + i is K[g, i]
     tol, max_passes = _KKT_TOLERANCE, _MAX_PASSES
 
-    # working set: one entry per unfinished row
+    # working set: one entry per unfinished row, in alpha_out and u_out until a row finishes
     live = np.arange(rows)
-    alpha, u, box = np.zeros((rows, n)), np.zeros((rows, n)), upper
+    alpha, u, box, t_m, neg_m = alpha_out, u_out, upper, t, t < 0
     k_base = gram_of * n
     moved = np.ones(rows)  # no row has stuck before its first step
-    # every row's labels and the pick's buffers, of which m live rows use the first m rows
-    t_rows, neg_rows = np.tile(t, (rows, 1)), np.tile(t < 0, (rows, 1))
+    # the pick's buffers, of which m live rows use the first m rows; a pass's step takes its
+    # K rows into the values once the pick has read them
     value_buf, off_buf = np.empty(2 * rows * n), np.empty(2 * rows * n, dtype=bool)
 
     def scratch(m):
-        return (t_rows[:m], neg_rows[:m], value_buf[:2 * m * n].reshape(2, m, n),
-                off_buf[:2 * m * n].reshape(2, m, n), np.arange(0, 2 * m * n, n).reshape(2, m))
+        return (value_buf[:2 * m * n].reshape(2, m, n), off_buf[:2 * m * n].reshape(2, m, n),
+                np.arange(0, 2 * m * n, n).reshape(2, m))
 
     def finish(done, *step_arrays):
         """Copy the finished rows out; the rest of every working and per-step array."""
         alpha_out[live[done]] = alpha[done]
         u_out[live[done]] = u[done]
         keep = ~done
-        return [a[keep] for a in (live, alpha, u, box, k_base)] + [a[..., keep] for a in step_arrays]
+        return ([a[keep] for a in (live, alpha, u, box, t_m, neg_m, k_base)]
+                + [a[..., keep] for a in step_arrays])
 
-    t_m, neg_m, values, off, base = scratch(rows)
+    values, off, base = scratch(rows)
     passes = 0
     while live.size > _TAIL_ROWS and passes < max_passes:
         ij, gap = _pick(t_m, neg_m, alpha, u, box, values, off, base)
         if not (gap > tol).all() or not moved.all():
             done = (gap <= tol) | (moved == 0.0)  # a side with no candidate gives gap -inf
-            live, alpha, u, box, k_base, moved, ij, gap = finish(done, moved, ij, gap)
+            live, alpha, u, box, t_m, neg_m, k_base, moved, ij, gap = finish(done, moved, ij, gap)
             if live.size <= _TAIL_ROWS:
                 break  # the tail takes this pass again, row by row
-            t_m, neg_m, values, off, base = scratch(live.size)
+            values, off, base = scratch(live.size)
 
         # (2, m) flat indices: a_i, a_j in alpha and C w_i, C w_j in box; in k_pair, K_ii and
         # K_jj, with K_ij at cell[1]
         cell, flat = ij + base[0], ij + base
-        k_pair = k_rows.take(ij + k_base, axis=0)  # (2, m, n): K[g, i] and K[g, j]
-        ai, aj, ci, cj = _pair_steps(gap, alpha.take(cell), box.take(cell), t.take(ij),
+        k_pair = k_rows.take(ij + k_base, axis=0, out=values)  # (2, m, n): K[g, i] and K[g, j]
+        ai, aj, ci, cj = _pair_steps(gap, alpha.take(cell), box.take(cell), t_m.take(cell),
                                      k_pair.take(flat), k_pair.take(cell[1]))
         alpha.put(cell[0], ai)
         alpha.put(cell[1], aj)
-        u += ci[:, None] * k_pair[0]
-        u += cj[:, None] * k_pair[1]
+        k_pair *= np.stack([ci, cj])[..., None]
+        u += k_pair[0]
+        u += k_pair[1]
         moved = cj  # delta_j t_j: 0.0 where a_j, and so alpha and u, did not change
         passes += 1
 
     alpha_out[live], u_out[live] = alpha, u
     for r, row in enumerate(live.tolist()):
-        _smo_row(stack[gram_of[row]], t, box[r], alpha_out[row], u_out[row],
+        _smo_row(stack[gram_of[row]], t[row], box[r], alpha_out[row], u_out[row],
                  moved.item(r), max_passes - passes, tol)
 
-    t_m, neg_m, values, off, base = scratch(rows)
-    ij, gap = _pick(t_m, neg_m, alpha_out, u_out, upper, values, off, base)
+    values, off, base = scratch(rows)
+    ij, gap = _pick(t, t < 0, alpha_out, u_out, upper, values, off, base)
     free, ends = ~(off[0] | off[1]), values.take(ij + base).T.tolist()
     bias = []
     for r, (up, low) in enumerate(ends):  # low is -min low neg_e
@@ -221,7 +255,7 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], li
 def _pick(t, neg, alpha, u, box, values, off, base):
     """Every row's maximal violating pair: ``ij`` (2, rows), i over up and j over low, and the gap.
 
-    ``t`` and ``neg`` (``t < 0``) are the labels tiled to (rows, n); ``values``
+    ``t`` and ``neg`` (``t < 0``) are every row's labels, (rows, n); ``values``
     and ``off`` are contiguous (2, rows, n) scratch with (2, rows) flat row
     offsets ``base``. An up candidate has alpha < C w where t > 0 and alpha > 0
     where t < 0, a low one the reverse; ``off`` marks the rest. ``values`` is

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import re
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsvm_boost import experiment
+from qsvm_boost import experiment, svm_solver
 from qsvm_boost.boosted_qsvm import (
     STOP_PERFECT,
     GridSearchResult,
@@ -626,6 +627,84 @@ def test_a_failed_fit_marks_only_its_model(tmp_path, monkeypatch, capsys):
                                    " ".join(f"{m}={accuracy[m]:.3f}" for m in MODELS)
                                    for (family, seed), accuracy in by_dataset.items())
     assert all(f"{MODEL_BOOSTED}=nan " in line for line in lines)
+
+
+def test_a_record_times_its_model_and_its_share_of_each_shared_solve(tmp_path, monkeypatch):
+    # the clock moves only in the shared solves and the per-model fits, by amounts set here; round
+    # 1 is the single QSVM's search, later rounds are boosting's, and a solve splits by rows
+    config = sweep_config(tmp_path)
+    clock, splits, solves = [0.0], [], []
+    costs = {MODEL_SINGLE: 1.0, MODEL_BOOSTED: 2.0, MODEL_BASELINE: 4.0}
+    split, solve, fit = experiment.split_and_scale, experiment.train_problems, experiment.fit_model
+
+    def recorded_split(*args, **kwargs):
+        splits.append(split(*args, **kwargs))
+        return splits[-1]
+
+    def timed_solve(problems):
+        clock[0] += 100.0 * (len(solves) + 1)
+        solves.append((100.0 * (len(solves) + 1),
+                       [(id(labels), len(grams) * len(Cs)) for grams, labels, Cs, _ in problems]))
+        return solve(problems)
+
+    def timed_fit(split, config, model_id, cache):
+        clock[0] += costs[model_id]
+        return fit(split, config, model_id, cache)
+
+    monkeypatch.setattr(experiment, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(experiment, "split_and_scale", recorded_split)
+    monkeypatch.setattr(experiment, "train_problems", timed_solve)
+    monkeypatch.setattr(experiment, "fit_model", timed_fit)
+    records = run_experiment(config)
+
+    index = {id(s.train.y): d for d, s in enumerate(splits)}
+    expected = [dict(costs) for _ in splits]
+    for call, (seconds, rows) in enumerate(solves):
+        for labels, count in rows:
+            expected[index[labels]][MODEL_BOOSTED if call else MODEL_SINGLE] += (
+                seconds * count / sum(count for _, count in rows))
+    seeds = [derive_seed(config.master_seed, f, k, 0)
+             for f in range(len(config.families)) for k in range(config.datasets_per_family)]
+    assert len(solves) == 2 and len(solves[0][1]) == len(splits) == len(seeds) == 6
+    assert {(r.dataset_seed, r.model_id): r.wall_time for r in records} == pytest.approx(
+        {(seeds[d], model): wall for d, walls in enumerate(expected) for model, wall in walls.items()})
+    assert sum(r.wall_time for r in records) == pytest.approx(clock[0])
+
+
+def test_a_dataset_whose_later_round_fails_to_solve_marks_only_its_boosted_model(tmp_path, monkeypatch):
+    clean = run_experiment(sweep_config(tmp_path / "clean"))
+    config = sweep_config(tmp_path / "out")
+    bad_seed = derive_seed(config.master_seed, config.families.index("moons"), 1, 0)
+    bad_labels = study_split(config, "moons", 1).train.y.tobytes()
+    assert [study_split(config, family, k).train.y.tobytes()
+            for family in config.families for k in range(2)].count(bad_labels) == 1
+    checked, refused = svm_solver._checked, []
+
+    def refusing(grams, labels, Cs, weights=None):
+        # a boosted round's problem of that dataset: its weights are no longer all equal
+        if np.asarray(labels).tobytes() == bad_labels and weights is not None and np.ptp(weights) > 0:
+            refused.append(len(grams))
+            raise ValueError("weights refused")
+        return checked(grams, labels, Cs, weights)
+
+    monkeypatch.setattr(svm_solver, "_checked", refusing)
+    records = run_experiment(config)
+    assert len(refused) >= 2  # in the round solved across datasets, and in its boosted fit alone
+    (failed,) = [r for r in records if r.dataset_seed == bad_seed and r.model_id == MODEL_BOOSTED]
+    assert_failed(failed, "ValueError: weights refused")
+    assert without_wall_time(r for r in records if r is not failed) == without_wall_time(
+        r for r in clean if (r.dataset_seed, r.model_id) != (bad_seed, MODEL_BOOSTED))
+    for folder in ("models", "datasets"):
+        names = sorted(path.name for path in (tmp_path / "clean" / folder).iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "out" / folder).iterdir())
+        for name in names:
+            written = (tmp_path / "out" / folder / name).read_bytes()
+            if name == f"moons_{bad_seed}.json":
+                bundle = reload_bundle(tmp_path / "clean" / folder / name)
+                del bundle["boosted"]
+                assert written.decode() == json.dumps(bundle, indent=1, sort_keys=True)
+            else:
+                assert written == (tmp_path / "clean" / folder / name).read_bytes()
 
 
 def test_reproducibility_small(tmp_path):

@@ -406,6 +406,46 @@ def test_batch_shares_checks_and_degenerate_shortcut():
         train_weighted_svms(grams, labels, [1.0, 0.0])
 
 
+def test_problems_solved_together_keep_their_lone_models(moons_grid):
+    # two moons grids with their own labels and boosted boxes, and a one-class problem, in one
+    # call: every problem's models are its lone call's, bit for bit
+    grams, labels, Cs = moons_grid
+    other = split_and_scale(make_moons(150, noise_std=0.3, seed=9), (50, 50, 50), seed=10)
+    other_grams = [gram_matrix(GridSpec().spec_for(("X", "XX"), alpha, 2), other.train.X)
+                   for alpha in (0.5, 2.0)]
+    assert not np.array_equal(other.train.y, labels)
+    boosted = initial_weights(len(labels))
+    for k, rate in enumerate((0.3, 0.2)):
+        boosted = update_weights(boosted, np.random.default_rng(k).random(len(labels)) < rate, math.log(99.0))
+    assert 5e3 < boosted.max() <= 1e4
+    problems = [(grams[::3], labels, Cs, boosted),
+                (other_grams, other.train.y, [1.0, 100.0], None),
+                (grams[:2], np.ones(len(labels), dtype=int), [10.0], boosted)]
+    together = svm_solver.train_problems(problems)
+    assert [len(models) for models in together] == [36, 4, 2]
+    assert all(model.degenerate for model in together[2])
+    for problem, models in zip(problems, together):
+        for model, alone in zip(models, train_weighted_svms(*problem), strict=True):
+            assert model.dual_coefs.tobytes() == alone.dual_coefs.tobytes()
+            assert model.bias.hex() == alone.bias.hex()
+            assert (model.C, model.converged, model.degenerate) == (alone.C, alone.converged, alone.degenerate)
+
+
+def test_a_call_refuses_an_invalid_problem_as_a_lone_call_does(moons_grid):
+    grams, labels, Cs = moons_grid
+    bad_weights = np.ones(len(labels))
+    bad_weights[3] = np.nan
+    valid = (grams[:2], labels, Cs, None)
+    for invalid in [(grams[:2], labels, Cs, bad_weights), (grams[:2], labels, [1.0, -1.0], None),
+                    ([np.eye(len(labels) - 1)], labels[:-1] * 2, Cs, None)]:
+        with pytest.raises(ValueError) as alone:
+            train_weighted_svms(*invalid)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            svm_solver.train_problems([valid, invalid])
+    with pytest.raises(ValueError, match=r"must share their training size, got \[49, 50\]"):
+        svm_solver.train_problems([valid, ([np.eye(49)], labels[:-1], Cs, None)])
+
+
 def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
     # a row leaves the lock-step batch, or the lone-row loop once few rows are live, by
     # converging (kkt), by a step that left a_j where it was (stuck) or by its budget
