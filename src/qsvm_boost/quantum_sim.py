@@ -23,12 +23,15 @@ so it is one diagonal phase exp(i * sum_t theta_t B[t]) in L's eigenbasis
 (theta_t: a row's term angles, B[t]: term t's +-1 eigenvalues), equal to the
 per-term rotations up to round-off. Every term acts on at most two qubits,
 so with the amplitude index split into its low h and high n - h bits, B[t]
-is a low-half table times a high-half table, and the phase is built from
-half-register exponentials: one for the terms inside the low half, one for
-those inside the high half, and one per high qubit q for the cross terms on
-q, applied as itself or its conjugate by q's bit. That is (n - h + 1) * 2^h
-+ 2^(n-h) complex exponentials per row instead of 2^n. Either way a row's
-bits do not depend on the other rows of its batch.
+is a low-half table times a high-half table. The phase is built from
+half-register tables: one for the terms inside the low half, one for those
+inside the high half, and one per high qubit q for the cross terms on q,
+applied as itself or its conjugate by q's bit. B[t] is +-1, so a table is
+the product over its terms of exp(+-i theta_t) = cos(theta_t) +- i
+sin(theta_t): one cosine and one sine per term and row, then one complex
+product per term and table entry (2^h or 2^(n-h) entries), in place of
+summed angles and their complex exponentials. Either way a row's bits do
+not depend on the other rows of its batch.
 
 Conventions (fixed; the simulator and the dense oracle must share them):
   - qubit 0 is the least-significant bit of the amplitude index
@@ -248,46 +251,62 @@ def _rotate_batch(v: np.ndarray, gather: tuple[np.ndarray, np.ndarray],
 
 
 def _parity(masks: np.ndarray, bits: int) -> np.ndarray:
-    """(-1)^popcount(k & mask) for each mask (rows) and each k < 2^bits (columns)."""
-    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << bits) & masks[:, None]) & 1)
+    """popcount(k & mask) mod 2 for each mask (rows) and each k < 2^bits (columns)."""
+    return np.bitwise_count(np.arange(1 << bits) & masks[:, None]) & 1
 
 
 def _half_tables(masks: np.ndarray, n_qubits: int) -> tuple:
-    """A phase run's operand (b_lo, b_hi, lo, hi, cross) for its terms' qubit masks.
+    """A phase run's operand (lo, hi, cross) for its terms' qubit masks.
 
     With h = n // 2 and amplitude index k = k_hi * 2^h + k_lo, term t's
-    eigenvalue is b_lo[t, k_lo] * b_hi[t, k_hi]. lo and hi index the terms
-    inside the low and the high half; cross[j] indexes the terms on one low
-    qubit and high qubit h + j, whose b_hi is bit j's sign.
+    eigenvalue is b_lo[t, k_lo] * b_hi[t, k_hi], each +-1. lo and hi pick the
+    terms inside the low and the high half; cross[j] picks the terms on one low
+    qubit and high qubit h + j, whose b_hi is bit j's sign. A pick table holds,
+    for each of its terms t and each half index, the row of exp(+i theta_t)
+    (2t, where b is +1) or of exp(-i theta_t) (2t + 1) among :func:`_phase_factor`'s
+    per-term factors.
     """
     h = n_qubits // 2
     low, high = masks & ((1 << h) - 1), masks >> h
-    b_lo, b_hi, lo, hi = _frozen(_parity(low, h), _parity(high, n_qubits - h),
-                                 np.flatnonzero(high == 0), np.flatnonzero(low == 0))
-    cross = _frozen(*(np.flatnonzero((high == 1 << j) & (low != 0)) for j in range(n_qubits - h)))
-    return b_lo, b_hi, lo, hi, cross
+    lo_odd, hi_odd = _parity(low, h), _parity(high, n_qubits - h)  # 1 where b is -1
+
+    def picks(odd, terms):
+        return 2 * terms[:, None] + odd[terms]
+
+    lo, hi = picks(lo_odd, np.flatnonzero(high == 0)), picks(hi_odd, np.flatnonzero(low == 0))
+    cross = (picks(lo_odd, np.flatnonzero((high == 1 << j) & (low != 0))) for j in range(n_qubits - h))
+    return *_frozen(lo, hi), _frozen(*cross)
 
 
-def _phase_factor(theta: np.ndarray, b_lo, b_hi, lo, hi, cross) -> np.ndarray:
-    """exp(i * sum_t theta_t B[t]) for each row of theta (terms x rows), as (rows, 2^n),
-    from the :func:`_half_tables` of its terms."""
-    def exp_sum(table, idx):  # einsum, unlike BLAS, sums every row alike
-        return np.exp(1j * np.einsum("tm,tk->mk", theta[idx], table[idx]))
+def _phase_factor(theta: np.ndarray, lo, hi, cross) -> np.ndarray:
+    """exp(i * sum_t theta_t B[t]) for each row of theta (terms x rows), as a (rows, 2^n) view,
+    from the :func:`_half_tables` of its terms. B[t] is +-1, so each half table's phase is the
+    product over its terms of exp(+-i theta_t) = cos(theta_t) +- i sin(theta_t), taken in term
+    order with the rows last; every row gets the same operations."""
+    terms, rows = theta.shape
+    turns = np.empty((terms, 2, rows, 2))  # per term: exp(+i theta), exp(-i theta), as float pairs
+    turns[..., 0] = np.cos(theta)[:, None]
+    np.sin(theta, out=turns[:, 0, :, 1])
+    np.negative(turns[:, 0, :, 1], out=turns[:, 1, :, 1])
+    turns = turns.reshape(2 * terms, 2 * rows).view(complex)
 
-    factor = np.empty((theta.shape[1], b_hi.shape[1], b_lo.shape[1]), dtype=complex)
-    factor[:, 0] = exp_sum(b_lo, lo)
-    filled = 1  # rows of the high axis set so far
-    for idx in cross:  # each doubling puts the next high qubit's bit on top: + then -
-        done, new = factor[:, :filled], factor[:, filled:2 * filled]
-        if len(idx):
-            e = exp_sum(b_lo, idx)[:, None]
+    def product(picks):  # (2^h or 2^(n-h), rows); 1 for no terms
+        return np.multiply.reduce(turns[picks], axis=0)
+
+    factor = np.empty((hi.shape[1], lo.shape[1], rows), dtype=complex)
+    factor[0] = product(lo)
+    filled = 1  # entries of the high axis set so far
+    for picks in cross:  # each doubling puts the next high qubit's bit on top: + then -
+        done, new = factor[:filled], factor[filled:2 * filled]
+        if len(picks):
+            e = product(picks)
             np.multiply(done, np.conj(e), out=new)
             done *= e
         else:  # no cross term on this qubit: both halves are the same
             new[...] = done
         filled *= 2
-    factor *= exp_sum(b_hi, hi)[:, :, None]
-    return factor.reshape(-1, b_lo.shape[1] * b_hi.shape[1])
+    factor *= product(hi)[:, None]
+    return factor.reshape(hi.shape[1] * lo.shape[1], rows).T
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 """Statevector simulator tests, checked against the dense-matrix oracle."""
+import cmath
 import itertools
 import math
 import re
@@ -437,6 +438,36 @@ def test_phase_factor_matches_the_full_register_exponential(n_qubits):
         summed = np.finfo(float).eps * (n_qubits + len(masks) * np.abs(theta).sum(axis=0))[:, None]
         assert (error <= (1e-13 if n_qubits < 8 else summed)).all(), (labels, error.max())
         np.testing.assert_allclose(np.abs(factor), 1.0, rtol=0, atol=1e-13, err_msg=str(labels))
+
+
+def exactly_summed_phase(theta: np.ndarray, masks: np.ndarray, n_qubits: int) -> np.ndarray:
+    """exp(i * sum_t theta_t B[t, k]) with each row's sum exact: math.fsum rounds it once, the
+    rounding's remainder (summed again) enters as its own factor, and cmath.exp takes each part."""
+    B = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n_qubits) & masks[:, None]) & 1)
+    out = np.empty((theta.shape[1], 1 << n_qubits), dtype=complex)
+    for r, row in enumerate(theta.T):
+        for k, parts in enumerate((row[:, None] * B).T.tolist()):
+            phase = math.fsum(parts)
+            out[r, k] = cmath.exp(1j * phase) * cmath.exp(1j * math.fsum([*parts, -phase]))
+    return out
+
+
+@pytest.mark.parametrize("n_qubits, rows", [(8, 6), (MAX_QUBITS, 2)])
+def test_phase_factor_stays_within_a_few_ulps_per_term_of_the_exact_phase(n_qubits, rows):
+    # each factor cos + i b sin is within about an ulp of exp(+-i theta_t), and each of the at most
+    # T complex products adds about one more, so T terms stay within 4 T eps however large their sum
+    X = np.random.default_rng(76 + n_qubits).uniform(0, math.pi, size=(rows, n_qubits))
+    for labels in GridSpec().feature_maps:
+        spec = FeatureMapSpec(n_qubits, labels, alpha=2.0)
+        supports = [support for _, support in spec.terms()]
+        angles = spec.alpha * np.array([havlicek_data_map(support, X) for support in supports])
+        _, _, groups, _ = quantum_sim._circuit(n_qubits, labels, spec.reps)
+        for op, terms in [(op, terms) for kind, op, terms in groups if kind == "phase"]:
+            masks = np.array([sum(1 << q for q in support) for support in supports[terms]])
+            error = np.abs(quantum_sim._phase_factor(angles[terms], *op)
+                           - exactly_summed_phase(angles[terms], masks, n_qubits))
+            bound = 4 * len(masks) * np.finfo(float).eps
+            assert error.max() <= bound, (labels, len(masks), error.max() / np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 8, MAX_QUBITS])
