@@ -245,7 +245,8 @@ def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
         for alpha in grid.alphas:
             specs.append(grid.spec_for(labels, alpha, n_qubits))
             k_trains.append(cache.fidelity(specs[-1], X_train))
-            cache.fidelity(specs[-1], X_val, X_train)  # while the train states are at hand
+            # built while the train states are at hand: the one build this and every later round reads
+            cache.fidelity(specs[-1], X_val, X_train)
     if not specs:
         raise ValueError("every feature map in the grid is excluded")
     models = yield k_trains, y_train, grid.Cs, weights

@@ -262,7 +262,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> list[RunR
 def _solve_rounds(config: ExperimentConfig, splits: list[SplitDataset], caches: list[GramCache]) -> list[dict]:
     """Run every dataset's boosting rounds at once, round index r of all of them in one
     ``train_problems`` call; each round's search lands in its dataset's cache memo, where
-    ``fit_model``'s searches find it. No val x train Gram is held while the rounds solve.
+    ``fit_model``'s searches find it.
 
     Returns each dataset's seconds by model: the time its own rounds took plus its share, by
     rows, of each shared solve. Round 1, the unit-weight search, is the single QSVM's; the
@@ -281,7 +281,6 @@ def _solve_rounds(config: ExperimentConfig, splits: list[SplitDataset], caches: 
                 problems[d] = runs[d].send(models)
             except Exception:  # StopIteration when its rounds are done
                 pass
-            caches[d].drop_cross_grams()
             seconds[d][model_id] += time.perf_counter() - t0
         if not problems:
             return seconds

@@ -90,12 +90,14 @@ class GramCache:
     and ``search`` results: grid searches, keyed on grid, excluded maps, data, labels
     and weights, and fitted cells' observables W (``boosted_qsvm.decisions``).
 
-    Grid search reuses the same (feature map, alpha) Gram across all C values
-    and boosting rounds. A repeated search, such as boosting's unit-weight
-    round 1 after the single QSVM's search on the same split, is not run
-    again. A hit returns the stored object unchanged; ``len`` counts every
-    entry. Classical baseline Grams are not held here: no study asks for one
-    twice, so each is built per use. Scoring new points adds no entry per batch.
+    One cache serves one dataset and keeps every fidelity Gram it builds, self
+    and val x train, for its own life: grid search reuses the same (feature
+    map, alpha) Grams across all C values and boosting rounds. A repeated
+    search, such as boosting's unit-weight round 1 after the single QSVM's
+    search on the same split, is not run again. A hit returns the stored
+    object unchanged; ``len`` counts every entry. Classical baseline Grams are
+    not held here: no study asks for one twice, so each is built per use.
+    Scoring new points adds no entry per batch.
 
     A fidelity miss keeps the states of its train side (X_a of a self Gram,
     X_b of a cross Gram), read-only and outside ``len``, for the grid's next
@@ -109,12 +111,6 @@ class GramCache:
 
     def __len__(self) -> int:
         return len(self._grams) + len(self._searches)
-
-    def drop_cross_grams(self) -> None:
-        """Drop every stored Gram between two row sets, keeping the self Grams and the searches:
-        a study that solves all its datasets' rounds at once holds no val x train Gram while it
-        solves (``boosted_qsvm._search_grid`` builds them again once the models are back)."""
-        self._grams = {key: gram for key, gram in self._grams.items() if key[2] is None}
 
     @staticmethod
     def _search_key(params: tuple, arrays) -> tuple:

@@ -364,6 +364,22 @@ def count_simulations(monkeypatch) -> list:
     return calls
 
 
+def count_cross_grams(monkeypatch) -> list:
+    """Record (spec id, X_a bytes, X_b bytes) for every Gram between two row sets that the
+    Gram layer builds; a self Gram is not recorded."""
+    calls = []
+    build = kernels.gram_matrix
+
+    def counting(spec, X_a, X_b=None, **kwargs):
+        if X_b is not None:
+            calls.append((spec.canonical(), np.asarray(X_a, dtype=float).tobytes(),
+                          np.asarray(X_b, dtype=float).tobytes()))
+        return build(spec, X_a, X_b, **kwargs)
+
+    monkeypatch.setattr(kernels, "gram_matrix", counting)
+    return calls
+
+
 def src_env() -> dict:
     """This process's environment with the checkout's ``src`` first on PYTHONPATH,
     so a subprocess imports the package under test without it being installed."""

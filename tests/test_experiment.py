@@ -60,7 +60,7 @@ from qsvm_boost.experiment import (
 from qsvm_boost.kernels import GramCache, linear_gram, rbf_gram
 from qsvm_boost.quantum_sim import FeatureMapSpec, parse_feature_map
 from qsvm_boost.svm_solver import predict, svm_from_json, svm_to_json, train_weighted_svm
-from helpers import count_solver_calls
+from helpers import count_cross_grams, count_solver_calls
 
 SMALL_GRID = GridSpec(
     feature_maps=(("Z", "ZZ"), ("X", "XX")),
@@ -360,6 +360,33 @@ def test_run_experiment_bundles_match_fresh_cache_fits(tmp_path):
             bundle[key] = fit_model(split, config, model_id, GramCache()).entry
         path = tmp_path / "models" / f"{family}_{dataset_seed}.json"
         assert path.read_text() == json.dumps(bundle, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("run", ["study", "fit_boosted"])
+def test_each_val_x_train_gram_is_built_once_per_spec_across_all_rounds(tmp_path, monkeypatch, run):
+    # a dataset's cache keeps every Gram it builds: round 1's search builds each spec's val x train
+    # Gram, and every later round reads that build, in a study as in a lone fit_boosted
+    config = ExperimentConfig(output_dir=str(tmp_path),
+                              **{**CRITERION_8_CONFIG, "families": ("xor", "moons")})
+    splits = [study_split(config, family, 0) for family in config.families]
+    calls = count_cross_grams(monkeypatch)
+    if run == "study":
+        run_experiment(config)
+        seeds = [derive_seed(config.master_seed, f, 0, 0) for f in range(len(config.families))]
+        bundles = [json.loads((tmp_path / "models" / f"{family}_{seed}.json").read_text())
+                   for family, seed in zip(config.families, seeds)]
+        rounds = [len(bundle["boosted"]["rounds"]) for bundle in bundles]
+    else:
+        split, splits = splits[0], splits[:1]
+        rounds = [len(fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y,
+                                  config.grid, config.max_rounds).rounds)]
+    assert max(rounds) >= 2  # a later round ran a search of its own
+    specs = [config.grid.spec_for(labels, alpha, 2).canonical()
+             for labels in config.grid.feature_maps for alpha in config.grid.alphas]
+    assert len(specs) == 4
+    assert len(calls) == len(set(calls))  # no Gram built twice
+    assert sorted(calls) == sorted((spec, split.val.X.tobytes(), split.train.X.tobytes())
+                                   for split in splits for spec in specs)
 
 
 def test_reloaded_models_reproduce_accuracies(tmp_path):
