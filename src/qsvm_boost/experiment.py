@@ -45,7 +45,6 @@ from .svm_solver import (
     svm_to_json,
     train_problems,
     train_weighted_svm,
-    train_weighted_svms,
     written_back,
 )
 
@@ -224,7 +223,8 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> list[RunR
     ``config.output_dir``. Fit failures are recorded with an error marker and
     the sweep continues. Every dataset's boosting rounds are solved first, round
     index r of all of them in one solver call (``_solve_rounds``); each model is
-    then fitted per dataset, its grid searches found in the dataset's cache.
+    then fitted per dataset, its grid searches found in the dataset's cache. A
+    round that no shared call solved, after a refused one, is solved there alone.
     """
     out = Path(config.output_dir)
     datasets_dir = out / "datasets"
@@ -265,9 +265,10 @@ def _solve_rounds(config: ExperimentConfig, splits: list[SplitDataset], caches: 
     ``fit_model``'s searches find it.
 
     Returns each dataset's seconds by model: the time its own rounds took plus its share, by
-    rows, of each shared solve. Round 1, the unit-weight search, is the single QSVM's; the
-    rest are boosting's. A dataset whose round fails leaves the drive, and ``fit_model``
-    meets the failure again alone.
+    rows, of each shared solve, a refused one included. Round 1, the unit-weight search, is
+    the single QSVM's; the rest are boosting's. A dataset whose round fails leaves the drive,
+    and a refused solve ends it: ``fit_model`` then solves each dataset's remaining rounds
+    alone, and meets the failure again there.
     """
     seconds = [dict.fromkeys(MODELS, 0.0) for _ in splits]
     runs = [boosting_rounds(s.train.X, s.train.y, s.val.X, s.val.y, config.grid, config.max_rounds, cache)
@@ -285,27 +286,15 @@ def _solve_rounds(config: ExperimentConfig, splits: list[SplitDataset], caches: 
         if not problems:
             return seconds
         t0 = time.perf_counter()
-        received = _solve_together(problems)
+        try:
+            received = dict(zip(problems, train_problems(list(problems.values()))))
+        except Exception:  # a problem refused: the drive ends
+            received = {}
         shared = time.perf_counter() - t0
         rows = {d: len(grams) * len(Cs) for d, (grams, _, Cs, _) in problems.items()}
         for d, count in rows.items():
             seconds[d][model_id] += shared * count / sum(rows.values())
         model_id = MODEL_BOOSTED
-
-
-def _solve_together(problems: dict) -> dict:
-    """Every problem's models from one ``train_problems`` call; if it refuses one, each problem's
-    own ``train_weighted_svms`` call, leaving out the problems refused."""
-    try:
-        return dict(zip(problems, train_problems(list(problems.values()))))
-    except Exception:
-        alone = {}
-        for d, problem in problems.items():
-            try:
-                alone[d] = train_weighted_svms(*problem)
-            except Exception:
-                pass
-        return alone
 
 
 class ModelFit(NamedTuple):

@@ -178,24 +178,20 @@ def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(power(n - h), np.kron(power(h), np.eye(2)))
 
 
-def _hadamard_all_batch(psi: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _hadamard_all_batch(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """H on every qubit of every row: the float64 view reshaped to (m, high, low
-    parts) takes one real matmul per axis. At one or two qubits each matmul
-    covers one qubit, so the bits are those of a per-qubit 2x2 layer. Given a
-    float64 ``scratch`` of psi's size (above two qubits), the first matmul goes
-    there and the second back into psi, which is returned."""
+    parts) takes one real matmul per axis, the first into ``scratch``, a float64
+    buffer of psi's size, and the second back into psi, which is returned (a
+    contiguous copy of psi if it was not contiguous). At one or two qubits each
+    matmul covers at most one qubit, so the bits are those of a per-qubit 2x2 layer."""
     m, dim = psi.shape
     n = dim.bit_length() - 1
     high, low = _hadamard_factors(n)
-    v = np.ascontiguousarray(psi).view(np.float64).reshape(m, len(high), len(low))
-    if scratch is not None:
-        np.matmul(high, v, out=scratch.reshape(v.shape))
-        np.matmul(scratch.reshape(v.shape), low, out=v)
-        return psi
-    v = high @ v
-    if n > 1:
-        v = v @ low
-    return v.reshape(m, 2 * dim).view(complex)
+    psi = np.ascontiguousarray(psi)
+    v = psi.view(np.float64).reshape(m, len(high), len(low))
+    np.matmul(high, v, out=scratch.reshape(v.shape))
+    np.matmul(scratch.reshape(v.shape), low, out=v)
+    return psi
 
 
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +347,7 @@ def _circuit(n_qubits: int, labels: tuple[str, ...], reps: int) -> tuple:
                        np.array(pairs, dtype=int), pair_qubits)
     start = np.eye(1, 1 << n_qubits, dtype=complex)  # |0...0>
     if steps[0][0] == "hadamard":  # every row starts from one shared row
-        start, steps = _hadamard_all_batch(start), steps[1:]
+        start, steps = _hadamard_all_batch(start, np.empty(2 * start.size)), steps[1:]
     return data_map, *_frozen(start), tuple(groups), tuple(steps)
 
 
@@ -373,7 +369,7 @@ def feature_map_states(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     factors = [_phase_factor(angles[terms], *op) if kind == "phase"
                else (np.cos(angles[terms]), np.sin(angles[terms])) for kind, op, terms in groups]
     psi = np.repeat(start, len(X), axis=0)
-    scratch = np.empty(2 * psi.size) if spec.n_qubits > 2 else None  # the Hadamard layers' first matmul
+    scratch = np.empty(2 * psi.size)  # the Hadamard layers' first matmul
     for kind, operand in steps:
         if kind == "hadamard":
             psi = _hadamard_all_batch(psi, scratch)

@@ -254,6 +254,19 @@ def reference_hadamard(psi: np.ndarray) -> np.ndarray:
     return t.reshape(m, dim)
 
 
+def reference_real_hadamard(psi: np.ndarray) -> np.ndarray:
+    """H on every qubit of psi's float64 parts, (m, 2^n * 2) with each amplitude's real and
+    imaginary part side by side: one moveaxis and real 2x2 matmul per qubit. Its zeros take their
+    sign from the matmul's sums alone, as the simulator's do, where the complex oracle's products
+    with a zero imaginary part of H can give -0.0."""
+    m, dim = psi.shape
+    n = dim.bit_length() - 1
+    t = np.ascontiguousarray(psi).view(np.float64).reshape((m,) + (2,) * n + (2,))
+    for ax in range(1, n + 1):
+        t = np.moveaxis(_HADAMARD.real @ np.moveaxis(t, ax, -2), -2, ax)
+    return t.reshape(m, 2 * dim)
+
+
 def reference_apply_pauli(psi: np.ndarray, action: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Return P|psi> for each row of psi, P given by its ``_pauli_action``."""
     index, phase = action

@@ -362,6 +362,31 @@ def test_run_experiment_bundles_match_fresh_cache_fits(tmp_path):
         assert path.read_text() == json.dumps(bundle, indent=1, sort_keys=True)
 
 
+def test_a_study_solves_round_r_of_every_dataset_in_one_shared_call_and_nothing_alone(tmp_path, monkeypatch):
+    # fit_model's searches repeat the drive's rounds on the same caches, so each finds its round in
+    # the memo: were a search key to differ, the study would fit that grid again alone
+    config = ExperimentConfig(output_dir=str(tmp_path), **CRITERION_8_CONFIG)
+    splits = [study_split(config, family, 0) for family in config.families]
+    labels = [split.train.y.tobytes() for split in splits]
+    assert len(set(labels)) == len(labels)
+    alone, solve, shared = count_solver_calls(monkeypatch), experiment.train_problems, []
+
+    def recorded(problems):  # per shared call: the datasets whose round it solves
+        shared.append([labels.index(np.asarray(y).tobytes()) for _, y, _, _ in problems])
+        return solve(problems)
+
+    monkeypatch.setattr(experiment, "train_problems", recorded)
+    run_experiment(config)
+    assert alone == []
+    searches = []  # per dataset: the rounds a lone fit_boosted solves
+    for split in splits:
+        fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y, config.grid, config.max_rounds)
+        searches.append(len(alone))
+        del alone[:]
+    assert max(searches) >= 2
+    assert shared == [[d for d, n in enumerate(searches) if n > r] for r in range(max(searches))]
+
+
 @pytest.mark.parametrize("run", ["study", "fit_boosted"])
 def test_each_val_x_train_gram_is_built_once_per_spec_across_all_rounds(tmp_path, monkeypatch, run):
     # a dataset's cache keeps every Gram it builds: round 1's search builds each spec's val x train
@@ -698,9 +723,15 @@ def test_a_record_times_its_model_and_its_share_of_each_shared_solve(tmp_path, m
     assert sum(r.wall_time for r in records) == pytest.approx(clock[0])
 
 
+def three_round_sweep_config(output_dir) -> ExperimentConfig:
+    """``sweep_config`` with a third feature map and round: some datasets solve a round after the second."""
+    grid = GridSpec(feature_maps=(("Z",), ("X", "XX"), ("Z", "ZZ")), alphas=(1.0,), Cs=(1.0, 10.0))
+    return replace(sweep_config(output_dir), grid=grid, max_rounds=3)
+
+
 def test_a_dataset_whose_later_round_fails_to_solve_marks_only_its_boosted_model(tmp_path, monkeypatch):
-    clean = run_experiment(sweep_config(tmp_path / "clean"))
-    config = sweep_config(tmp_path / "out")
+    clean = run_experiment(three_round_sweep_config(tmp_path / "clean"))
+    config = three_round_sweep_config(tmp_path / "out")
     bad_seed = derive_seed(config.master_seed, config.families.index("moons"), 1, 0)
     bad_labels = study_split(config, "moons", 1).train.y.tobytes()
     assert [study_split(config, family, k).train.y.tobytes()
@@ -714,9 +745,20 @@ def test_a_dataset_whose_later_round_fails_to_solve_marks_only_its_boosted_model
             raise ValueError("weights refused")
         return checked(grams, labels, Cs, weights)
 
+    solve, shared = experiment.train_problems, []  # per shared call: whether it refused
+
+    def recorded(problems):
+        shared.append(True)
+        models = solve(problems)
+        shared[-1] = False
+        return models
+
     monkeypatch.setattr(svm_solver, "_checked", refusing)
+    monkeypatch.setattr(experiment, "train_problems", recorded)
     records = run_experiment(config)
     assert len(refused) >= 2  # in the round solved across datasets, and in its boosted fit alone
+    assert shared == [False, True]  # round 2's refused call ends the drive: the clean run has a round 3
+    assert max(r.ensemble_size for r in clean) == 3
     (failed,) = [r for r in records if r.dataset_seed == bad_seed and r.model_id == MODEL_BOOSTED]
     assert_failed(failed, "ValueError: weights refused")
     assert without_wall_time(r for r in records if r is not failed) == without_wall_time(

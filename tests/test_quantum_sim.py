@@ -38,6 +38,7 @@ from helpers import (
     random_statevector,
     reference_apply_pauli,
     reference_hadamard,
+    reference_real_hadamard,
     reference_rotate,
     reference_states,
 )
@@ -45,6 +46,12 @@ from helpers import (
 
 def random_batch(rng, n_qubits, rows=4):
     return np.array([random_statevector(rng, n_qubits) for _ in range(rows)])
+
+
+def hadamard(psi):
+    """The Hadamard layer on psi with a scratch of its size: a contiguous psi is overwritten, so a
+    caller that compares the result with its input passes a copy."""
+    return _hadamard_all_batch(psi, np.empty(2 * psi.size))
 
 
 def rotate(psi, letters, thetas):
@@ -102,7 +109,7 @@ def test_the_plan_starts_from_h_on_zero_in_place_of_an_opening_hadamard_layer(n_
     _, start, _, steps = quantum_sim._circuit(n_qubits, labels, 2)
     zero = np.zeros((1, 1 << n_qubits), dtype=complex)
     zero[0, 0] = 1.0
-    np.testing.assert_array_equal(start, _hadamard_all_batch(zero) if hadamard_led else zero)
+    np.testing.assert_array_equal(start, hadamard(zero.copy()) if hadamard_led else zero)
     assert steps[0][0] != "hadamard"
     assert not start.flags.writeable
 
@@ -138,12 +145,12 @@ def test_pauli_action_matches_dense_matrix():
 # --- Hadamard layer ---
 
 def test_hadamard_on_zero():
-    out = _hadamard_all_batch(np.array([[1, 0]], dtype=complex))
+    out = hadamard(np.array([[1, 0]], dtype=complex))
     np.testing.assert_allclose(out[0], [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
 
 
 def test_hadamard_uniform_two_qubits():
-    out = _hadamard_all_batch(np.array([[1, 0, 0, 0]], dtype=complex))
+    out = hadamard(np.array([[1, 0, 0, 0]], dtype=complex))
     np.testing.assert_allclose(out[0], [0.5] * 4, atol=1e-15)
 
 
@@ -151,7 +158,8 @@ def test_hadamard_self_inverse():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         psi = random_batch(rng, n)
-        back = _hadamard_all_batch(_hadamard_all_batch(psi))
+        back = hadamard(hadamard(psi.copy()))  # the layer writes into its input: psi stays apart
+        assert not np.shares_memory(back, psi)
         np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
@@ -160,22 +168,37 @@ def test_hadamard_matches_dense_layer():
     for n in range(1, 7):
         psi = random_batch(rng, n)
         dense = psi @ _kron_chain([_HADAMARD] * n).T
-        np.testing.assert_allclose(_hadamard_all_batch(psi), dense, atol=1e-13)
+        np.testing.assert_allclose(hadamard(psi.copy()), dense, atol=1e-13)
 
 
 def test_hadamard_matches_oracle_wide_and_non_contiguous():
     rng = np.random.default_rng(14)
     batch = random_batch(rng, 4, rows=6)
     for psi in (random_batch(rng, 12, rows=3), batch[::2], np.asfortranarray(batch)):
-        np.testing.assert_allclose(_hadamard_all_batch(psi), reference_hadamard(psi), atol=1e-13)
+        given = psi.copy()  # the layer overwrites a contiguous psi
+        out = hadamard(psi)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, reference_hadamard(given), atol=1e-13)
+        if not psi.flags.c_contiguous:  # laid out afresh, so the input is left as it was
+            np.testing.assert_array_equal(psi, given)
 
 
 def test_hadamard_bits_match_oracle_up_to_two_qubits():
-    # one or two qubits means one qubit per matmul: the same two-term sums as the oracle
+    # one or two qubits means at most one qubit per matmul: the same two-term sums as the oracles,
+    # the sign of zero included (at one qubit the second matmul is by the identity); the complex
+    # oracle rounds a lone row otherwise, so it checks batches
     rng = np.random.default_rng(15)
     for n in (1, 2):
-        psi = random_batch(rng, n, rows=50)
-        np.testing.assert_array_equal(_hadamard_all_batch(psi), reference_hadamard(psi))
+        for rows in (1, 50, 500):
+            parts = random_batch(rng, n, rows=rows).view(np.float64)
+            parts[rng.random(parts.shape) < 0.2] = -0.0
+            psi = parts.view(complex)
+            out = hadamard(psi.copy()).view(np.float64)
+            expected = reference_real_hadamard(psi)
+            np.testing.assert_array_equal(out, expected)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+            if rows > 1:
+                np.testing.assert_array_equal(out, reference_hadamard(psi).view(np.float64))
 
 
 # --- Pauli rotations ---
@@ -187,7 +210,7 @@ def test_rotation_theta_zero_is_identity():
 
 
 def test_rotation_z_on_plus_state():
-    plus = _hadamard_all_batch(np.array([[1, 0]], dtype=complex))
+    plus = hadamard(np.array([[1, 0]], dtype=complex))
     out = rotate(plus, "Z", [math.pi / 4])
     np.testing.assert_allclose(out[0], [(1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15)
 
