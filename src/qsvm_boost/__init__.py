@@ -22,7 +22,6 @@ from .svm_solver import (
     svm_from_json,
     svm_to_json,
     train_weighted_svm,
-    train_weighted_svms,
 )
 from .boosted_qsvm import (
     DEFAULT_FEATURE_MAP_MENU,

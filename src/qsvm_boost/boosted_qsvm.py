@@ -23,7 +23,7 @@ from .svm_solver import (
     predict,
     svm_from_json,
     svm_to_json,
-    train_weighted_svms,
+    train_problems,
     written_back,
 )
 
@@ -213,18 +213,18 @@ def grid_search_best(
 
 def _solved(run):
     """What the resumable search or boosting loop ``run`` returns, each grid problem it yields
-    solved by its own ``train_weighted_svms`` call."""
+    solved by its own ``train_problems`` call."""
     try:
         problem = next(run)
         while True:
-            problem = run.send(train_weighted_svms(*problem))
+            problem = run.send(train_problems([problem])[0])
     except StopIteration as done:
         return done.value
 
 
 def _grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache):
     """``grid_search_best`` as a resumable round: a generator that, on a memo miss, yields its grid
-    problem (``train_weighted_svms``'s arguments), receives the problem's models and returns the
+    problem (a ``train_problems`` problem), receives the problem's models and returns the
     search's result."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))

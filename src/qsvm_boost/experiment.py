@@ -51,8 +51,9 @@ from .svm_solver import (
 MODEL_BOOSTED = "boosted_qsvm"
 MODEL_SINGLE = "single_qsvm"
 MODEL_BASELINE = "svm_baseline"
-# fit order: single first, so it pays for the whole unit-weight grid search (its Gram
-# builds and its fits), which boosting's round 1 then takes from the shared cache
+# fit order: single first. The drive (_solve_rounds) charges round 1 to the single QSVM; where that
+# unit-weight search is not yet cached (a refused shared solve, a lone fit_model), this order has the
+# single QSVM pay for its Gram builds and fits, and boosting's round 1 take them from the cache
 MODELS = (MODEL_SINGLE, MODEL_BOOSTED, MODEL_BASELINE)
 _BUNDLE_KEYS = {MODEL_SINGLE: "single", MODEL_BOOSTED: "boosted", MODEL_BASELINE: "baseline"}
 

@@ -10,17 +10,17 @@ first-index tie-breaking, so training is deterministic.
 
 One solver fits every problem. ``train_problems`` runs the (Gram, C) rows of
 several problems in lock-step, each problem with its own labels and weights:
-the grid searches of a study's datasets, or of one dataset alone through
-``train_weighted_svms``. Each pass picks every row's pair in ``_pick``
-(masks from two comparisons,
--inf written off them into one two-sided buffer, one argmax), takes every
-row's step in ``_pair_steps`` over (rows,) arrays and adds all K-row updates
-at once. A finished row, within tolerance or stuck, leaves at the top of a pass.
-Once at most ``_TAIL_ROWS`` rows are live, each finishes alone in
-``_smo_row`` with the scalar ``_pair_step``; ``train_weighted_svm`` runs
-only that loop. Every row's bias and verdict are read from one last ``_pick``
-over all rows, so the pair, the bias and ``converged`` (the returned duals'
-maximal KKT violation is within ``_KKT_TOLERANCE``) share their candidates.
+the grid searches of a study's datasets, or of one dataset alone;
+``train_weighted_svm`` is one problem of one (Gram, C) row. Each pass picks
+every row's pair in ``_pick`` (masks from two comparisons, -inf written off
+them into one two-sided buffer, one argmax), takes every row's step in
+``_pair_steps`` over (rows,) arrays and adds all K-row updates at once. A
+finished row, within tolerance or stuck, leaves at the top of a pass. Once at
+most ``_TAIL_ROWS`` rows are live, each finishes alone in ``_smo_row`` with
+the scalar ``_pair_step``; a single fit runs only that loop. Every row's bias
+and verdict are read from one last ``_pick`` over all rows, so the pair, the
+bias and ``converged`` (the returned duals' maximal KKT violation is within
+``_KKT_TOLERANCE``) share their candidates.
 
 Every row takes exactly the steps, and gives exactly the bits (the sign of
 zero included), of a fit of its problem alone: every pick is a first-index
@@ -84,31 +84,17 @@ def train_weighted_svm(
     weights: np.ndarray | None = None,
 ) -> TrainedSVM:
     """Fit the weighted SVM dual on a precomputed train x train kernel."""
-    return train_weighted_svms([gram], labels, [C], weights)[0]
-
-
-def train_weighted_svms(
-    grams: Sequence[GramMatrix | np.ndarray],
-    labels: np.ndarray,
-    Cs: Sequence[float],
-    weights: np.ndarray | None = None,
-) -> list[TrainedSVM]:
-    """Fit every (gram, C) pair on shared labels and weights, in lock-step.
-
-    Models come back grams outer, Cs inner. Each is bit-identical to a fit of
-    its pair alone. This is ``train_problems`` on one problem.
-    """
-    return train_problems([(grams, labels, Cs, weights)])[0]
+    return train_problems([([gram], labels, [C], weights)])[0][0]
 
 
 def train_problems(problems: Sequence[tuple]) -> list[list[TrainedSVM]]:
-    """Each ``(grams, labels, Cs, weights)`` problem's ``train_weighted_svms`` models, every row
-    of every problem in one lock-step call with its own labels and box.
+    """Each ``(grams, labels, Cs, weights)`` problem's models, grams outer and Cs inner, every row
+    of every problem in one lock-step call with its own labels and box (weights ``None``: all 1).
 
-    A problem's models are bit-identical to its call alone. Every problem is
-    checked before any is solved, and one that a lone call refuses is refused
-    with the same message. The problems that need a solve must share their
-    training size.
+    A problem's models are bit-identical to its call alone, and each model to a
+    fit of its (Gram, C) pair alone. Every problem is checked before any is
+    solved, and one that a lone call refuses is refused with the same message.
+    The problems that need a solve must share their training size.
     """
     checked = [_checked(*problem) for problem in problems]
     solved = [rows for models, rows in checked if models is None]
@@ -131,7 +117,7 @@ def train_problems(problems: Sequence[tuple]) -> list[list[TrainedSVM]]:
             for models, rows in checked]
 
 
-def _checked(grams, labels, Cs, weights=None) -> tuple:
+def _checked(grams, labels, Cs, weights) -> tuple:
     """``(models, None)`` for a problem that needs no solve (no Gram or C, or one effective class),
     else ``(None, (Grams, t, Cs, weights))`` with t = 2y - 1; a ValueError for an invalid problem."""
     Ks = [_gram_values(gram) for gram in grams]
@@ -178,7 +164,8 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], li
     after ``_MAX_PASSES`` steps. Finished rows leave the working
     arrays at the top of a pass; the Gram stack is never copied. Once at most
     ``_TAIL_ROWS`` rows are live, each finishes alone in ``_smo_row`` from its
-    own ``alpha``, ``u`` (u_k = sum_l alpha_l t_l K_lk), last step and remaining passes.
+    own ``alpha``, ``u`` (u_k = sum_l alpha_l t_l K_lk) and remaining passes; a row with
+    passes left has yet to step or was just kept by a top-of-pass check, so it is not stuck.
     Returns every row's final ``alpha``, its bias and its verdict from one last ``_pick`` over
     all rows: the bias is the mean of neg_e = t - u over the free vectors (on both sides), else
     the middle of the up and low ends, else the finite end; the verdict is that gap <= tol.
@@ -237,8 +224,7 @@ def _smo_lockstep(stack, gram_of, t, upper) -> tuple[np.ndarray, list[float], li
 
     alpha_out[live], u_out[live] = alpha, u
     for r, row in enumerate(live.tolist()):
-        _smo_row(stack[gram_of[row]], t[row], box[r], alpha_out[row], u_out[row],
-                 moved.item(r), max_passes - passes, tol)
+        _smo_row(stack[gram_of[row]], t[row], box[r], alpha_out[row], u_out[row], max_passes - passes, tol)
 
     values, off, base = scratch(rows)
     ij, gap = _pick(t, t < 0, alpha_out, u_out, upper, values, off, base)
@@ -277,12 +263,13 @@ def _pick(t, neg, alpha, u, box, values, off, base):
     return ij, best[0] + best[1]
 
 
-def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> None:
+def _smo_row(K, t, box, alpha, u, passes, tol) -> None:
     """Finish one row alone: the lock-step pass on (n,) arrays, with the scalar step.
 
     Updates ``alpha`` and ``u`` in place from where the batch left them and
-    runs at most ``passes`` more passes; ``moved`` is the row's last
-    ``delta_j t_j``. Its verdict is read from the final ``_pick``, as every row's is.
+    runs at most ``passes`` more passes. The batch hands over a row that is not
+    stuck, so its first pass reads only the gap. Its verdict is read from the
+    final ``_pick``, as every row's is.
 
     ``sides`` stacks t on the up candidates (-inf elsewhere), u, and t on the
     low ones (+inf elsewhere), so ``sides[:2] - sides[1:]`` is ``_pick``'s
@@ -295,7 +282,7 @@ def _smo_row(K, t, box, alpha, u, moved, passes, tol) -> None:
     sides = np.stack([np.where(off[0], -np.inf, t), u, np.where(off[1], np.inf, t)])
     ends, starts, row_u = sides[:2], sides[1:], sides[1]
     a, upper, labels, k_diag = alpha.tolist(), box.tolist(), t.tolist(), K.diagonal().tolist()
-    k_rows = list(K)
+    k_rows, moved = list(K), 1.0
     for _ in range(passes):
         np.subtract(ends, starts, out=values)
         i, j = values.argmax(1).tolist()

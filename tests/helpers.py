@@ -244,8 +244,10 @@ def reference_smo(
 
 
 def reference_hadamard(psi: np.ndarray) -> np.ndarray:
-    """H on every qubit, one moveaxis and complex 2x2 matmul per qubit: the oracle
-    for the simulator's two-matmul Hadamard layer."""
+    """H on every qubit, one moveaxis and complex 2x2 matmul per qubit: an oracle for the values
+    of the simulator's two-matmul Hadamard layer, not its bits. Its last bit can change with the
+    batch size, and its products with H's zero imaginary parts can give -0.0 where the layer
+    gives 0.0, so bit tests use ``reference_real_hadamard``."""
     m, dim = psi.shape
     n = dim.bit_length() - 1
     t = psi.reshape((m,) + (2,) * n)
@@ -351,16 +353,17 @@ def reference_split(X: np.ndarray, y: np.ndarray, sizes, seed: int) -> list[tupl
 
 
 def count_solver_calls(monkeypatch) -> list:
-    """Record the arguments of every batched solver call the grid search makes."""
-    calls = []
-    solve = boosted_qsvm.train_weighted_svms
+    """Record every problem that a lone grid search or ``fit_boosted`` sends to the solver, each
+    in its own ``train_problems`` call."""
+    problems = []
+    solve = boosted_qsvm.train_problems
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counting(received):
+        problems.extend(received)
+        return solve(received)
 
-    monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", counting)
-    return calls
+    monkeypatch.setattr(boosted_qsvm, "train_problems", counting)
+    return problems
 
 
 def count_simulations(monkeypatch) -> list:

@@ -1,12 +1,14 @@
 """Fidelity and classical kernel tests, including Gram validity and caching."""
 import fractions
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qsvm_boost.boosted_qsvm import GridSpec
 from qsvm_boost.kernels import GramCache, gram_matrix, linear_gram, rbf_gram
-from qsvm_boost.quantum_sim import FeatureMapSpec, dense_unitary_oracle
+from qsvm_boost.quantum_sim import FeatureMapSpec, dense_pauli_matrix, dense_unitary_oracle, feature_map_states
 from helpers import count_simulations, linear_kernel, random_feature_map_spec, rbf_kernel
 
 
@@ -107,6 +109,27 @@ def test_y_yy_at_alpha_is_zz_at_twice_alpha_only_at_two_reps(low, high):
                for reps in (1, 2, 3)}
         assert gap[2] <= 1e-12, (alpha, gap)
         assert gap[1] > 0.5 and gap[3] > 0.5, (alpha, gap)
+
+
+def test_every_two_qubit_fidelity_gram_is_a_linear_gram_on_sixteen_pauli_features():
+    # Tr(rho sigma) = 1/4 sum_P <P>_rho <P>_sigma over the 16 two-qubit Paulis, so the features
+    # Phi_i = <P>_i / 2 give K = Phi Phi^T (measured within 7.8e-16 on every default-grid spec);
+    # ZZ and Y,YY see the rows through six features only, so their Grams have rank 3
+    X = np.random.default_rng(6).uniform(0, math.pi, size=(50, 2))
+    paulis = ["".join(letters) for letters in itertools.product("IXYZ", repeat=2)]
+    grid = GridSpec()
+    specs = [grid.spec_for(labels, alpha, 2) for labels in grid.feature_maps for alpha in grid.alphas]
+    assert len(specs) == 36
+    for spec in specs:
+        psi = feature_map_states(spec, X)
+        phi = np.stack([np.einsum("ri,ij,rj->r", psi.conj(), dense_pauli_matrix(p), psi).real / 2
+                        for p in paulis], axis=1)
+        K = gram_matrix(spec, X).values
+        assert np.abs(phi @ phi.T - K).max() <= 1e-14, spec
+        if spec.labels in {("ZZ",), ("Y", "YY")}:
+            assert np.linalg.matrix_rank(K) == 3, spec
+            features = {p for p, column in zip(paulis, phi.T) if np.abs(column).max() > 1e-12}
+            assert features == {"II", "IZ", "ZI", "ZZ", "XY", "YX"}, spec
 
 
 def test_rbf_kernel_values():

@@ -18,8 +18,8 @@ from qsvm_boost.svm_solver import (
     predict,
     svm_from_json,
     svm_to_json,
+    train_problems,
     train_weighted_svm,
-    train_weighted_svms,
 )
 from helpers import brute_force_qp, random_psd_kernel, reference_pick, reference_smo
 
@@ -202,7 +202,7 @@ def test_non_finite_C_or_weight_rejected(C, weights, message):
     with pytest.raises(ValueError, match=message):
         train_weighted_svm(np.eye(4), np.array([0, 1, 0, 1]), C, weights)
     with pytest.raises(ValueError, match=message):
-        train_weighted_svms([np.eye(4)], np.array([0, 1, 0, 1]), [1.0, C], weights)
+        train_problems([([np.eye(4)], np.array([0, 1, 0, 1]), [1.0, C], weights)])
 
 
 @pytest.mark.parametrize("C", [True, "1", None, 1j])
@@ -223,7 +223,7 @@ def test_non_finite_gram_rejected(bad):
     with pytest.raises(ValueError, match="training grams must be finite"):
         train_weighted_svm(K, y, 10.0)
     with pytest.raises(ValueError, match="training grams must be finite"):
-        train_weighted_svms([random_psd_kernel(rng, 6), K, np.eye(6)], y, [1.0, 10.0])
+        train_problems([([random_psd_kernel(rng, 6), K, np.eye(6)], y, [1.0, 10.0], None)])
 
 
 def test_non_convergence_flagged(monkeypatch):
@@ -244,7 +244,7 @@ def test_a_fit_solved_by_its_last_budgeted_step_is_converged(monkeypatch):
     monkeypatch.setattr(svm_solver, "_MAX_PASSES", 1)
     labels = np.array([0, 1])
     models = [train_weighted_svm(np.eye(2), labels, 10.0),
-              *train_weighted_svms([np.eye(2)] * 3, labels, [1.0, 2.0, 10.0])]
+              *train_problems([([np.eye(2)] * 3, labels, [1.0, 2.0, 10.0], None)])[0]]
     oracles = [reference_smo(np.eye(2), labels, C) for C in (10.0, *[1.0, 2.0, 10.0] * 3)]
     assert len(models) == 10
     for model, oracle in zip(models, oracles):
@@ -334,7 +334,7 @@ def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes, monkeypa
         misclassified = np.random.default_rng(0).random(len(labels)) < 0.3
         weights = update_weights(initial_weights(len(labels)), misclassified, math.log(3.0))
     monkeypatch.setattr(svm_solver, "_MAX_PASSES", max_passes)
-    batch = train_weighted_svms(grams, labels, Cs, weights)
+    batch = train_problems([(grams, labels, Cs, weights)])[0]
     cells = [(gram, C) for gram in grams for C in Cs]
     t = 2.0 * labels - 1.0
     assert len(batch) == len(cells) == 108
@@ -366,14 +366,14 @@ def test_batch_matches_scalar_oracle_on_boosting_weights(monkeypatch):
                       **config.dataset_params["moons"])
     split = split_and_scale(data, config.split_sizes,
                             seed=experiment.derive_seed(config.master_seed, family, 0, 1))
-    calls, batched = [], boosted_qsvm.train_weighted_svms
+    calls, batched = [], boosted_qsvm.train_problems
 
-    def recorded(grams, labels, Cs, weights):
-        models = batched(grams, labels, Cs, weights)
-        calls.append((grams, labels, Cs, weights, models))
-        return models
+    def recorded(problems):
+        solved = batched(problems)
+        calls.extend((*problem, models) for problem, models in zip(problems, solved))
+        return solved
 
-    monkeypatch.setattr(boosted_qsvm, "train_weighted_svms", recorded)
+    monkeypatch.setattr(boosted_qsvm, "train_problems", recorded)
     boosted_qsvm.fit_boosted(split.train.X, split.train.y, split.val.X, split.val.y,
                              config.grid, config.max_rounds, GramCache())
     assert len(calls) == 7 and max(Cs[-1] * weights.max() for _, _, Cs, weights, _ in calls) > 4e4
@@ -391,19 +391,19 @@ def test_batch_shares_checks_and_degenerate_shortcut():
     rng = np.random.default_rng(3)
     grams = [random_psd_kernel(rng, 6) for _ in range(2)]
     labels = np.array([0, 1, 0, 1, 1, 0])
-    batch = train_weighted_svms(grams, labels, [1.0, 5.0])
+    batch = train_problems([(grams, labels, [1.0, 5.0], None)])[0]
     singles = [train_weighted_svm(K, labels, C) for K in grams for C in (1.0, 5.0)]
     for model, single in zip(batch, singles):
         np.testing.assert_array_equal(model.dual_coefs, single.dual_coefs)
         assert (model.bias, model.C) == (single.bias, single.C)
-    degenerate = train_weighted_svms(grams, np.ones(6, dtype=int), [1.0, 5.0])
+    degenerate = train_problems([(grams, np.ones(6, dtype=int), [1.0, 5.0], None)])[0]
     assert [m.C for m in degenerate] == [1.0, 5.0, 1.0, 5.0]
     assert all(m.degenerate and m.bias == 1.0 for m in degenerate)
-    assert train_weighted_svms([], labels, [1.0]) == []
+    assert train_problems([([], labels, [1.0], None)])[0] == []
     with pytest.raises(ValueError, match="does not match gram size"):
-        train_weighted_svms([grams[0], np.eye(5)], labels, [1.0])
+        train_problems([([grams[0], np.eye(5)], labels, [1.0], None)])
     with pytest.raises(ValueError, match="C must be positive"):
-        train_weighted_svms(grams, labels, [1.0, 0.0])
+        train_problems([(grams, labels, [1.0, 0.0], None)])
 
 
 def test_problems_solved_together_keep_their_lone_models(moons_grid):
@@ -425,7 +425,7 @@ def test_problems_solved_together_keep_their_lone_models(moons_grid):
     assert [len(models) for models in together] == [36, 4, 2]
     assert all(model.degenerate for model in together[2])
     for problem, models in zip(problems, together):
-        for model, alone in zip(models, train_weighted_svms(*problem), strict=True):
+        for model, alone in zip(models, train_problems([problem])[0], strict=True):
             assert model.dual_coefs.tobytes() == alone.dual_coefs.tobytes()
             assert model.bias.hex() == alone.bias.hex()
             assert (model.C, model.converged, model.degenerate) == (alone.C, alone.converged, alone.degenerate)
@@ -439,7 +439,7 @@ def test_a_call_refuses_an_invalid_problem_as_a_lone_call_does(moons_grid):
     for invalid in [(grams[:2], labels, Cs, bad_weights), (grams[:2], labels, [1.0, -1.0], None),
                     ([np.eye(len(labels) - 1)], labels[:-1] * 2, Cs, None)]:
         with pytest.raises(ValueError) as alone:
-            train_weighted_svms(*invalid)
+            train_problems([invalid])
         with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
             svm_solver.train_problems([valid, invalid])
     with pytest.raises(ValueError, match=r"must share their training size, got \[49, 50\]"):
@@ -457,9 +457,9 @@ def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
         steps[0] += 1
         return pair_step(*args)
 
-    def recorded_row(K, t, box, alpha, u, moved, passes, tol):
+    def recorded_row(K, t, box, alpha, u, passes, tol):
         steps[0] = 0
-        smo_row(K, t, box, alpha, u, moved, passes, tol)
+        smo_row(K, t, box, alpha, u, passes, tol)
         ok = reference_pick(t, alpha, u, box)[2] <= tol  # the row's verdict, as the final pick reads it
         alone.append("kkt" if ok else "batch budget" if passes == 0
                      else "max_passes" if steps[0] == passes else "stuck")
@@ -472,7 +472,7 @@ def test_every_exit_is_taken_in_the_batch_and_alone(moons_grid, monkeypatch):
     for weights, max_passes in [(None, 300), (boosted, 300), (boosted, 3000)]:
         alone.clear()
         monkeypatch.setattr(svm_solver, "_MAX_PASSES", max_passes)
-        models = train_weighted_svms(grams, labels, Cs, weights)
+        models = train_problems([(grams, labels, Cs, weights)])[0]
         converged = sum(model.converged for model in models)
         # a row still live when the batch spends its budget reaches the loop with no pass left
         budget = alone.count("batch budget")
