@@ -238,19 +238,18 @@ def _grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
 
 def _search_grid(X_train, y_train, weights, X_val, y_val, grid, excluded, cache):
     n_qubits = X_train.shape[1]
-    specs, k_trains = [], []  # per (feature map, alpha): its spec and train Gram
+    k_trains, cells = [], []  # per (feature map, alpha): its train Gram and (spec, val x train Gram)
     for labels in grid.feature_maps:
         if menu_id(labels) in excluded:
             continue
         for alpha in grid.alphas:
-            specs.append(grid.spec_for(labels, alpha, n_qubits))
-            k_trains.append(cache.fidelity(specs[-1], X_train))
+            spec = grid.spec_for(labels, alpha, n_qubits)
+            k_trains.append(cache.fidelity(spec, X_train).values)
             # built while the train states are at hand: the one build this and every later round reads
-            cache.fidelity(specs[-1], X_val, X_train)
-    if not specs:
+            cells.append((spec, cache.fidelity(spec, X_val, X_train).values))
+    if not cells:
         raise ValueError("every feature map in the grid is excluded")
     models = yield k_trains, y_train, grid.Cs, weights
-    cells = [(spec, cache.fidelity(spec, X_val, X_train)) for spec in specs]
     spec, _, model, accuracy = best_cell(cells, grid.Cs, models, y_val)
     return GridSearchResult(model, spec, accuracy)
 
@@ -266,9 +265,9 @@ def _validation_labels(X_val, y_val) -> np.ndarray:
 
 def best_cell(cells, Cs, models, y_val) -> tuple:
     """``(key, C, model, val_accuracy)`` of the first most accurate model, the winner rule of
-    both grid searches. ``cells`` are ``(key, val x train GramMatrix)`` pairs in tie-break
+    both grid searches. ``cells`` are ``(key, val x train Gram array)`` pairs in tie-break
     order and ``models`` their fits, cells outer and Cs inner: a tie goes to the earlier cell."""
-    scored = [(key, C, model, float(np.mean(predict(model, k_val.values) == y_val)))
+    scored = [(key, C, model, float(np.mean(predict(model, k_val) == y_val)))
               for ((key, k_val), C), model in zip(itertools.product(cells, Cs), models, strict=True)]
     return max(scored, key=lambda cell: cell[3])
 
@@ -315,8 +314,7 @@ def boosting_rounds(X_train, y_train, X_val, y_val, grid, max_rounds, cache: Gra
             stop_reason = STOP_MAPS_EXHAUSTED
             break
         result = yield from _grid_search(X_train, y_train, weights, X_val, y_val, grid, excluded, cache)
-        k_train = cache.fidelity(result.feature_map, X_train)
-        train_preds = predict(result.model, k_train.values)
+        train_preds = predict(result.model, cache.fidelity(result.feature_map, X_train).values)
         rnd = BoostingRound(**vars(result), err_m=estimator_error(train_preds, y_train, weights))
         if rnd.err_m <= 0.0:
             rounds, stop_reason = [rnd], STOP_PERFECT
@@ -337,7 +335,7 @@ def decisions(result: GridSearchResult, X_new: np.ndarray, X_train: np.ndarray, 
     c_i |psi_i><psi_i|`` over ``X_train``'s states built once per ``cache``: ``decision_function``
     on fidelity Gram rows up to round-off, each row summed in one order whatever the batch."""
     spec, coefs = result.feature_map, result.model.dual_coefs
-    W = cache.search(spec.canonical(), (X_train, coefs), lambda: _observable(spec, X_train, coefs))
+    W = cache.search(("observable", spec.canonical()), (X_train, coefs), lambda: _observable(spec, X_train, coefs))
     psi = kernels.feature_map_states(spec, X_new)
     return np.einsum("md,md->m", psi.conj(), np.einsum("de,me->md", W, psi)).real + result.model.bias
 

@@ -205,8 +205,8 @@ def classical_svm_baseline(
     cells, k_trains = [], []  # per (kernel, gamma): ((kernel, gamma), val x train Gram)
     for kernel, gamma in grid:
         gram, params = _BASELINE_GRAMS[kernel], {} if gamma is None else {"gamma": gamma}
-        k_trains.append(gram(X_train, **params))
-        cells.append(((kernel, gamma), gram(split.val.X, X_train, **params)))
+        k_trains.append(gram(X_train, **params).values)
+        cells.append(((kernel, gamma), gram(split.val.X, X_train, **params).values))
     models = [train_weighted_svm(k_train, y_train, C) for k_train in k_trains for C in Cs]
     (kernel, gamma), _, model, val_accuracy = best_cell(cells, Cs, models, split.val.y)
     return BaselineResult(model, kernel, gamma, val_accuracy)

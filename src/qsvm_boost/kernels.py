@@ -4,9 +4,9 @@ The fidelity kernel is k(x, y) = |<phi(x)|phi(y)>|^2, the squared overlap of
 the encoded statevectors, taken pairwise. Each row set is simulated once per
 Gram pair: :class:`GramCache` hands its last train-side states to the next
 Gram on those rows. Every kernel's Gram, fidelity, rbf or linear, goes
-through one assembly that mirrors a self Gram's upper triangle. :class:`GramCache`
-memoizes fidelity Grams, grid searches and fitted cells' observables; the
-classical baseline's Grams are built per use.
+through one assembly that mirrors a self Gram's upper triangle, and each layer past
+this one takes its ``values`` array. :class:`GramCache` memoizes fidelity Grams, grid
+searches and fitted cells' observables; the classical baseline's Grams are built per use.
 """
 from __future__ import annotations
 
@@ -86,9 +86,9 @@ def _digest(X: np.ndarray) -> str:
 
 
 class GramCache:
-    """Memoizes fidelity Gram matrices, keyed on (feature map, dataset content hash),
-    and ``search`` results: grid searches, keyed on grid, excluded maps, data, labels
-    and weights, and fitted cells' observables W (``boosted_qsvm.decisions``).
+    """One memo, keyed on parameters and array contents, whose every miss runs through ``search``:
+    fidelity Grams, keyed on (feature map, rows), grid searches, keyed on grid, excluded maps,
+    data, labels and weights, and fitted cells' observables W (``boosted_qsvm.decisions``).
 
     One cache serves one dataset and keeps every fidelity Gram it builds, self
     and val x train, for its own life: grid search reuses the same (feature
@@ -105,41 +105,39 @@ class GramCache:
     """
 
     def __init__(self):
-        self._grams: dict[tuple, GramMatrix] = {}
-        self._searches: dict[tuple, object] = {}
+        self._memo: dict[tuple, object] = {}
         self._states: tuple = ((), None)  # ((feature map, rows digest), states)
 
     def __len__(self) -> int:
-        return len(self._grams) + len(self._searches)
+        return len(self._memo)
 
     @staticmethod
-    def _search_key(params: tuple, arrays) -> tuple:
+    def _key(params: tuple, arrays) -> tuple:
         return params, tuple(None if a is None else _digest(a) for a in arrays)
 
     def search(self, params: tuple, arrays, run):
         """``run()``'s result, memoized on hashable ``params`` plus the content
         of ``arrays`` (each an array or None); ``run`` is called on a miss only."""
-        key = self._search_key(params, arrays)
-        if key not in self._searches:
-            self._searches[key] = run()
-        return self._searches[key]
+        key = self._key(params, arrays)
+        if key not in self._memo:
+            self._memo[key] = run()
+        return self._memo[key]
 
     def resumable_search(self, params: tuple, arrays, rounds):
         """``search`` for a resumable run: a generator that, on a miss only, yields from the
         generator ``rounds`` and stores what it returns."""
-        key = self._search_key(params, arrays)
-        if key not in self._searches:
-            self._searches[key] = yield from rounds
-        return self._searches[key]
+        key = self._key(params, arrays)
+        if key not in self._memo:
+            self._memo[key] = yield from rounds
+        return self._memo[key]
 
     def fidelity(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b: np.ndarray | None = None) -> GramMatrix:
-        key = (spec.canonical(), _digest(X_a), None if X_b is None else _digest(X_b))
-        if key not in self._grams:
-            self._grams[key] = self._build(spec, X_a, X_b, (key[0], key[2] or key[1]))
-        return self._grams[key]
+        return self.search(("fidelity", spec.canonical()), (X_a, X_b), lambda: self._build(spec, X_a, X_b))
 
-    def _build(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b, states_key: tuple) -> GramMatrix:
+    def _build(self, spec: FeatureMapSpec, X_a: np.ndarray, X_b) -> GramMatrix:
+        X_train = X_a if X_b is None else X_b
+        states_key = (spec.canonical(), _digest(X_train))
         if self._states[0] != states_key:
-            self._states = (states_key, feature_map_states(spec, X_a if X_b is None else X_b))
+            self._states = (states_key, feature_map_states(spec, X_train))
             self._states[1].flags.writeable = False
         return gram_matrix(spec, X_a, X_b, states_b=self._states[1])

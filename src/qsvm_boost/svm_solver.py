@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix
 from .quantum_sim import is_real
 
 _KKT_TOLERANCE = 1e-3  # a fit stops, converged, once its duals' maximal KKT violation is within this,
@@ -70,15 +69,15 @@ class TrainedSVM:
         return np.flatnonzero(self.dual_coefs)
 
 
-def _gram_values(gram: GramMatrix | np.ndarray) -> np.ndarray:
-    values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+def _gram_values(gram: np.ndarray) -> np.ndarray:
+    values = np.asarray(gram, dtype=float)
     if values.ndim != 2:
         raise ValueError("gram must be a 2-D matrix")
     return values
 
 
 def train_weighted_svm(
-    gram: GramMatrix | np.ndarray,
+    gram: np.ndarray,
     labels: np.ndarray,
     C: float,
     weights: np.ndarray | None = None,
@@ -382,7 +381,7 @@ def predict(model: TrainedSVM, kernel_row: np.ndarray) -> np.int64 | np.ndarray:
     return (decision_function(model, kernel_row) >= 0).astype(int)
 
 
-def dual_objective(gram: GramMatrix | np.ndarray, labels: np.ndarray, alphas: np.ndarray) -> float:
+def dual_objective(gram: np.ndarray, labels: np.ndarray, alphas: np.ndarray) -> float:
     """Value of the dual objective sum(a) - 1/2 (a*t)' K (a*t)."""
     K = _gram_values(gram)
     t = 2.0 * np.asarray(labels, dtype=float) - 1.0

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from qsvm_boost import boosted_qsvm, kernels, svm_solver
-from qsvm_boost.kernels import GramMatrix
 from qsvm_boost.quantum_sim import _HADAMARD, FeatureMapSpec, _pauli_action, havlicek_data_map
 from qsvm_boost.svm_solver import TrainedSVM
 
@@ -136,7 +135,7 @@ def reference_pick(t: np.ndarray, alpha: np.ndarray, u: np.ndarray, upper: np.nd
 
 
 def reference_smo(
-    gram: GramMatrix | np.ndarray,
+    gram: np.ndarray,
     labels: np.ndarray,
     C: float,
     weights: np.ndarray | None = None,
@@ -150,7 +149,7 @@ def reference_smo(
     The fit is converged when ``reference_pick`` finds its final state's gap within ``tol``,
     however the loop stopped.
     """
-    K = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    K = np.asarray(gram, dtype=float)
     n = K.shape[0]
     if K.shape[1] != n:
         raise ValueError(f"training gram must be square, got {K.shape}")

@@ -32,7 +32,7 @@ from qsvm_boost.boosted_qsvm import (
     update_weights,
 )
 from qsvm_boost.datasets import make_moons, make_xor, split_and_scale
-from qsvm_boost.kernels import GramCache, GramMatrix, gram_matrix
+from qsvm_boost.kernels import GramCache, gram_matrix
 from qsvm_boost.quantum_sim import FeatureMapSpec
 from qsvm_boost.svm_solver import TrainedSVM, decision_function, predict, train_weighted_svm
 from helpers import count_simulations, count_solver_calls
@@ -176,7 +176,7 @@ def fitted_cells(spec: FeatureMapSpec, seed: int, train_rows: int = 30):
     """``(X_train, [cell fitted on random labels, degenerate cell])`` on random rows."""
     rng = np.random.default_rng(seed)
     X_train = rng.uniform(0.0, math.pi, size=(train_rows, spec.n_qubits))
-    k_train = gram_matrix(spec, X_train)
+    k_train = gram_matrix(spec, X_train).values
     y = rng.integers(0, 2, size=train_rows)
     y[:2] = [0, 1]
     models = (train_weighted_svm(k_train, y, 10.0), train_weighted_svm(k_train, np.ones(train_rows, dtype=int), 10.0))
@@ -272,7 +272,7 @@ def test_grid_search_tie_breaking_order(weighting):
     for labels in SMALL_GRID.feature_maps:
         for alpha in SMALL_GRID.alphas:
             spec = SMALL_GRID.spec_for(labels, alpha, 2)
-            k_train = gram_matrix(spec, X_train)
+            k_train = gram_matrix(spec, X_train).values
             k_val = gram_matrix(spec, X_val, X_train)
             for C in SMALL_GRID.Cs:
                 model = train_weighted_svm(k_train, y_train, C, weights)
@@ -284,6 +284,25 @@ def test_grid_search_tie_breaking_order(weighting):
     assert result.grid_point == expected[1]
     # ties exist in this grid, so the rule is actually exercised
     assert result.val_accuracy < 1.0 or result.grid_point[1] == SMALL_GRID.alphas[0]
+
+
+def test_a_missed_grid_search_looks_each_gram_up_once(monkeypatch):
+    # on a fresh cache, each spec's train Gram and val x train Gram are asked for once each:
+    # the val Grams the winner is scored on are the ones the search built
+    lookups, fidelity = [], GramCache.fidelity
+
+    def counting(cache, spec, X_a, X_b=None):
+        lookups.append((spec.canonical(), X_b is None))
+        return fidelity(cache, spec, X_a, X_b)
+
+    monkeypatch.setattr(GramCache, "fidelity", counting)
+    split = small_split()
+    grid_search_best(split.train.X, split.train.y, initial_weights(len(split.train.y)),
+                     split.val.X, split.val.y, SMALL_GRID, {"X,XX"}, GramCache())
+    specs = [SMALL_GRID.spec_for(labels, alpha, 2).canonical()
+             for labels in SMALL_GRID.feature_maps if labels != ("X", "XX") for alpha in SMALL_GRID.alphas]
+    assert len(specs) == 4
+    assert sorted(lookups) == sorted((spec, self_gram) for spec in specs for self_gram in (True, False))
 
 
 def test_grid_search_simulates_each_row_set_once_per_spec(monkeypatch):
@@ -390,7 +409,7 @@ def test_best_cell_first_of_tied_accuracies_wins():
     # cell "a" scores 0.25 at both Cs, cells "b" and "c" score 0.75 at both: the first
     # 0.75 in cells-outer, Cs-inner order wins, ahead of its later C and the later cell
     y_val = np.array([1, 1, 1, 0])
-    cells = [(key, GramMatrix(np.zeros((4, 1)))) for key in ("a", "b", "c")]
+    cells = [(key, np.zeros((4, 1))) for key in ("a", "b", "c")]
     low, high = constant_model(0), constant_model(1)
     models = [low, low, high, high, high, high]
     key, C, model, accuracy = best_cell(cells, (1.0, 10.0), models, y_val)

@@ -260,10 +260,10 @@ def test_baseline_tie_breaking_order():
     for kernel in kernels:
         for gamma in sorted(gammas) if kernel == "rbf" else [None]:
             if kernel == "rbf":
-                k_train = rbf_gram(split.train.X, gamma=gamma)
+                k_train = rbf_gram(split.train.X, gamma=gamma).values
                 k_val = rbf_gram(split.val.X, split.train.X, gamma=gamma)
             else:
-                k_train, k_val = linear_gram(split.train.X), linear_gram(split.val.X, split.train.X)
+                k_train, k_val = linear_gram(split.train.X).values, linear_gram(split.val.X, split.train.X)
             for C in sorted(Cs):
                 model = train_weighted_svm(k_train, split.train.y, C)
                 accuracy = float(np.mean(predict(model, k_val.values) == split.val.y))

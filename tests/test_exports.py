@@ -1,5 +1,5 @@
-"""Every name the package exports has a caller in the program or its benchmark, and every name a
-module imports is read."""
+"""Every name the package exports has a caller in the program or its benchmark, every name a
+module imports is read, and the Gram wrapper stops at ``kernels``."""
 import ast
 from pathlib import Path
 
@@ -38,3 +38,10 @@ def test_no_module_imports_a_name_it_does_not_read():
     unread = {path.name: sorted(_imported_names(path) - _references(path))
               for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
     assert {module: names for module, names in unread.items() if names} == {}
+
+
+def test_no_module_past_kernels_names_gram_matrix():
+    # the Gram builders' wrapper stops at kernels: the solver and both grid searches take arrays
+    naming = [path.name for path in PACKAGE.glob("*.py") if path.name not in ("kernels.py", "__init__.py")
+              and "GramMatrix" in _references(path) | _imported_names(path)]
+    assert naming == []

@@ -298,7 +298,7 @@ def moons_grid():
     grams = [gram_matrix(grid.spec_for(labels, alpha, 2), split.train.X)
              for labels in grid.feature_maps for alpha in grid.alphas]
     assert grid.feature_maps[1] == ("ZZ",) and np.linalg.matrix_rank(grams[4].values) == 3
-    return grams, split.train.y, grid.Cs
+    return [gram.values for gram in grams], split.train.y, grid.Cs
 
 
 def kkt_gap(K, labels, dual_coefs, upper) -> float:
@@ -346,7 +346,7 @@ def test_batch_matches_scalar_oracle(moons_grid, weighting, max_passes, monkeypa
         assert model.bias == expected.bias and np.signbit(model.bias) == np.signbit(expected.bias)
         assert model.converged == expected.converged
         upper = C * (np.ones(len(labels)) if weights is None else weights)
-        assert model.converged == (kkt_gap(gram.values, labels, model.dual_coefs, upper)
+        assert model.converged == (kkt_gap(gram, labels, model.dual_coefs, upper)
                                    <= svm_solver._KKT_TOLERANCE)
         np.testing.assert_array_equal(model.support_indices, np.flatnonzero(expected.dual_coefs * t > 0))
         assert model.C == expected.C == C and not model.degenerate
@@ -411,7 +411,7 @@ def test_problems_solved_together_keep_their_lone_models(moons_grid):
     # call: every problem's models are its lone call's, bit for bit
     grams, labels, Cs = moons_grid
     other = split_and_scale(make_moons(150, noise_std=0.3, seed=9), (50, 50, 50), seed=10)
-    other_grams = [gram_matrix(GridSpec().spec_for(("X", "XX"), alpha, 2), other.train.X)
+    other_grams = [gram_matrix(GridSpec().spec_for(("X", "XX"), alpha, 2), other.train.X).values
                    for alpha in (0.5, 2.0)]
     assert not np.array_equal(other.train.y, labels)
     boosted = initial_weights(len(labels))
